@@ -1,16 +1,16 @@
-// Arena-storage microbenchmarks: epoch-reclaimed arena vs per-tuple
-// heap ownership, on the insert path and on the interleaved
-// insert+purge cycle that punctuation-driven execution actually runs.
+// Arena-storage microbenchmarks: the epoch-reclaimed arena on the
+// insert path and on the interleaved insert+purge cycle that
+// punctuation-driven execution actually runs.
 //
-// Rows carry a string payload past Value's inline capacity, so heap
-// mode pays one vector plus one string allocation per insert while
-// arena mode bump-allocates both into the same block. The interleaved
-// section runs whole insert/purge/epoch rounds — the arena's headline
-// case, where a purge sweep retires blocks wholesale through the free
-// list instead of freeing tuples one by one. The binary CHECKs the
-// steady-state property (insert_allocs stops growing once the block
-// working set exists) and that arena-on/off end-to-end runs produce
-// identical result counts.
+// Rows carry a string payload past Value's inline capacity, so each
+// insert bump-allocates the value array and the string bytes into the
+// same block. The interleaved section runs whole insert/purge/epoch
+// rounds — the arena's headline case, where a purge sweep retires
+// blocks wholesale through the free list instead of freeing tuples one
+// by one. The binary CHECKs the steady-state property (insert_allocs
+// stops growing once the block working set exists) and that the
+// executor's answer on a short trace equals the never-purging
+// ReferenceJoinOperator's.
 //
 // Emits one JSON object (checked-in baseline: BENCH_arena.json,
 // experiment E17 in EXPERIMENTS.md). With --baseline FILE it exits
@@ -23,6 +23,7 @@
 //                    [--generations G] [--iters I]
 //                    [--baseline FILE] [--min-ratio R]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -35,6 +36,7 @@
 
 #include "bench_util.h"
 #include "exec/plan_executor.h"
+#include "exec/reference_join.h"
 #include "exec/tuple_store.h"
 #include "util/logging.h"
 #include "workload/random_query.h"
@@ -50,7 +52,7 @@ double SecondsSince(Clock::time_point start) {
 
 std::vector<Tuple> MakeRows(size_t n, size_t keys) {
   // An int64 join key, a string payload past the inline cap (external
-  // bytes in arena mode, a heap string otherwise), and a row id.
+  // bytes in the arena block), and a row id.
   std::vector<Tuple> rows;
   rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -71,14 +73,12 @@ struct MicroResult {
   uint64_t checksum = 0;
 };
 
-MicroResult RunMicro(const std::vector<Tuple>& rows, size_t rounds,
-                     bool arena) {
+MicroResult RunMicro(const std::vector<Tuple>& rows, size_t rounds) {
   MicroResult r;
-  TupleStoreOptions options{.arena = arena};
 
   // Insert throughput: one cold fill.
   {
-    TupleStore store({0}, options);
+    TupleStore store({0});
     auto start = Clock::now();
     for (const Tuple& t : rows) store.Insert(t);
     double secs = SecondsSince(start);
@@ -89,7 +89,7 @@ MicroResult RunMicro(const std::vector<Tuple>& rows, size_t rounds,
   // Interleaved insert+purge+epoch rounds — the punctuated-stream
   // shape: a generation arrives, a punctuation retires it wholesale.
   {
-    TupleStore store({0}, options);
+    TupleStore store({0});
     std::vector<size_t> slots;
     slots.reserve(rows.size());
     // Warmup round builds the arena's block working set.
@@ -127,10 +127,8 @@ struct RunStats {
 };
 
 RunStats RunEndToEnd(const bench::ChainFixture& fx, const PlanShape& shape,
-                     const Trace& trace, bool arena) {
-  ExecutorConfig config;
-  config.arena = arena;
-  auto exec = PlanExecutor::Create(fx.query, fx.schemes, shape, config);
+                     const Trace& trace) {
+  auto exec = PlanExecutor::Create(fx.query, fx.schemes, shape, {});
   PUNCTSAFE_CHECK_OK(exec.status());
   auto start = Clock::now();
   PUNCTSAFE_CHECK_OK(FeedTrace(exec.ValueOrDie().get(), trace));
@@ -138,6 +136,24 @@ RunStats RunEndToEnd(const bench::ChainFixture& fx, const PlanShape& shape,
   stats.seconds = SecondsSince(start);
   stats.results = (*exec)->num_results();
   return stats;
+}
+
+// The executor's sorted result multiset on `trace` must equal the
+// never-purging nested-loop reference join's.
+void CheckAgainstReference(const bench::ChainFixture& fx,
+                           const PlanShape& shape, const Trace& trace) {
+  ExecutorConfig config;
+  config.keep_results = true;
+  auto exec = PlanExecutor::Create(fx.query, fx.schemes, shape, config);
+  PUNCTSAFE_CHECK_OK(exec.status());
+  PUNCTSAFE_CHECK_OK(FeedTrace(exec.ValueOrDie().get(), trace));
+  std::vector<Tuple> got = (*exec)->kept_results();
+  std::sort(got.begin(), got.end());
+  Result<std::vector<Tuple>> want = ReferenceJoinResults(fx.query, trace);
+  PUNCTSAFE_CHECK_OK(want.status());
+  PUNCTSAFE_CHECK(got == *want)
+      << "executor diverged from the reference join: " << got.size()
+      << " results vs " << want->size();
 }
 
 template <typename Fn>
@@ -186,13 +202,13 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<Tuple> rows = MakeRows(rows_n, keys);
-  MicroResult heap;
+  // One untimed pass first: the first fill in a fresh process runs at
+  // a fraction of the warm rate (page faults, allocator growth), which
+  // the gated rates must not measure.
+  RunMicro(rows, rounds);
   MicroResult arena;
-  // Best-of-iters per mode, interleaved to spread thermal/clock drift.
   for (size_t i = 0; i < iters; ++i) {
-    MicroResult h = RunMicro(rows, rounds, /*arena=*/false);
-    MicroResult a = RunMicro(rows, rounds, /*arena=*/true);
-    if (i == 0 || h.interleaved_ps > heap.interleaved_ps) heap = h;
+    MicroResult a = RunMicro(rows, rounds);
     if (i == 0 || a.interleaved_ps > arena.interleaved_ps) arena = a;
   }
 
@@ -212,18 +228,13 @@ int Main(int argc, char** argv) {
   tconfig.values_per_generation = 8;
   tconfig.tuples_per_generation = 60;
   Trace trace = MakeCoveringTrace(fx.query, fx.schemes, tconfig);
+  RunStats e2e = Best(iters, [&] { return RunEndToEnd(fx, shape, trace); });
 
-  RunStats e2e_heap =
-      Best(iters, [&] { return RunEndToEnd(fx, shape, trace, false); });
-  RunStats e2e_arena =
-      Best(iters, [&] { return RunEndToEnd(fx, shape, trace, true); });
-  PUNCTSAFE_CHECK(e2e_heap.results == e2e_arena.results)
-      << "storage modes disagree: heap=" << e2e_heap.results
-      << " arena=" << e2e_arena.results;
-
-  double speedup = heap.interleaved_ps > 0
-                       ? arena.interleaved_ps / heap.interleaved_ps
-                       : 0;
+  // The reference join is a nested loop, quadratic in stored tuples,
+  // so the equality check runs on a short trace of the same shape.
+  tconfig.num_generations = std::min<size_t>(generations, 10);
+  CheckAgainstReference(fx, shape,
+                        MakeCoveringTrace(fx.query, fx.schemes, tconfig));
 
   std::ostringstream json;
   char buf[256];
@@ -240,28 +251,20 @@ int Main(int argc, char** argv) {
   json << "  \"events\": " << trace.size() << ",\n";
   json << "  \"hardware_threads\": " << bench::HardwareThreads()
        << ",\n";
-  emit("heap_insert_per_sec", heap.insert_ps);
   emit("arena_insert_per_sec", arena.insert_ps);
-  emit("heap_interleaved_ops_per_sec", heap.interleaved_ps);
   emit("arena_interleaved_ops_per_sec", arena.interleaved_ps);
-  std::snprintf(buf, sizeof(buf),
-                "  \"arena_interleaved_speedup\": %.2f,\n", speedup);
-  json << buf;
   json << "  \"arena_steady_state_insert_allocs\": "
        << arena.steady_allocs << ",\n";
   json << "  \"arena_blocks_reclaimed\": " << arena.blocks_reclaimed
        << ",\n";
   json << "  \"arena_bytes_reserved\": " << arena.bytes_reserved << ",\n";
-  emit("heap_e2e_events_per_sec",
-       e2e_heap.seconds > 0 ? trace.size() / e2e_heap.seconds : 0);
   emit("arena_e2e_events_per_sec",
-       e2e_arena.seconds > 0 ? trace.size() / e2e_arena.seconds : 0);
+       e2e.seconds > 0 ? trace.size() / e2e.seconds : 0);
   std::snprintf(buf, sizeof(buf), "  \"results\": %llu,\n",
-                static_cast<unsigned long long>(e2e_arena.results));
+                static_cast<unsigned long long>(e2e.results));
   json << buf;
   std::snprintf(buf, sizeof(buf), "  \"checksum\": %llu\n",
-                static_cast<unsigned long long>(heap.checksum +
-                                                arena.checksum));
+                static_cast<unsigned long long>(arena.checksum));
   json << buf;
   json << "}\n";
   std::fputs(json.str().c_str(), stdout);

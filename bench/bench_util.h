@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/input_manager.h"
 #include "exec/parallel_executor.h"
 #include "exec/plan_executor.h"
 #include "query/cjq.h"

@@ -19,7 +19,7 @@
 
 #include "util/logging.h"
 
-#include "exec/input_manager.h"
+#include "exec/plan_executor.h"
 #include "exec/query_register.h"
 #include "workload/network.h"
 

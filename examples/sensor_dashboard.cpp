@@ -17,7 +17,7 @@
 
 #include "core/punctuation_graph.h"
 #include "core/transformed_punctuation_graph.h"
-#include "exec/input_manager.h"
+#include "exec/plan_executor.h"
 #include "exec/query_register.h"
 #include "workload/sensor.h"
 

@@ -85,12 +85,11 @@ struct StateMetrics {
   /// (pinned in tests/tuple_store_test.cc).
   std::atomic<uint64_t> probe_allocs{0};
   std::atomic<uint64_t> index_compactions{0};  ///< dead-slot index rebuilds
-  /// Heap/system allocations performed by Insert for tuple storage.
-  /// Without an arena every insert allocates (one per tuple, plus its
-  /// strings); with the arena only fresh block mallocs count, so once
-  /// the block working set has warmed up `insert_allocs` stops moving
-  /// — the steady-state "no alloc per insert" property benchmarked in
-  /// bench_arena (E17) and pinned in tests/tuple_store_test.cc.
+  /// Fresh arena block mallocs performed by Insert for tuple storage
+  /// (free-list block reuse does not count). Once the block working
+  /// set has warmed up `insert_allocs` stops moving — the steady-state
+  /// "no alloc per insert" property benchmarked in bench_arena (E17)
+  /// and pinned in tests/tuple_store_test.cc.
   std::atomic<uint64_t> insert_allocs{0};
   /// Scratch-capacity growth events on the batched expansion path
   /// (MJoinOperator charges one per push/sweep whose frontier, hash,
@@ -100,12 +99,10 @@ struct StateMetrics {
   /// result" property pinned in tests alongside probe_allocs and
   /// insert_allocs.
   std::atomic<uint64_t> expand_allocs{0};
-  /// Arena blocks reclaimed wholesale at epoch boundaries (0 without
-  /// an arena).
+  /// Arena blocks reclaimed wholesale at epoch boundaries.
   std::atomic<uint64_t> arena_blocks_reclaimed{0};
-  /// Gauges mirroring EpochArena::bytes_reserved/bytes_live (0 without
-  /// an arena); refreshed by the owning store after inserts and epoch
-  /// advances.
+  /// Gauges mirroring EpochArena::bytes_reserved/bytes_live; refreshed
+  /// by the owning store after inserts and epoch advances.
   std::atomic<size_t> arena_bytes_reserved{0};
   std::atomic<size_t> arena_bytes_live{0};
   std::atomic<size_t> live{0};             ///< currently stored tuples

@@ -139,8 +139,7 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
     std::sort(indexed[k].begin(), indexed[k].end());
     indexed[k].erase(std::unique(indexed[k].begin(), indexed[k].end()),
                      indexed[k].end());
-    op->states_.push_back(std::make_unique<TupleStore>(
-        indexed[k], TupleStoreOptions{.arena = config.arena}));
+    op->states_.push_back(std::make_unique<TupleStore>(indexed[k]));
     op->punct_stores_.push_back(
         std::make_unique<PunctuationStore>(config.punctuation_lifespan));
   }

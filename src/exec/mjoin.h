@@ -69,11 +69,6 @@ struct MJoinConfig {
   /// its constrained attributes, the partner input is itself closed on
   /// the corresponding value and holds no matching live tuple.
   bool purge_punctuations = false;
-  /// Arena-backed tuple storage with epoch reclamation tied to purge
-  /// sweeps (TupleStoreOptions::arena); off = per-tuple heap
-  /// ownership. Results are identical either way — the differential
-  /// harness sweeps both.
-  bool arena = true;
 };
 
 class MJoinOperator : public JoinOperator {
@@ -116,7 +111,7 @@ class MJoinOperator : public JoinOperator {
   StateMetricsSnapshot AggregateStateSnapshot() const;
   /// \brief Summed probe-run statistics over all input stores
   /// (TupleStore::ProbeRunStats): the mean same-key run length of the
-  /// batched probe path, the adaptive-batch tuning signal.
+  /// batched probe path.
   TupleStore::ProbeRunStats ProbeRunStatsTotal() const {
     TupleStore::ProbeRunStats total;
     for (const auto& state : states_) {

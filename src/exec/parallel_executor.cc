@@ -86,13 +86,6 @@ struct ParallelExecutor::Worker {
   size_t group = 0;
   std::vector<TupleBatch> emit_buf;
   size_t emit_buffered = 0;
-  // Staged-rows flush trigger. Starts at ExecutorConfig::batch_size;
-  // with adaptive_batch on, this worker retunes it from its own
-  // operator's probe-run statistics at barrier boundaries (own-thread
-  // state, so per-operator adaptation needs no synchronization).
-  size_t emit_threshold = 1;
-  uint64_t adapt_rows_seen = 0;
-  uint64_t adapt_runs_seen = 0;
 
   // Routing-pressure counters for the rebalancer (maintained only
   // when ExecutorConfig::rebalance.enabled; obs counters stay tied to
@@ -171,12 +164,6 @@ Result<std::unique_ptr<ParallelExecutor>> ParallelExecutor::Create(
                              CheckPlanSafety(query, schemes, effective_shape));
   if (config.shards == 0) config.shards = 1;
   if (config.batch_size == 0) config.batch_size = 1;
-  if (config.adaptive_batch && config.batch_size < 2) {
-    // Adaptive tuning needs a batched starting point; 1 would pin the
-    // per-tuple path forever.
-    config.batch_size = TupleBatch::kDefaultCapacity;
-  }
-  config.mjoin.arena = config.arena;
 
   auto exec = std::unique_ptr<ParallelExecutor>(new ParallelExecutor());
   exec->query_ = query;
@@ -251,7 +238,6 @@ Result<std::unique_ptr<ParallelExecutor>> ParallelExecutor::Create(
     for (size_t s = 0; s < group.num_shards; ++s) {
       Worker& worker = *exec->workers_[group.first_worker + s];
       worker.group = j;
-      worker.emit_threshold = config.batch_size;
       if (group.parent_group != kNone) {
         worker.emit_buf.assign(exec->groups_[group.parent_group]->num_shards,
                                TupleBatch(config.batch_size));
@@ -323,7 +309,7 @@ void ParallelExecutor::EmitFromShard(size_t group_idx, size_t shard,
     // non-graceful path).
     size_t target = RouteShard(parent, group.parent_input, element.tuple);
     self.emit_buf[target].Append(element.tuple, element.timestamp);
-    if (++self.emit_buffered >= self.emit_threshold) FlushEmits(self);
+    if (++self.emit_buffered >= config_.batch_size) FlushEmits(self);
     return;
   }
   // Output punctuation: flush this shard's staged tuples first so the
@@ -369,7 +355,7 @@ void ParallelExecutor::EmitBatchFromShard(size_t group_idx, size_t shard,
   for (size_t i = 0; i < batch.size(); ++i) {
     size_t target = RouteShard(parent, group.parent_input, batch.tuple(i));
     self.emit_buf[target].Append(batch.tuple(i), batch.timestamp(i));
-    if (++self.emit_buffered >= self.emit_threshold) FlushEmits(self);
+    if (++self.emit_buffered >= config_.batch_size) FlushEmits(self);
   }
 }
 
@@ -523,30 +509,6 @@ void ParallelExecutor::WorkerLoop(size_t index) {
     // barriered epoch is already in the parent's queues when the ack
     // lands.
     FlushEmits(worker);
-    if (barriers > 0 && config_.adaptive_batch && !worker.emit_buf.empty()) {
-      // Per-operator adaptive batch: with the staging flushed, retune
-      // this worker's emit threshold from its operator's probe-run
-      // delta (worker-owned state on the worker's own thread). A
-      // migration swaps in a fresh operator whose stats restart at
-      // zero, so a shrinking total just resets the baseline.
-      const TupleStore::ProbeRunStats total = worker.op->ProbeRunStatsTotal();
-      if (total.rows < worker.adapt_rows_seen ||
-          total.runs < worker.adapt_runs_seen) {
-        worker.adapt_rows_seen = total.rows;
-        worker.adapt_runs_seen = total.runs;
-      } else {
-        const uint64_t rows = total.rows - worker.adapt_rows_seen;
-        const uint64_t runs = total.runs - worker.adapt_runs_seen;
-        worker.adapt_rows_seen = total.rows;
-        worker.adapt_runs_seen = total.runs;
-        const size_t target =
-            AdaptiveBatchTarget(rows, runs, worker.emit_threshold);
-        if (target != worker.emit_threshold) {
-          worker.emit_threshold = target;
-          for (TupleBatch& b : worker.emit_buf) b = TupleBatch(target);
-        }
-      }
-    }
     if (barriers > 0) {
       {
         std::lock_guard<std::mutex> lock(worker.mu);
@@ -860,12 +822,7 @@ Status ParallelExecutor::BarrierAll(PipelineMarker marker, int64_t now) {
 }
 
 Status ParallelExecutor::Drain(int64_t now) {
-  PUNCTSAFE_RETURN_IF_ERROR(BarrierAll(PipelineMarker::kDrain, now));
-  // Quiescent: worker operator state is published to this thread by
-  // the barrier acks, so the driver can retune its ingest batch from
-  // the observed probe-run structure.
-  MaybeAdaptIngest();
-  return Status::OK();
+  return BarrierAll(PipelineMarker::kDrain, now);
 }
 
 Result<StateSnapshot> ParallelExecutor::Checkpoint(int64_t now) {
@@ -1221,33 +1178,6 @@ Status ParallelExecutor::MigrateGroup(size_t group_idx,
   rebalance_migrations_.fetch_add(1, std::memory_order_relaxed);
   rebalance_tuples_moved_.fetch_add(moved, std::memory_order_relaxed);
   return Status::OK();
-}
-
-void ParallelExecutor::MaybeAdaptIngest() {
-  if (!config_.adaptive_batch) return;
-  uint64_t rows = 0;
-  uint64_t runs = 0;
-  for (const auto& op : operators_) {
-    const TupleStore::ProbeRunStats total = op->ProbeRunStatsTotal();
-    rows += total.rows;
-    runs += total.runs;
-  }
-  // Migrations replace operators (stats restart at zero); treat a
-  // shrinking total as a fresh baseline.
-  if (rows < adapt_rows_seen_ || runs < adapt_runs_seen_) {
-    adapt_rows_seen_ = rows;
-    adapt_runs_seen_ = runs;
-    return;
-  }
-  const uint64_t d_rows = rows - adapt_rows_seen_;
-  const uint64_t d_runs = runs - adapt_runs_seen_;
-  adapt_rows_seen_ = rows;
-  adapt_runs_seen_ = runs;
-  const size_t target =
-      AdaptiveBatchTarget(d_rows, d_runs, ingest_batch_.capacity());
-  if (target != ingest_batch_.capacity() && ingest_batch_.empty()) {
-    ingest_batch_ = TupleBatch(target);
-  }
 }
 
 void ParallelExecutor::Stop() {

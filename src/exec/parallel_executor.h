@@ -330,11 +330,6 @@ class ParallelExecutor {
   /// full-queue stall heuristic); no-op unless rebalance tracking is
   /// on.
   void NotePressure(Worker& target, uint64_t routed);
-  /// Retunes the driver ingest batch capacity from the probe-run
-  /// statistics gathered since the last barrier. Barrier-side only
-  /// (workers are parked, so reading their stores is race-free); the
-  /// per-worker emit thresholds adapt on the worker threads instead.
-  void MaybeAdaptIngest();
   /// Delivers the driver-side ingest batch: scatter into per-shard
   /// sub-batches (one pass), one queue message per non-empty shard.
   /// False iff stopped. No-op (true) when empty.
@@ -374,10 +369,6 @@ class ParallelExecutor {
   bool track_pressure_ = false;
   std::atomic<uint64_t> rebalance_migrations_{0};
   std::atomic<uint64_t> rebalance_tuples_moved_{0};
-  // Adaptive-batch state (ExecutorConfig::adaptive_batch): the probe
-  // rows/runs totals consumed by the previous ingest retune.
-  uint64_t adapt_rows_seen_ = 0;
-  uint64_t adapt_runs_seen_ = 0;
   // Driver-side ingest batching (batch_size > 1 only): the open batch
   // of consecutive ingest_stream_ tuples, plus the recycled per-shard
   // scatter buffers FlushIngest fills (see partition_router.h,

@@ -13,31 +13,16 @@ std::string PlanFingerprint(const ContinuousJoinQuery& query,
   return StrCat(query.ToString(), " | ", shape.ToString(query));
 }
 
-size_t AdaptiveBatchTarget(uint64_t rows, uint64_t runs, size_t current) {
-  if (runs == 0) return current;
-  // Scale the mean same-key run length into the winning band: a mean
-  // run of 1 (all-distinct keys) earns the floor, runs of 4+ the
-  // ceiling. Integer math — the signal is coarse on purpose.
-  const uint64_t target = (rows / runs) * 128;
-  return static_cast<size_t>(std::clamp<uint64_t>(target, 128, 512));
-}
-
 Result<std::unique_ptr<PlanExecutor>> PlanExecutor::Create(
     const ContinuousJoinQuery& query, const SchemeSet& schemes,
     const PlanShape& shape, ExecutorConfig config) {
   PUNCTSAFE_ASSIGN_OR_RETURN(PlanSafetyReport safety,
                              CheckPlanSafety(query, schemes, shape));
-  config.mjoin.arena = config.arena;
 
   auto exec = std::unique_ptr<PlanExecutor>(new PlanExecutor());
   exec->query_ = query;
   exec->shape_ = shape;
   if (config.batch_size == 0) config.batch_size = 1;
-  // Adaptive batching needs batched execution to act on: a fixed
-  // tuple-at-a-time config starts from the default batch capacity.
-  if (config.adaptive_batch && config.batch_size < 2) {
-    config.batch_size = TupleBatch::kDefaultCapacity;
-  }
   exec->config_ = config;
   exec->safety_ = std::move(safety);
   exec->pending_batch_ = TupleBatch(config.batch_size);
@@ -195,31 +180,6 @@ void PlanExecutor::PushPunctuation(size_t stream,
   op->PushPunctuation(input, punctuation, ts);
   RecordHighWater();
   MaybeAutoCheckpoint();
-  MaybeAdaptBatch();
-}
-
-void PlanExecutor::MaybeAdaptBatch() {
-  if (!config_.adaptive_batch) return;
-  if (++punctuations_since_adapt_ < kAdaptIntervalPunctuations) return;
-  punctuations_since_adapt_ = 0;
-  uint64_t rows = 0;
-  uint64_t runs = 0;
-  for (const auto& op : operators_) {
-    const TupleStore::ProbeRunStats total = op->ProbeRunStatsTotal();
-    rows += total.rows;
-    runs += total.runs;
-  }
-  const uint64_t d_rows = rows - adapt_rows_seen_;
-  const uint64_t d_runs = runs - adapt_runs_seen_;
-  adapt_rows_seen_ = rows;
-  adapt_runs_seen_ = runs;
-  const size_t target =
-      AdaptiveBatchTarget(d_rows, d_runs, pending_batch_.capacity());
-  // The punctuation path flushed the open batch, so swapping storage
-  // is safe; a no-op target keeps the recycled storage warm.
-  if (target != pending_batch_.capacity() && pending_batch_.empty()) {
-    pending_batch_ = TupleBatch(target);
-  }
 }
 
 void PlanExecutor::NoteProgress(size_t stream, int64_t ts) {
@@ -340,6 +300,13 @@ obs::ObsSnapshot PlanExecutor::ObservabilitySnapshot() const {
     snap.operators.push_back(std::move(entry));
   }
   return snap;
+}
+
+Status FeedTrace(PlanExecutor* executor, const Trace& trace) {
+  for (const TraceEvent& event : trace) {
+    PUNCTSAFE_RETURN_IF_ERROR(executor->Push(event));
+  }
+  return Status::OK();
 }
 
 }  // namespace punctsafe

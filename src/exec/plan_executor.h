@@ -65,12 +65,6 @@ struct ExecutorConfig {
   /// thread count is (#operators x shards), so size against the
   /// machine's core count.
   size_t shards = 1;
-  /// Arena-backed tuple storage with epoch reclamation in every
-  /// operator state (copied into mjoin.arena at Create; arenas are
-  /// shard-local, so sharded execution needs no extra
-  /// synchronization). Off = per-tuple heap ownership; join results
-  /// are identical either way, which the differential harness sweeps.
-  bool arena = true;
   /// Runtime observability (src/obs/): trace rings + latency /
   /// punctuation-lag / sweep / queue histograms per shard operator.
   /// Off by default — every hook short-circuits on a null pointer —
@@ -96,28 +90,12 @@ struct ExecutorConfig {
   /// (exec/exchange.h). Off by default — the executed shape (and the
   /// checkpoint fingerprint) then match the caller's shape exactly.
   bool exchange = false;
-  /// Adapt the batched-execution unit at runtime: start from
-  /// batch_size (normalized up to TupleBatch::kDefaultCapacity when
-  /// left at 1) and retune the ingest/emit batch capacities from
-  /// observed probe hash-run lengths at punctuation/drain boundaries,
-  /// clamped to [128, 512] — the band the serial sweep shows winning
-  /// (docs/PERF.md). Off by default: batch_size stays fixed.
-  bool adaptive_batch = false;
 };
 
 /// \brief Identity string tying a snapshot to (query, plan shape);
 /// restore paths refuse a snapshot whose fingerprint differs.
 std::string PlanFingerprint(const ContinuousJoinQuery& query,
                             const PlanShape& shape);
-
-/// \brief Batch capacity chosen by ExecutorConfig::adaptive_batch
-/// from `rows` probed rows collapsing into `runs` same-key runs since
-/// the last retune: scales the mean run length into the [128, 512]
-/// band the serial batch-size sweep shows winning (docs/PERF.md) —
-/// longer runs amortize more per-batch work, so they earn a larger
-/// batch. Returns `current` unchanged when there is no signal
-/// (`runs == 0`).
-size_t AdaptiveBatchTarget(uint64_t rows, uint64_t runs, size_t current);
 
 class PlanExecutor {
  public:
@@ -206,11 +184,6 @@ class PlanExecutor {
   void RecordHighWater();
   void NoteProgress(size_t stream, int64_t ts);
   void MaybeAutoCheckpoint();
-  /// Adaptive-batch retune (config_.adaptive_batch): every
-  /// kAdaptIntervalPunctuations punctuations — a flush point, so the
-  /// ingest batch is empty — re-derive the batch capacity from the
-  /// probe-run statistics accumulated since the previous retune.
-  void MaybeAdaptBatch();
 
   ContinuousJoinQuery query_;
   PlanShape shape_;
@@ -227,11 +200,6 @@ class PlanExecutor {
   size_t punct_high_water_ = 0;
   std::vector<InputProgress> progress_;  // per query stream
   size_t punctuations_since_checkpoint_ = 0;
-  // Adaptive-batch state (config_.adaptive_batch only).
-  static constexpr size_t kAdaptIntervalPunctuations = 16;
-  size_t punctuations_since_adapt_ = 0;
-  uint64_t adapt_rows_seen_ = 0;
-  uint64_t adapt_runs_seen_ = 0;
   // Open ingest batch (batch_size > 1 only): consecutive tuples of
   // pending_stream_, delivered as one PushBatch at the next flush
   // point. Storage is recycled across flushes.
@@ -241,6 +209,10 @@ class PlanExecutor {
   // in step with operators_. Null when observability is off.
   std::unique_ptr<obs::Observability> obs_;
 };
+
+/// \brief Pushes a whole trace through an executor in trace order,
+/// returning the first error a Push reports (an unknown stream name).
+Status FeedTrace(PlanExecutor* executor, const Trace& trace);
 
 }  // namespace punctsafe
 

@@ -31,9 +31,8 @@ Result<std::unique_ptr<PurgeEngine>> PurgeEngine::Create(
   for (size_t s = 0; s < query.num_streams(); ++s) {
     engine->stream_purgeable_.push_back(
         LocalInputPurgeable(s, query.num_streams(), engine->edges_));
-    engine->states_.push_back(std::make_unique<TupleStore>(
-        engine->query_.JoinAttrsOf(s),
-        TupleStoreOptions{.arena = config.arena}));
+    engine->states_.push_back(
+        std::make_unique<TupleStore>(engine->query_.JoinAttrsOf(s)));
     engine->punct_stores_.push_back(
         std::make_unique<PunctuationStore>(config.punctuation_lifespan));
   }

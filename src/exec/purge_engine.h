@@ -36,9 +36,6 @@ struct PurgeEngineConfig {
   std::optional<int64_t> punctuation_lifespan;
   /// Joinable-set cap during removability checks (conservative abort).
   size_t max_joinable_set = 4096;
-  /// Arena-backed tuple storage with epoch reclamation (see
-  /// TupleStoreOptions::arena).
-  bool arena = true;
 };
 
 class PurgeEngine {

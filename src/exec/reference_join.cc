@@ -1,5 +1,9 @@
 #include "exec/reference_join.h"
 
+#include <algorithm>
+
+#include "util/string_util.h"
+
 namespace punctsafe {
 
 Result<std::unique_ptr<ReferenceJoinOperator>> ReferenceJoinOperator::Create(
@@ -68,6 +72,28 @@ size_t ReferenceJoinOperator::TotalLiveTuples() const {
   size_t total = 0;
   for (const auto& s : states_) total += s.size();
   return total;
+}
+
+Result<std::vector<Tuple>> ReferenceJoinResults(
+    const ContinuousJoinQuery& query, const Trace& trace) {
+  PUNCTSAFE_ASSIGN_OR_RETURN(std::unique_ptr<ReferenceJoinOperator> op,
+                             ReferenceJoinOperator::Create(query));
+  std::vector<Tuple> results;
+  op->SetEmitter([&](const StreamElement& e) {
+    if (e.is_tuple()) results.push_back(e.tuple);
+  });
+  for (const TraceEvent& e : trace) {
+    std::optional<size_t> idx = query.StreamIndex(e.stream);
+    if (!idx.has_value()) {
+      return Status::NotFound(
+          StrCat("stream '", e.stream, "' is not in the query"));
+    }
+    if (e.element.is_tuple()) {
+      op->PushTuple(*idx, e.element.tuple, e.element.timestamp);
+    }
+  }
+  std::sort(results.begin(), results.end());
+  return results;
 }
 
 }  // namespace punctsafe

@@ -15,6 +15,7 @@
 
 #include "exec/operator.h"
 #include "query/cjq.h"
+#include "stream/element.h"
 #include "util/status.h"
 
 namespace punctsafe {
@@ -46,6 +47,13 @@ class ReferenceJoinOperator : public JoinOperator {
   ContinuousJoinQuery query_copy_;
   std::vector<std::vector<Tuple>> states_;
 };
+
+/// \brief Runs `trace` through a fresh ReferenceJoinOperator and
+/// returns its result multiset, sorted — the ground truth a
+/// punctuation-driven plan's sorted results must equal. NotFound if an
+/// event names a stream outside `query`.
+Result<std::vector<Tuple>> ReferenceJoinResults(
+    const ContinuousJoinQuery& query, const Trace& trace);
 
 }  // namespace punctsafe
 

@@ -9,7 +9,8 @@ namespace punctsafe {
 
 TupleStore::TupleStore(std::vector<size_t> indexed_offsets,
                        TupleStoreOptions options)
-    : indexed_offsets_(std::move(indexed_offsets)) {
+    : indexed_offsets_(std::move(indexed_offsets)),
+      arena_(options.arena_block_bytes) {
   indexes_.resize(indexed_offsets_.size());
   for (size_t i = 0; i < indexed_offsets_.size(); ++i) {
     size_t offset = indexed_offsets_[i];
@@ -20,12 +21,9 @@ TupleStore::TupleStore(std::vector<size_t> indexed_offsets,
         << "duplicate indexed offset " << offset;
     offset_to_index_[offset] = i;
   }
-  if (options.arena) {
-    arena_ = std::make_unique<EpochArena>(options.arena_block_bytes);
-  }
 }
 
-size_t TupleStore::InsertRow(const Tuple& tuple, uint64_t* heap_allocs) {
+size_t TupleStore::InsertRow(const Tuple& tuple) {
   size_t slot = handles_.size();
   for (size_t i = 0; i < indexed_offsets_.size(); ++i) {
     PUNCTSAFE_CHECK(indexed_offsets_[i] < tuple.size())
@@ -35,12 +33,11 @@ size_t TupleStore::InsertRow(const Tuple& tuple, uint64_t* heap_allocs) {
     // appears in the index.
     indexes_[i].FindOrCreate(tuple.at(indexed_offsets_[i]))->push_back(slot);
   }
-  return AppendRowStorage(tuple, heap_allocs);
+  return AppendRowStorage(tuple);
 }
 
-size_t TupleStore::AppendRowStorage(const Tuple& tuple,
-                                    uint64_t* heap_allocs) {
-  size_t slot = AppendRowPayload(tuple, heap_allocs);
+size_t TupleStore::AppendRowStorage(const Tuple& tuple) {
+  size_t slot = AppendRowPayload(tuple);
   live_.push_back(true);
   pos_in_live_.push_back(live_slots_.size());
   live_slots_.push_back(slot);
@@ -48,63 +45,50 @@ size_t TupleStore::AppendRowStorage(const Tuple& tuple,
   return slot;
 }
 
-size_t TupleStore::AppendRowPayload(const Tuple& tuple,
-                                    uint64_t* heap_allocs) {
+size_t TupleStore::AppendRowPayload(const Tuple& tuple) {
   size_t slot = handles_.size();
-  if (arena_) {
-    // One bump allocation holds the whole tuple: the Value array
-    // first, then the payload bytes of every string too long for
-    // Value's inline buffer. One allocation means one owning block per
-    // tuple, which is what makes per-block live counting exact.
-    size_t n = tuple.size();
-    size_t payload = 0;
-    for (const Value& v : tuple.values()) payload += v.ExternalBytes();
-    EpochArena::Allocation alloc =
-        arena_->Allocate(n * sizeof(Value) + payload);
-    Value* values = reinterpret_cast<Value*>(alloc.ptr);
-    char* bytes = alloc.ptr + n * sizeof(Value);
-    for (size_t i = 0; i < n; ++i) {
-      const Value& src = tuple.at(i);
-      size_t extern_bytes = src.ExternalBytes();
-      if (extern_bytes > 0) {
-        std::string_view sv = src.AsString();
-        std::memcpy(bytes, sv.data(), extern_bytes);
-        new (values + i) Value(Value::ExternalString(
-            bytes, static_cast<uint32_t>(extern_bytes), src.Hash()));
-        bytes += extern_bytes;
-      } else {
-        // Scalars and inline-capable strings are self-contained; the
-        // copy is a plain payload copy, no allocation.
-        new (values + i) Value(src);
-      }
+  // One bump allocation holds the whole tuple: the Value array first,
+  // then the payload bytes of every string too long for Value's inline
+  // buffer. One allocation means one owning block per tuple, which is
+  // what makes per-block live counting exact.
+  size_t n = tuple.size();
+  size_t payload = 0;
+  for (const Value& v : tuple.values()) payload += v.ExternalBytes();
+  EpochArena::Allocation alloc = arena_.Allocate(n * sizeof(Value) + payload);
+  Value* values = reinterpret_cast<Value*>(alloc.ptr);
+  char* bytes = alloc.ptr + n * sizeof(Value);
+  for (size_t i = 0; i < n; ++i) {
+    const Value& src = tuple.at(i);
+    size_t extern_bytes = src.ExternalBytes();
+    if (extern_bytes > 0) {
+      std::string_view sv = src.AsString();
+      std::memcpy(bytes, sv.data(), extern_bytes);
+      new (values + i) Value(Value::ExternalString(
+          bytes, static_cast<uint32_t>(extern_bytes), src.Hash()));
+      bytes += extern_bytes;
+    } else {
+      // Scalars and inline-capable strings are self-contained; the
+      // copy is a plain payload copy, no allocation.
+      new (values + i) Value(src);
     }
-    handles_.emplace_back(Tuple::ExternalRef{}, values, n);
-    slot_block_.push_back(alloc.block);
-  } else {
-    // Heap mode: the handle owns a fresh value vector (one allocation)
-    // plus one per string that exceeds the inline buffer.
-    *heap_allocs += 1;
-    for (const Value& v : tuple.values()) {
-      if (v.ExternalBytes() > 0) *heap_allocs += 1;
-    }
-    handles_.push_back(tuple);
   }
+  handles_.emplace_back(Tuple::ExternalRef{}, values, n);
+  slot_block_.push_back(alloc.block);
   return slot;
 }
 
 size_t TupleStore::Insert(const Tuple& tuple) {
-  uint64_t heap_allocs = 0;
-  size_t slot = InsertRow(tuple, &heap_allocs);
-  if (arena_) {
-    uint64_t block_allocs = arena_->blocks_allocated();
-    metrics_.OnInsertAllocs(block_allocs - last_block_allocs_);
-    last_block_allocs_ = block_allocs;
-    metrics_.OnArenaEpoch(0, arena_->bytes_reserved(), arena_->bytes_live());
-  } else {
-    metrics_.OnInsertAllocs(heap_allocs);
-  }
+  size_t slot = InsertRow(tuple);
+  NoteArenaGrowth();
   metrics_.OnInsert();
   return slot;
+}
+
+void TupleStore::NoteArenaGrowth() {
+  uint64_t block_allocs = arena_.blocks_allocated();
+  metrics_.OnInsertAllocs(block_allocs - last_block_allocs_);
+  last_block_allocs_ = block_allocs;
+  metrics_.OnArenaEpoch(0, arena_.bytes_reserved(), arena_.bytes_live());
 }
 
 size_t TupleStore::InsertBatch(const TupleBatch& batch) {
@@ -125,8 +109,7 @@ size_t TupleStore::InsertBatch(const TupleBatch& batch) {
   reserve_geometric(live_);
   reserve_geometric(pos_in_live_);
   reserve_geometric(live_slots_);
-  if (arena_) reserve_geometric(slot_block_);
-  uint64_t heap_allocs = 0;
+  reserve_geometric(slot_block_);
   if (indexed_offsets_.size() == 1) {
     // Single-index store (the common operator shape): one bucket
     // resolution per same-key run across the batch — the insert-side
@@ -146,7 +129,7 @@ size_t TupleStore::InsertBatch(const TupleBatch& batch) {
         run_key = &key;
       }
       bucket->push_back(handles_.size());
-      AppendRowPayload(tuple, &heap_allocs);
+      AppendRowPayload(tuple);
     }
     // Bulk live bookkeeping: the batch's slots are consecutive
     // [first_slot, total) and all live, so the three per-row
@@ -163,16 +146,9 @@ size_t TupleStore::InsertBatch(const TupleBatch& batch) {
     }
     live_count_ += sel.size();
   } else {
-    for (uint32_t row : sel) InsertRow(batch.tuple(row), &heap_allocs);
+    for (uint32_t row : sel) InsertRow(batch.tuple(row));
   }
-  if (arena_) {
-    uint64_t block_allocs = arena_->blocks_allocated();
-    metrics_.OnInsertAllocs(block_allocs - last_block_allocs_);
-    last_block_allocs_ = block_allocs;
-    metrics_.OnArenaEpoch(0, arena_->bytes_reserved(), arena_->bytes_live());
-  } else {
-    metrics_.OnInsertAllocs(heap_allocs);
-  }
+  NoteArenaGrowth();
   metrics_.OnInserts(sel.size());
   return sel.size();
 }
@@ -197,21 +173,17 @@ void TupleStore::Remove(size_t slot) {
 
 void TupleStore::AdvanceEpoch() {
   for (size_t slot : released_) {
-    if (arena_) arena_->NoteDead(slot_block_[slot]);
+    arena_.NoteDead(slot_block_[slot]);
     // Clear the handle: the slot id stays tombstoned forever, but the
-    // payload (heap mode) or the block's claim on it (arena mode) goes
-    // now.
+    // block's claim on its payload goes now.
     handles_[slot] = Tuple();
   }
   released_.clear();
-  if (arena_) {
-    size_t reclaimed = arena_->AdvanceEpoch();
-    metrics_.OnArenaEpoch(reclaimed, arena_->bytes_reserved(),
-                          arena_->bytes_live());
-    if (obs::kCompiled && obs_ != nullptr) {
-      obs_->Note(obs::TraceKind::kEpochAdvance, reclaimed,
-                 arena_->bytes_live());
-    }
+  size_t reclaimed = arena_.AdvanceEpoch();
+  metrics_.OnArenaEpoch(reclaimed, arena_.bytes_reserved(),
+                        arena_.bytes_live());
+  if (obs::kCompiled && obs_ != nullptr) {
+    obs_->Note(obs::TraceKind::kEpochAdvance, reclaimed, arena_.bytes_live());
   }
 }
 

@@ -6,12 +6,11 @@
 // standard symmetric-hash-join bookkeeping [Wilschut & Apers 1991].
 //
 // Hot-path layout (docs/PERF.md):
-//  * tuple payloads live in a per-store **epoch arena** (exec/arena.h,
-//    on by default): Insert lays out the value array plus any long
+//  * tuple payloads live in a per-store **epoch arena**
+//    (exec/arena.h): Insert lays out the value array plus any long
 //    string bytes as ONE bump allocation, and purge sweeps release
 //    whole blocks at epoch boundaries instead of freeing tuples one by
-//    one. `TupleStoreOptions::arena = false` falls back to per-tuple
-//    heap ownership (the differential harness sweeps both);
+//    one;
 //  * indexes are FlatKeyIndex (exec/flat_index.h): open-addressing
 //    tables probed 16 tags per SIMD step, keyed by Value under the
 //    *cached* hash (stream/value.h) — inserting or probing a string
@@ -45,7 +44,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "exec/arena.h"
@@ -61,9 +59,6 @@
 namespace punctsafe {
 
 struct TupleStoreOptions {
-  /// Arena-backed tuple storage with epoch reclamation (default).
-  /// Off: every stored tuple owns its values individually on the heap.
-  bool arena = true;
   size_t arena_block_bytes = EpochArena::kDefaultBlockBytes;
 };
 
@@ -87,8 +82,8 @@ class TupleStore {
   explicit TupleStore(std::vector<size_t> indexed_offsets,
                       TupleStoreOptions options = {});
 
-  /// \brief Stores a copy of the tuple (arena-laid-out when the arena
-  /// is on); returns its slot id.
+  /// \brief Stores an arena-laid-out copy of the tuple; returns its
+  /// slot id.
   size_t Insert(const Tuple& tuple);
 
   /// \brief Stores every *selected* row of the batch. Single-index
@@ -116,15 +111,13 @@ class TupleStore {
 
   size_t live_count() const { return live_count_; }
   const StateMetrics& metrics() const { return metrics_; }
-  bool arena_enabled() const { return arena_ != nullptr; }
 
   /// \brief Observed same-key run structure of the batched probe path:
   /// `rows` selected rows collapsed into `runs` bucket resolutions, so
-  /// rows/runs is the mean hash-run length — the signal
-  /// ExecutorConfig::adaptive_batch tunes the batch capacity from.
-  /// Deliberately separate from StateMetrics: run stats are a local
-  /// tuning input, not logical operator state, so they stay out of the
-  /// PSCK checkpoint byte format.
+  /// rows/runs is the mean hash-run length. Deliberately separate from
+  /// StateMetrics: run stats are a local diagnostic, not logical
+  /// operator state, so they stay out of the PSCK checkpoint byte
+  /// format.
   struct ProbeRunStats {
     uint64_t rows = 0;
     uint64_t runs = 0;
@@ -133,8 +126,8 @@ class TupleStore {
 
   /// \brief Accounts one same-key run of `rows` probe rows that shared
   /// a single bucket resolution (ProbeBatch and the frontier expansion
-  /// both call it once per run): folds the run into the
-  /// adaptive-batch tuning stats and counts the rows beyond the first
+  /// both call it once per run): folds the run into ProbeRunStats
+  /// and counts the rows beyond the first
   /// as probes — the first row's probe is counted by the accompanying
   /// ForBucketLive, so per-run totals equal a per-row probe loop
   /// exactly (checkpointed counters stay mode-independent).
@@ -341,29 +334,31 @@ class TupleStore {
   void CompactIndexes() const;
 
   /// Core of Insert without the per-row metrics tail: index insert,
-  /// storage layout, live bookkeeping. Heap-mode allocation counts
-  /// accumulate into *heap_allocs; arena-mode counts are derived from
-  /// the block-alloc delta by the caller (once per row for Insert,
-  /// once per batch for InsertBatch — same totals either way).
-  size_t InsertRow(const Tuple& tuple, uint64_t* heap_allocs);
+  /// storage layout, live bookkeeping. The caller accounts the arena
+  /// growth (once per row for Insert, once per batch for InsertBatch —
+  /// same totals either way).
+  size_t InsertRow(const Tuple& tuple);
 
-  /// Storage half of InsertRow (arena/heap layout + live
-  /// bookkeeping), no index insert — InsertBatch's run-amortized path
-  /// resolves the bucket itself, once per same-key run.
-  size_t AppendRowStorage(const Tuple& tuple, uint64_t* heap_allocs);
+  /// Storage half of InsertRow (arena layout + live bookkeeping), no
+  /// index insert — InsertBatch's run-amortized path resolves the
+  /// bucket itself, once per same-key run.
+  size_t AppendRowStorage(const Tuple& tuple);
 
-  /// Payload half of AppendRowStorage (arena/heap copy, handle, block
-  /// id) WITHOUT the live-slot bookkeeping: InsertBatch appends
-  /// payloads per row and fills the live structures in bulk — the new
-  /// slots are consecutive, so three per-row push_backs (one into a
-  /// bit vector) become three sequential fills per batch.
-  size_t AppendRowPayload(const Tuple& tuple, uint64_t* heap_allocs);
+  /// Payload half of AppendRowStorage (arena copy, handle, block id)
+  /// WITHOUT the live-slot bookkeeping: InsertBatch appends payloads
+  /// per row and fills the live structures in bulk — the new slots are
+  /// consecutive, so three per-row push_backs (one into a bit vector)
+  /// become three sequential fills per batch.
+  size_t AppendRowPayload(const Tuple& tuple);
+
+  /// Insert-side metrics tail: counts fresh arena blocks since the
+  /// last call as insert allocations and refreshes the arena gauges.
+  void NoteArenaGrowth();
 
   std::vector<size_t> indexed_offsets_;
   // offset -> position in indexes_ (kNoIndex when not indexed).
   std::vector<size_t> offset_to_index_;
-  // Per-slot tuple handles. With the arena on these are non-owning
-  // views into arena blocks; without it, owning tuples. Either way a
+  // Per-slot tuple handles: non-owning views into arena blocks. A
   // removed slot's handle is cleared at the next AdvanceEpoch (slot
   // ids stay stable; payload memory does not outlive the epoch).
   std::vector<Tuple> handles_;
@@ -373,9 +368,8 @@ class TupleStore {
   std::vector<size_t> live_slots_;
   std::vector<size_t> pos_in_live_;
   size_t live_count_ = 0;
-  // Arena storage (nullptr when options.arena is false).
-  std::unique_ptr<EpochArena> arena_;
-  // Slot -> arena block owning its payload (arena mode only).
+  EpochArena arena_;
+  // Slot -> arena block owning its payload.
   std::vector<uint32_t> slot_block_;
   // Slots removed since the last AdvanceEpoch, awaiting payload
   // release at the epoch boundary.
@@ -391,7 +385,7 @@ class TupleStore {
   mutable size_t dead_count_ = 0;
   mutable bool pending_compact_ = false;
   mutable StateMetrics metrics_;
-  // Probe-run tuning signal (see ProbeRunStats); mutable because
+  // Probe-run statistics (see ProbeRunStats); mutable because
   // ProbeBatch is logically const.
   mutable ProbeRunStats probe_run_stats_;
   obs::OperatorObs* obs_ = nullptr;

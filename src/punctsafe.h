@@ -44,14 +44,12 @@
 // Runtime (paper Figure 2 architecture).
 #include "exec/bounded_queue.h"
 #include "exec/checkpoint.h"
-#include "exec/input_manager.h"
 #include "exec/mjoin.h"
 #include "exec/parallel_executor.h"
 #include "exec/plan_executor.h"
 #include "exec/query_register.h"
 #include "exec/purge_engine.h"
 #include "exec/reference_join.h"
-#include "exec/symmetric_hash_join.h"
 
 // Plan selection (paper Section 5.2).
 #include "plan/chooser.h"

@@ -183,11 +183,6 @@ Status QueryRegistry::PushPunctuation(const std::string& stream,
     }
     ++entry.punctuations_in;
   }
-  // Shared sub-join punctuation state advances once per shared store,
-  // however many queries hold the handle.
-  for (const SharedSubjoinHandle& shared : sharing_.StatesFor(stream)) {
-    shared->AddPunctuation(stream, p, now);
-  }
   return Status::OK();
 }
 
@@ -251,19 +246,19 @@ std::vector<std::pair<std::string, std::string>> QueryRegistry::Stats() const {
                " punctuations_in=", entry.punctuations_in,
                " results=", results, " live_tuples=", live));
   }
-  // Snapshot the shared states, then drop the snapshot's handles
-  // before counting sharers: use_count must see only query-held
-  // references, not our own temporaries.
-  std::vector<std::pair<std::string, size_t>> shared;
+  // Snapshot the signatures, then drop the snapshot's handles before
+  // counting sharers: use_count must see only query-held references,
+  // not our own temporaries.
+  std::vector<std::string> shared;
   for (const SharedSubjoinHandle& s : sharing_.LiveStates()) {
-    shared.emplace_back(s->spec().signature, s->TotalPunctuations());
+    shared.push_back(s->signature);
   }
   out.emplace_back("shared_subjoins", StrCat(shared.size()));
   size_t i = 0;
-  for (const auto& [signature, punctuations] : shared) {
+  for (const std::string& signature : shared) {
     out.emplace_back(StrCat("subjoin.", i++),
-                     StrCat("sharers=", sharing_.Sharers(signature),
-                            " punctuations=", punctuations, " ", signature));
+                     StrCat("sharers=", sharing_.Sharers(signature), " ",
+                            signature));
   }
   return out;
 }

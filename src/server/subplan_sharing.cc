@@ -138,40 +138,17 @@ std::vector<SubjoinSpec> EnumerateSubjoins(const ContinuousJoinQuery& query,
   return out;
 }
 
-bool SharedSubjoinState::Involves(const std::string& stream) const {
-  return std::find(spec_.streams.begin(), spec_.streams.end(), stream) !=
-         spec_.streams.end();
-}
-
-bool SharedSubjoinState::AddPunctuation(const std::string& stream,
-                                        const Punctuation& p, int64_t now) {
-  if (!Involves(stream)) return false;
-  stores_[stream].Add(p, now);
-  return true;
-}
-
-size_t SharedSubjoinState::TotalPunctuations() const {
-  size_t total = 0;
-  for (const auto& [stream, store] : stores_) total += store.size();
-  return total;
-}
-
-const PunctuationStore* SharedSubjoinState::StoreFor(
-    const std::string& stream) const {
-  auto it = stores_.find(stream);
-  return it == stores_.end() ? nullptr : &it->second;
-}
-
 SharedSubjoinHandle SubjoinSharingTable::Acquire(const SubjoinSpec& spec,
                                                  bool* was_shared) {
+  std::erase_if(by_signature_,
+                [](const auto& entry) { return entry.second.expired(); });
   auto it = by_signature_.find(spec.signature);
   if (it != by_signature_.end()) {
-    if (SharedSubjoinHandle live = it->second.lock()) {
-      if (was_shared != nullptr) *was_shared = true;
-      return live;
-    }
+    SharedSubjoinHandle live = it->second.lock();
+    if (was_shared != nullptr) *was_shared = true;
+    return live;
   }
-  auto fresh = std::make_shared<SharedSubjoinState>(spec);
+  auto fresh = std::make_shared<const SubjoinSpec>(spec);
   by_signature_[spec.signature] = fresh;
   if (was_shared != nullptr) *was_shared = false;
   return fresh;
@@ -183,20 +160,6 @@ size_t SubjoinSharingTable::Sharers(const std::string& signature) const {
   // The table holds only a weak reference, so use_count counts the
   // query-held handles exactly.
   return static_cast<size_t>(it->second.use_count());
-}
-
-std::vector<SharedSubjoinHandle> SubjoinSharingTable::StatesFor(
-    const std::string& stream) {
-  std::vector<SharedSubjoinHandle> out;
-  for (auto it = by_signature_.begin(); it != by_signature_.end();) {
-    if (SharedSubjoinHandle live = it->second.lock()) {
-      if (live->Involves(stream)) out.push_back(std::move(live));
-      ++it;
-    } else {
-      it = by_signature_.erase(it);
-    }
-  }
-  return out;
 }
 
 std::vector<SharedSubjoinHandle> SubjoinSharingTable::LiveStates() const {

@@ -1,12 +1,12 @@
 // Cross-query sub-plan sharing for the multi-query ingestion server
 // (docs/SERVER.md): when two registered queries contain syntactically
-// identical *safe* sub-joins, the per-stream punctuation state those
-// sub-joins accumulate is identical too — "Safe Subjoins in Acyclic
-// Joins" (PAPERS.md) gives the theory for why safety of the sub-join
-// is the sharing precondition. This module detects such sub-joins and
-// shares their punctuation stores behind a refcounted handle; sharing
-// the full sub-join *tuple* state is the recorded follow-up, and the
-// interface already carries the decision a full implementation needs.
+// identical *safe* sub-joins, the state those sub-joins accumulate is
+// identical too — "Safe Subjoins in Acyclic Joins" (PAPERS.md) gives
+// the theory for why safety of the sub-join is the sharing
+// precondition. This module detects such sub-joins and records the
+// sharing decision behind a refcounted handle per signature; executing
+// a shared sub-join once for all its holders is the recorded
+// follow-up, and the handle carries the decision it needs.
 //
 // Identity is syntactic and conservative: the canonical signature
 // folds in the sorted stream set, the canonicalized equi-join
@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/punctuation_store.h"
 #include "query/cjq.h"
 #include "query/plan_shape.h"
 #include "stream/scheme.h"
@@ -63,39 +62,13 @@ std::vector<SubjoinSpec> EnumerateSubjoins(const ContinuousJoinQuery& query,
                                            const SchemeSet& schemes,
                                            const PlanShape& shape);
 
-/// \brief The shared state of one sub-join signature: a punctuation
-/// store per participating stream, fed once per ingested punctuation
-/// by the registry regardless of how many queries hold the handle.
-class SharedSubjoinState {
- public:
-  explicit SharedSubjoinState(SubjoinSpec spec) : spec_(std::move(spec)) {}
-
-  const SubjoinSpec& spec() const { return spec_; }
-
-  bool Involves(const std::string& stream) const;
-
-  /// \brief Records a punctuation observed on `stream` at `now`;
-  /// ignored (returns false) for streams outside the sub-join.
-  bool AddPunctuation(const std::string& stream, const Punctuation& p,
-                      int64_t now);
-
-  /// \brief Live punctuations summed over the per-stream stores.
-  size_t TotalPunctuations() const;
-
-  /// \brief The shared store for `stream`, or nullptr.
-  const PunctuationStore* StoreFor(const std::string& stream) const;
-
- private:
-  SubjoinSpec spec_;
-  // Ordered so STATS output is deterministic.
-  std::map<std::string, PunctuationStore> stores_;
-};
-
-using SharedSubjoinHandle = std::shared_ptr<SharedSubjoinState>;
+/// \brief One sub-join signature held by every query that contains
+/// it; the handle's refcount is the number of sharers.
+using SharedSubjoinHandle = std::shared_ptr<const SubjoinSpec>;
 
 /// \brief The registry-wide sharing table: signature -> live shared
-/// state. Handles are refcounted; a signature's state dies with the
-/// last query holding it (weak entries are pruned lazily).
+/// handle. Handles are refcounted; a signature dies with the last
+/// query holding it (dead entries are pruned on the next Acquire).
 class SubjoinSharingTable {
  public:
   /// \brief Returns the live handle for `spec.signature`, creating it
@@ -107,15 +80,12 @@ class SubjoinSharingTable {
   /// dead/unknown). Counts only query-held references.
   size_t Sharers(const std::string& signature) const;
 
-  /// \brief Live states whose sub-join involves `stream`, each once.
-  std::vector<SharedSubjoinHandle> StatesFor(const std::string& stream);
-
-  /// \brief Live shared states in signature order (dead entries are
-  /// skipped; pruning happens on the next StatesFor).
+  /// \brief Live handles in signature order (dead entries are
+  /// skipped).
   std::vector<SharedSubjoinHandle> LiveStates() const;
 
  private:
-  std::map<std::string, std::weak_ptr<SharedSubjoinState>> by_signature_;
+  std::map<std::string, std::weak_ptr<const SubjoinSpec>> by_signature_;
 };
 
 }  // namespace server

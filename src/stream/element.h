@@ -1,7 +1,7 @@
-// Stream elements and traces: the unit of input that the input manager
-// feeds to executors. An element is either a data tuple or a
-// punctuation, tagged with a logical timestamp (used for trace merging
-// and punctuation lifespans, paper Section 5.1).
+// Stream elements and traces: the unit of input fed to executors
+// (FeedTrace, FeedTraceParallel). An element is either a data tuple or
+// a punctuation, tagged with a logical timestamp (used for punctuation
+// lifespans, paper Section 5.1).
 
 #ifndef PUNCTSAFE_STREAM_ELEMENT_H_
 #define PUNCTSAFE_STREAM_ELEMENT_H_

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/input_manager.h"
+#include "exec/plan_executor.h"
 
 namespace punctsafe {
 namespace {

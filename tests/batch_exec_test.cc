@@ -188,45 +188,40 @@ TEST(FlatKeyIndexTest, FindOrCreateAppendsToSameBucket) {
 }
 
 // ProbeBatch must visit exactly the (row, slot) pairs a per-row
-// ProbeEach loop visits, in the same order — over equal-key runs,
-// sparse selections, and both storage backends.
+// ProbeEach loop visits, in the same order — over equal-key runs and
+// sparse selections.
 TEST(TupleStoreBatchTest, ProbeBatchMatchesProbeEach) {
-  for (bool arena : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "arena=" << (arena ? "on" : "off"));
-    TupleStoreOptions options;
-    options.arena = arena;
-    TupleStore store({0}, options);
-    for (int64_t i = 0; i < 40; ++i) {
-      store.Insert(Tuple({Value(i % 8), Value(i)}));
-    }
-
-    TupleBatch batch(32);
-    // Runs of equal keys, singletons, and misses, interleaved.
-    const int64_t keys[] = {3, 3, 3, 5, 99, 99, 0, 1, 1, 1, 1, 2, 77, 6};
-    int64_t ts = 0;
-    for (int64_t k : keys) {
-      batch.Append(Tuple({Value(k), Value(100 + ts)}), ts);
-      ++ts;
-    }
-    batch.SelectAll();
-    batch.BuildHashColumn(0);
-
-    std::vector<std::pair<uint32_t, size_t>> batched;
-    store.ProbeBatch(0, batch, 0, [&](uint32_t row, size_t slot,
-                                      const Tuple& t) {
-      EXPECT_EQ(t.at(0), batch.tuple(row).at(0));
-      batched.emplace_back(row, slot);
-    });
-
-    std::vector<std::pair<uint32_t, size_t>> per_row;
-    for (uint32_t row : batch.selection()) {
-      store.ProbeEach(0, batch.tuple(row).at(0),
-                      [&](size_t slot, const Tuple&) {
-                        per_row.emplace_back(row, slot);
-                      });
-    }
-    EXPECT_EQ(batched, per_row);
+  TupleStore store({0});
+  for (int64_t i = 0; i < 40; ++i) {
+    store.Insert(Tuple({Value(i % 8), Value(i)}));
   }
+
+  TupleBatch batch(32);
+  // Runs of equal keys, singletons, and misses, interleaved.
+  const int64_t keys[] = {3, 3, 3, 5, 99, 99, 0, 1, 1, 1, 1, 2, 77, 6};
+  int64_t ts = 0;
+  for (int64_t k : keys) {
+    batch.Append(Tuple({Value(k), Value(100 + ts)}), ts);
+    ++ts;
+  }
+  batch.SelectAll();
+  batch.BuildHashColumn(0);
+
+  std::vector<std::pair<uint32_t, size_t>> batched;
+  store.ProbeBatch(0, batch, 0, [&](uint32_t row, size_t slot,
+                                    const Tuple& t) {
+    EXPECT_EQ(t.at(0), batch.tuple(row).at(0));
+    batched.emplace_back(row, slot);
+  });
+
+  std::vector<std::pair<uint32_t, size_t>> per_row;
+  for (uint32_t row : batch.selection()) {
+    store.ProbeEach(0, batch.tuple(row).at(0),
+                    [&](size_t slot, const Tuple&) {
+                      per_row.emplace_back(row, slot);
+                    });
+  }
+  EXPECT_EQ(batched, per_row);
 }
 
 TEST(TupleStoreBatchTest, ProbeBatchHonorsSparseSelection) {

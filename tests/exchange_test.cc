@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "exec/exchange.h"
-#include "exec/input_manager.h"
 #include "exec/parallel_executor.h"
 #include "exec/partition_router.h"
 #include "exec/plan_executor.h"

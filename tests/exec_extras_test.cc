@@ -1,13 +1,12 @@
 // Extra runtime coverage: punctuation purgeability (Section 5.1),
 // all-wildcard stream-end punctuations (heartbeat-style closure), and
-// the input manager.
+// StateMetrics accounting.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
 #include "core/plan_safety.h"
-#include "exec/input_manager.h"
 #include "exec/mjoin.h"
 #include "test_util.h"
 
@@ -169,43 +168,6 @@ TEST(StreamEndTest, AllWildcardClosesEverything) {
   EXPECT_EQ(op->TotalLiveTuples(), 0u);
 }
 
-TEST(InputManagerTest, MergeIsTimestampOrderedAndStable) {
-  Trace a{{"x", StreamElement::OfTuple(Tuple({Value(1)}), 5)},
-          {"x", StreamElement::OfTuple(Tuple({Value(2)}), 10)}};
-  Trace b{{"y", StreamElement::OfTuple(Tuple({Value(3)}), 5)},
-          {"y", StreamElement::OfTuple(Tuple({Value(4)}), 1)}};
-  Trace merged = InputManager::Merge({a, b});
-  ASSERT_EQ(merged.size(), 4u);
-  EXPECT_EQ(merged[0].stream, "y");  // ts 1
-  // Tie at ts 5: trace a's event first (stable).
-  EXPECT_EQ(merged[1].stream, "x");
-  EXPECT_EQ(merged[2].stream, "y");
-  EXPECT_EQ(merged[3].element.timestamp, 10);
-}
-
-TEST(InputManagerTest, AcceptAndDrain) {
-  StreamCatalog catalog = PaperCatalog();
-  ContinuousJoinQuery q = TriangleQuery(catalog);
-  auto exec = PlanExecutor::Create(q, Fig5Schemes(catalog),
-                                   PlanShape::SingleMJoin(3));
-  ASSERT_TRUE(exec.ok());
-
-  InputManager manager;
-  // Accept out of order; drain must deliver by timestamp.
-  manager.Accept("S3", StreamElement::OfTuple(Tuple({Value(3), Value(1)}),
-                                              30));
-  manager.Accept("S1", StreamElement::OfTuple(Tuple({Value(1), Value(2)}),
-                                              10));
-  manager.Accept("S2", StreamElement::OfTuple(Tuple({Value(2), Value(3)}),
-                                              20));
-  EXPECT_EQ(manager.buffered(), 3u);
-  auto delivered = manager.DrainInto(exec.ValueOrDie().get());
-  ASSERT_TRUE(delivered.ok());
-  EXPECT_EQ(*delivered, 3u);
-  EXPECT_EQ(manager.buffered(), 0u);
-  EXPECT_EQ((*exec)->num_results(), 1u);
-}
-
 // Regression: OnPurge used to underflow `live` (a size_t) when a purge
 // double-counted, turning the live counter into ~2^64 and wrecking
 // every downstream high-water/safety statistic. It now clamps at zero
@@ -260,19 +222,6 @@ TEST(StateMetricsTest, ConcurrentUpdatesStayConsistent) {
   EXPECT_EQ(snap.inserted, 2 * kPerThread);
   EXPECT_EQ(snap.live, 0u);
   EXPECT_EQ(snap.high_water, 2 * kPerThread);
-}
-
-TEST(InputManagerTest, DrainReportsUnknownStream) {
-  StreamCatalog catalog = PaperCatalog();
-  ContinuousJoinQuery q = TriangleQuery(catalog);
-  auto exec = PlanExecutor::Create(q, Fig5Schemes(catalog),
-                                   PlanShape::SingleMJoin(3));
-  ASSERT_TRUE(exec.ok());
-  InputManager manager;
-  manager.Accept("nope", StreamElement::OfTuple(Tuple({Value(1)}), 1));
-  EXPECT_TRUE(manager.DrainInto(exec.ValueOrDie().get())
-                  .status()
-                  .IsNotFound());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@ namespace {
 using testing_util::Fig5Schemes;
 using testing_util::Fig8Schemes;
 using testing_util::PaperCatalog;
+using testing_util::SchemeOn;
 using testing_util::TriangleQuery;
 
 std::vector<LocalInput> RawInputs(const ContinuousJoinQuery& q,
@@ -22,9 +23,37 @@ std::vector<LocalInput> RawInputs(const ContinuousJoinQuery& q,
   return inputs;
 }
 
-std::unique_ptr<MJoinOperator> MakeTriangleJoin(
-    const ContinuousJoinQuery& q, const SchemeSet& schemes,
-    MJoinConfig config = {}) {
+// The paper's Example 1 as a 2-input MJoin — the binary purge rule of
+// Section 3.1 is the n = 2 case of the chained purge. Stream 0 is
+// item(sellerid, itemid), stream 1 is bid(itemid, increase), joined on
+// itemid, with schemes on itemid for both streams.
+struct AuctionJoin {
+  StreamCatalog catalog;
+  ContinuousJoinQuery query;
+  SchemeSet schemes;
+
+  AuctionJoin() : query(Make(&catalog)) {
+    PUNCTSAFE_CHECK_OK(schemes.Add(SchemeOn(catalog, "item", {"itemid"})));
+    PUNCTSAFE_CHECK_OK(schemes.Add(SchemeOn(catalog, "bid", {"itemid"})));
+  }
+
+  static ContinuousJoinQuery Make(StreamCatalog* catalog) {
+    PUNCTSAFE_CHECK_OK(
+        catalog->Register("item", Schema::OfInts({"sellerid", "itemid"})));
+    PUNCTSAFE_CHECK_OK(
+        catalog->Register("bid", Schema::OfInts({"itemid", "increase"})));
+    auto q = ContinuousJoinQuery::Create(
+        *catalog, {"item", "bid"},
+        {Eq({"item", "itemid"}, {"bid", "itemid"})});
+    PUNCTSAFE_CHECK(q.ok());
+    return std::move(q).ValueOrDie();
+  }
+};
+
+// One MJoin input per raw query stream.
+std::unique_ptr<MJoinOperator> MakeRawJoin(const ContinuousJoinQuery& q,
+                                           const SchemeSet& schemes,
+                                           MJoinConfig config = {}) {
   auto op = MJoinOperator::Create(q, RawInputs(q, schemes), config);
   PUNCTSAFE_CHECK(op.ok()) << op.status().ToString();
   return std::move(op).ValueOrDie();
@@ -50,7 +79,7 @@ TEST(MJoinTest, CreateValidation) {
 TEST(MJoinTest, ThreeWayResultsProduced) {
   StreamCatalog catalog = PaperCatalog();
   ContinuousJoinQuery q = TriangleQuery(catalog);
-  auto op = MakeTriangleJoin(q, Fig5Schemes(catalog));
+  auto op = MakeRawJoin(q, Fig5Schemes(catalog));
   std::vector<Tuple> results;
   op->SetEmitter([&](const StreamElement& e) {
     if (e.is_tuple()) results.push_back(e.tuple);
@@ -78,7 +107,7 @@ TEST(MJoinTest, ThreeWayResultsProduced) {
 TEST(MJoinTest, Fig5ChainedPurgeTiming) {
   StreamCatalog catalog = PaperCatalog();
   ContinuousJoinQuery q = TriangleQuery(catalog);
-  auto op = MakeTriangleJoin(q, Fig5Schemes(catalog));
+  auto op = MakeRawJoin(q, Fig5Schemes(catalog));
   for (size_t s = 0; s < 3; ++s) EXPECT_TRUE(op->InputPurgeable(s));
 
   op->PushTuple(2, Tuple({Value(30), Value(10)}), 1);  // S3 (C=30, A=10)
@@ -105,7 +134,7 @@ TEST(MJoinTest, Fig5ChainedPurgeTiming) {
 TEST(MJoinTest, Fig8GeneralizedPurge) {
   StreamCatalog catalog = PaperCatalog();
   ContinuousJoinQuery q = TriangleQuery(catalog);
-  auto op = MakeTriangleJoin(q, Fig8Schemes(catalog));
+  auto op = MakeRawJoin(q, Fig8Schemes(catalog));
 
   const int64_t a1 = 1, b1 = 2, c1 = 3, c2 = 4;
   op->PushTuple(0, Tuple({Value(a1), Value(b1)}), 1);   // t
@@ -130,7 +159,7 @@ TEST(MJoinTest, UnpurgeableInputKeepsGrowing) {
   StreamCatalog catalog = PaperCatalog();
   ContinuousJoinQuery q = TriangleQuery(catalog);
   SchemeSet schemes;  // no schemes at all
-  auto op = MakeTriangleJoin(q, schemes);
+  auto op = MakeRawJoin(q, schemes);
   for (size_t s = 0; s < 3; ++s) EXPECT_FALSE(op->InputPurgeable(s));
   for (int i = 0; i < 10; ++i) {
     op->PushTuple(0, Tuple({Value(i), Value(i)}), i);
@@ -142,7 +171,7 @@ TEST(MJoinTest, UnpurgeableInputKeepsGrowing) {
 TEST(MJoinTest, EagerDropOnArrival) {
   StreamCatalog catalog = PaperCatalog();
   ContinuousJoinQuery q = TriangleQuery(catalog);
-  auto op = MakeTriangleJoin(q, Fig5Schemes(catalog));
+  auto op = MakeRawJoin(q, Fig5Schemes(catalog));
   // Close A=10 on S3 and (vacuously) everything else first.
   op->PushPunctuation(2, Punctuation::OfConstants(2, {{1, Value(10)}}), 1);
   // Arriving S1 tuple with A=10: joins nothing now and never will.
@@ -154,7 +183,7 @@ TEST(MJoinTest, EagerDropOnArrival) {
 TEST(MJoinTest, ExcludedArrivalOnOwnStreamDropped) {
   StreamCatalog catalog = PaperCatalog();
   ContinuousJoinQuery q = TriangleQuery(catalog);
-  auto op = MakeTriangleJoin(q, Fig5Schemes(catalog));
+  auto op = MakeRawJoin(q, Fig5Schemes(catalog));
   std::vector<Tuple> results;
   op->SetEmitter([&](const StreamElement& e) {
     if (e.is_tuple()) results.push_back(e.tuple);
@@ -173,7 +202,7 @@ TEST(MJoinTest, LazyPolicyBatchesSweeps) {
   MJoinConfig config;
   config.purge_policy = PurgePolicy::kLazy;
   config.lazy_batch = 3;
-  auto op = MakeTriangleJoin(q, Fig5Schemes(catalog), config);
+  auto op = MakeRawJoin(q, Fig5Schemes(catalog), config);
 
   op->PushTuple(0, Tuple({Value(10), Value(20)}), 1);
   // These two punctuations fully close the S1 tuple, but the lazy
@@ -193,7 +222,7 @@ TEST(MJoinTest, NonePolicyNeverPurges) {
   ContinuousJoinQuery q = TriangleQuery(catalog);
   MJoinConfig config;
   config.purge_policy = PurgePolicy::kNone;
-  auto op = MakeTriangleJoin(q, Fig5Schemes(catalog), config);
+  auto op = MakeRawJoin(q, Fig5Schemes(catalog), config);
   op->PushTuple(0, Tuple({Value(10), Value(20)}), 1);
   op->PushPunctuation(2, Punctuation::OfConstants(2, {{1, Value(10)}}), 2);
   op->PushPunctuation(1, Punctuation::OfConstants(2, {{1, Value(30)}}), 3);
@@ -208,7 +237,7 @@ TEST(MJoinTest, PunctuationLifespanReopensState) {
   ContinuousJoinQuery q = TriangleQuery(catalog);
   MJoinConfig config;
   config.punctuation_lifespan = 10;
-  auto op = MakeTriangleJoin(q, Fig5Schemes(catalog), config);
+  auto op = MakeRawJoin(q, Fig5Schemes(catalog), config);
   op->PushPunctuation(2, Punctuation::OfConstants(2, {{1, Value(10)}}), 0);
   // Within the lifespan the arriving tuple is dropped on arrival...
   op->PushTuple(0, Tuple({Value(10), Value(1)}), 5);
@@ -221,7 +250,7 @@ TEST(MJoinTest, PunctuationLifespanReopensState) {
 TEST(MJoinTest, MetricsAccounting) {
   StreamCatalog catalog = PaperCatalog();
   ContinuousJoinQuery q = TriangleQuery(catalog);
-  auto op = MakeTriangleJoin(q, Fig5Schemes(catalog));
+  auto op = MakeRawJoin(q, Fig5Schemes(catalog));
   op->PushTuple(0, Tuple({Value(1), Value(2)}), 1);
   op->PushPunctuation(1, Punctuation::OfConstants(2, {{1, Value(9)}}), 2);
   op->PushPunctuation(1, Punctuation::OfConstants(2, {{1, Value(9)}}), 3);
@@ -259,6 +288,101 @@ TEST(MJoinTest, CompositeInputOffsets) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0], Tuple({Value(7), Value(1), Value(1), Value(2),
                                Value(2), Value(7)}));
+}
+
+TEST(MJoinBinaryTest, SymmetricResultProduction) {
+  AuctionJoin fx;
+  auto op = MakeRawJoin(fx.query, fx.schemes);
+  std::vector<Tuple> results;
+  op->SetEmitter([&](const StreamElement& e) {
+    if (e.is_tuple()) results.push_back(e.tuple);
+  });
+
+  op->PushTuple(1, Tuple({Value(1), Value(5)}), 1);  // bid before item
+  EXPECT_TRUE(results.empty());
+  op->PushTuple(0, Tuple({Value(42), Value(1)}), 2);  // item 1
+  ASSERT_EQ(results.size(), 1u);
+  // Output layout: item ++ bid regardless of arrival order.
+  EXPECT_EQ(results[0], Tuple({Value(42), Value(1), Value(1), Value(5)}));
+
+  op->PushTuple(1, Tuple({Value(1), Value(7)}), 3);  // another bid
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[1], Tuple({Value(42), Value(1), Value(1), Value(7)}));
+}
+
+// Example 1 purging in both directions: the auction-close punctuation
+// on the bid stream purges the stored item tuple; the unique-item
+// punctuation on the item stream purges the stored bids.
+TEST(MJoinBinaryTest, Example1PurgeBothDirections) {
+  AuctionJoin fx;
+  auto op = MakeRawJoin(fx.query, fx.schemes);
+  EXPECT_TRUE(op->InputPurgeable(0));
+  EXPECT_TRUE(op->InputPurgeable(1));
+
+  op->PushTuple(0, Tuple({Value(42), Value(1)}), 1);  // item 1
+  op->PushTuple(1, Tuple({Value(1), Value(5)}), 2);   // bid on 1
+  op->PushTuple(1, Tuple({Value(2), Value(9)}), 3);   // bid on 2 (early)
+  EXPECT_EQ(op->TotalLiveTuples(), 3u);
+
+  // Auction 1 closes: bid-stream punctuation (1, *).
+  op->PushPunctuation(1, Punctuation::OfConstants(2, {{0, Value(1)}}), 4);
+  EXPECT_EQ(op->state_metrics(0).live, 0u);  // item purged
+  EXPECT_EQ(op->state_metrics(1).live, 2u);  // bids unaffected
+
+  // itemid 1 unique: item-stream punctuation (*, 1) purges bid(1, 5).
+  op->PushPunctuation(0, Punctuation::OfConstants(2, {{1, Value(1)}}), 5);
+  EXPECT_EQ(op->state_metrics(1).live, 1u);
+  // bid(2, 9) waits for item 2.
+  op->PushPunctuation(0, Punctuation::OfConstants(2, {{1, Value(2)}}), 6);
+  EXPECT_EQ(op->state_metrics(1).live, 0u);
+
+  // The operator-level rollup sums both inputs.
+  StateMetricsSnapshot agg = op->AggregateStateSnapshot();
+  EXPECT_EQ(agg.inserted, 3u);
+  EXPECT_EQ(agg.purged, 3u);
+  EXPECT_EQ(agg.live, 0u);
+}
+
+// A scheme on a non-join attribute admits no purge plan for either
+// input: punctuations on it never free state.
+TEST(MJoinBinaryTest, WrongSchemeMeansUnpurgeable) {
+  AuctionJoin fx;
+  SchemeSet wrong;
+  ASSERT_TRUE(wrong.Add(SchemeOn(fx.catalog, "bid", {"increase"})).ok());
+  auto op = MakeRawJoin(fx.query, wrong);
+  EXPECT_FALSE(op->InputPurgeable(0));
+  EXPECT_FALSE(op->InputPurgeable(1));
+  op->PushTuple(0, Tuple({Value(42), Value(1)}), 1);
+  op->PushPunctuation(1, Punctuation::OfConstants(2, {{1, Value(5)}}), 2);
+  EXPECT_EQ(op->TotalLiveTuples(), 1u);
+}
+
+TEST(MJoinBinaryTest, ConjunctivePredicatesAllMustMatch) {
+  StreamCatalog catalog;
+  ASSERT_TRUE(catalog.Register("L", Schema::OfInts({"A", "B"})).ok());
+  ASSERT_TRUE(catalog.Register("R", Schema::OfInts({"A", "B"})).ok());
+  auto q = ContinuousJoinQuery::Create(
+      catalog, {"L", "R"},
+      {Eq({"L", "A"}, {"R", "A"}), Eq({"L", "B"}, {"R", "B"})});
+  ASSERT_TRUE(q.ok());
+  SchemeSet schemes;
+  ASSERT_TRUE(schemes.Add(SchemeOn(catalog, "R", {"A"})).ok());
+  auto op = MakeRawJoin(*q, schemes);
+
+  std::vector<Tuple> results;
+  op->SetEmitter([&](const StreamElement& e) {
+    if (e.is_tuple()) results.push_back(e.tuple);
+  });
+  op->PushTuple(0, Tuple({Value(1), Value(2)}), 1);
+  op->PushTuple(1, Tuple({Value(1), Value(3)}), 2);  // A matches, B not
+  EXPECT_TRUE(results.empty());
+  op->PushTuple(1, Tuple({Value(1), Value(2)}), 3);  // both match
+  EXPECT_EQ(results.size(), 1u);
+
+  // Section 3.1: punctuation on ONE conjunct attribute purges.
+  EXPECT_TRUE(op->InputPurgeable(0));
+  op->PushPunctuation(1, Punctuation::OfConstants(2, {{0, Value(1)}}), 4);
+  EXPECT_EQ(op->state_metrics(0).live, 0u);
 }
 
 }  // namespace

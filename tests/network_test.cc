@@ -5,7 +5,7 @@
 #include <map>
 #include <set>
 
-#include "exec/input_manager.h"
+#include "exec/plan_executor.h"
 
 namespace punctsafe {
 namespace {

@@ -7,13 +7,13 @@
 // number of tuples (purged + dropped-on-arrival — the split between
 // the two can differ because the parallel interleaving may detect
 // removability at arrival where the serial order stores first, and
-// vice versa). Each trial sweeps shards in {1, 2, 4} crossed with
-// arena storage in {off, on} (the serial reference runs arena-off, so
-// the sweep also proves the arena changes no answers), and rotates the
-// ingest batch size through {1, 7, 64, 1024} — the reference is pinned
-// at batch_size=1 (tuple-at-a-time), so the sweep proves batched
-// execution changes no answers either; the failure message logs the
-// RNG seed, shard count, arena flag, and batch size for replay.
+// vice versa). Each trial sweeps shards in {1, 2, 4} and rotates the
+// ingest batch size through {1, 7, 64, 1024} — the serial reference is
+// pinned at batch_size=1 (tuple-at-a-time), so the sweep proves batched
+// execution changes no answers either, and the reference's own result
+// multiset is checked against the never-purging ReferenceJoinOperator;
+// the failure message logs the RNG seed, shard count, and batch size
+// for replay.
 //
 // tools/ci.sh runs this suite under both TSan and ASan.
 
@@ -23,10 +23,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/input_manager.h"
 #include "exec/parallel_executor.h"
 #include "exec/plan_executor.h"
 #include "exec/query_register.h"
+#include "exec/reference_join.h"
 #include "test_util.h"
 #include "util/logging.h"
 #include "workload/random_query.h"
@@ -163,57 +163,54 @@ TEST(ParallelDifferentialTest, HundredRandomTrialsMatchSerialExecutor) {
     const size_t kBatchSizes[] = {1, 7, 64, 1024};
     const size_t batch_size = kBatchSizes[trial % 4];
 
-    // The reference runs serial with per-tuple heap storage and
-    // tuple-at-a-time delivery — the simplest configuration, against
-    // which the arena, the batched ingest path, and every parallel
-    // interleaving must be observationally identical.
-    config.arena = false;
+    // The reference runs serial with tuple-at-a-time delivery — the
+    // simplest configuration, against which the batched ingest path
+    // and every parallel interleaving must be observationally
+    // identical. Its answer must in turn be the never-purging join's.
     config.batch_size = 1;
     Observation serial = RunSerial(*inst, shape, trace, config);
+    ASSERT_EQ(serial.results,
+              ReferenceJoinResults(inst->query, trace).ValueOrDie())
+        << "seed=" << seed << " serial diverged from the reference join"
+        << " query=" << inst->query.ToString();
 
-    // The serial executor with arena storage + batching must agree.
-    config.arena = true;
+    // The batched serial executor must agree.
     config.batch_size = batch_size;
-    Observation serial_arena = RunSerial(*inst, shape, trace, config);
+    Observation serial_batched = RunSerial(*inst, shape, trace, config);
     {
       SCOPED_TRACE(::testing::Message()
-                   << "seed=" << seed << " serial arena=on batch="
-                   << batch_size << " query=" << inst->query.ToString());
-      ASSERT_EQ(serial_arena.results, serial.results)
+                   << "seed=" << seed << " serial batch=" << batch_size
+                   << " query=" << inst->query.ToString());
+      ASSERT_EQ(serial_batched.results, serial.results)
           << "result multiset diverged";
-      EXPECT_EQ(serial_arena.live_tuples, serial.live_tuples);
-      EXPECT_EQ(serial_arena.live_punctuations, serial.live_punctuations);
-      EXPECT_EQ(serial_arena.removed, serial.removed);
+      EXPECT_EQ(serial_batched.live_tuples, serial.live_tuples);
+      EXPECT_EQ(serial_batched.live_punctuations, serial.live_punctuations);
+      EXPECT_EQ(serial_batched.removed, serial.removed);
     }
 
-    // Every (arena, shard count) pair must reproduce the serial answer
-    // exactly — storage backend and partitioning are implementation
-    // details, not semantics knobs. (Operators whose predicates don't
-    // admit an exact partitioning silently fall back to one shard, so
-    // this also covers mixed partitioned/unpartitioned plans.)
-    for (bool arena : {false, true}) {
-      for (size_t shards : {1u, 2u, 4u}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "seed=" << seed << " shards=" << shards
-                     << " arena=" << (arena ? "on" : "off")
-                     << " batch=" << batch_size << " query="
-                     << inst->query.ToString()
-                     << " shape=" << shape.ToString(inst->query));
-        config.shards = shards;
-        config.arena = arena;
-        config.batch_size = batch_size;
-        Observation parallel = RunParallel(*inst, shape, trace, config);
+    // Every shard count must reproduce the serial answer exactly —
+    // partitioning is an implementation detail, not a semantics knob.
+    // (Operators whose predicates don't admit an exact partitioning
+    // silently fall back to one shard, so this also covers mixed
+    // partitioned/unpartitioned plans.)
+    for (size_t shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed=" << seed << " shards=" << shards
+                   << " batch=" << batch_size << " query="
+                   << inst->query.ToString()
+                   << " shape=" << shape.ToString(inst->query));
+      config.shards = shards;
+      Observation parallel = RunParallel(*inst, shape, trace, config);
 
-        ASSERT_EQ(parallel.results, serial.results)
-            << "result multiset diverged";
-        EXPECT_EQ(parallel.num_results, serial.num_results);
-        EXPECT_EQ(parallel.live_tuples, serial.live_tuples)
-            << "final live state diverged";
-        EXPECT_EQ(parallel.live_punctuations, serial.live_punctuations)
-            << "final punctuation state diverged";
-        EXPECT_EQ(parallel.removed, serial.removed)
-            << "total purge count diverged";
-      }
+      ASSERT_EQ(parallel.results, serial.results)
+          << "result multiset diverged";
+      EXPECT_EQ(parallel.num_results, serial.num_results);
+      EXPECT_EQ(parallel.live_tuples, serial.live_tuples)
+          << "final live state diverged";
+      EXPECT_EQ(parallel.live_punctuations, serial.live_punctuations)
+          << "final punctuation state diverged";
+      EXPECT_EQ(parallel.removed, serial.removed)
+          << "total purge count diverged";
     }
   }
 }

@@ -9,7 +9,6 @@
 #include "core/naive_checker.h"
 #include "core/safety_checker.h"
 #include "core/transformed_punctuation_graph.h"
-#include "exec/input_manager.h"
 #include "exec/plan_executor.h"
 #include "util/logging.h"
 #include "workload/random_query.h"

@@ -18,7 +18,6 @@
 #include <numeric>
 #include <vector>
 
-#include "exec/input_manager.h"
 #include "exec/parallel_executor.h"
 #include "exec/partition_router.h"
 #include "exec/plan_executor.h"

@@ -9,7 +9,6 @@
 
 #include "core/safety_checker.h"
 #include "util/logging.h"
-#include "exec/input_manager.h"
 #include "exec/plan_executor.h"
 #include "test_util.h"
 #include "workload/random_query.h"

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/input_manager.h"
 #include "exec/plan_executor.h"
 #include "test_util.h"
 #include "workload/random_query.h"

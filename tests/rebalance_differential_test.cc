@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/input_manager.h"
 #include "exec/parallel_executor.h"
 #include "exec/plan_executor.h"
 #include "test_util.h"

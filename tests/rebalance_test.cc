@@ -15,7 +15,6 @@
 #include <numeric>
 #include <vector>
 
-#include "exec/input_manager.h"
 #include "exec/parallel_executor.h"
 #include "exec/plan_executor.h"
 #include "exec/shard_map.h"

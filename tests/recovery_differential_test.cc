@@ -1,22 +1,24 @@
 // Recovery differential oracle: checkpoint/restore must be invisible.
 // For 100 randomized (query, plan shape, covering trace) trials, an
-// uninterrupted serial run is compared against
+// uninterrupted tuple-at-a-time serial run — whose result multiset is
+// first checked against the never-purging ReferenceJoinOperator — is
+// compared against
 //  * kill-at-arbitrary-cut + restore + replay on the serial executor
 //    (the snapshot round-trips through the serialized byte format, so
 //    the codec is on the recovery path, not just in unit tests);
 //  * the same snapshot split into 2K shard pieces and re-merged (the
 //    monoid inverse law on live state, checked byte-for-byte and then
 //    by replay);
-//  * parallel kill + restore + replay swept across arena {off,on} x
-//    shards {1,2,4} (the checkpoint barrier, shard merge at capture,
-//    and ShardOf re-split at restore);
+//  * parallel kill + restore + replay swept across shards {1,2,4}
+//    (the checkpoint barrier, shard merge at capture, and ShardOf
+//    re-split at restore);
 //  * the serial snapshot restored into a sharded executor (snapshots
 //    are mode-agnostic).
 // Equality is the same observational bar parallel_differential_test
 // sets: identical result multiset, identical final live state at the
 // sweep fixpoint, and identical total removals (purged + dropped).
 // Each trial rotates the ingest batch size through {1, 7, 64, 1024}
-// (applied to every leg, reference included): snapshots are taken at
+// (applied to every leg except the reference): snapshots are taken at
 // batch boundaries — the serial leg calls FlushIngest() before
 // Checkpoint(), the parallel barrier flushes implicitly — and restore
 // + replay must land on the same fixpoint regardless of where the
@@ -32,9 +34,9 @@
 #include <vector>
 
 #include "exec/checkpoint.h"
-#include "exec/input_manager.h"
 #include "exec/parallel_executor.h"
 #include "exec/plan_executor.h"
+#include "exec/reference_join.h"
 #include "test_util.h"
 #include "util/logging.h"
 #include "workload/random_query.h"
@@ -153,7 +155,6 @@ TEST(RecoveryDifferentialTest, HundredRandomKillRestoreTrialsMatchSerial) {
         (seed % 3 == 2) ? PurgePolicy::kLazy : PurgePolicy::kEager;
     config.mjoin.lazy_batch = 4;
     config.queue_capacity = 1 + seed % 32;
-    config.arena = false;
     const size_t kBatchSizes[] = {1, 7, 64, 1024};
     config.batch_size = kBatchSizes[trial % 4];
 
@@ -162,14 +163,20 @@ TEST(RecoveryDifferentialTest, HundredRandomKillRestoreTrialsMatchSerial) {
     // and "everything consumed".
     const size_t cut = (seed * 7919) % (trace.size() + 1);
 
-    // Uninterrupted serial reference.
+    // Uninterrupted tuple-at-a-time serial reference.
+    ExecutorConfig ref_config = config;
+    ref_config.batch_size = 1;
     auto ref = PlanExecutor::Create(inst->query, inst->schemes, shape,
-                                    config);
+                                    ref_config);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     for (const TraceEvent& e : trace) {
       ASSERT_TRUE((*ref)->Push(e).ok());
     }
     Observation want = ObserveSerial(ref->get(), now);
+    ASSERT_EQ(want.results,
+              ReferenceJoinResults(inst->query, trace).ValueOrDie())
+        << "seed=" << seed << " serial diverged from the reference join"
+        << " query=" << inst->query.ToString();
 
     // --- Leg A: serial kill at `cut`, restore via the byte format,
     // replay the suffix.
@@ -238,43 +245,39 @@ TEST(RecoveryDifferentialTest, HundredRandomKillRestoreTrialsMatchSerial) {
       ExpectEqualObservation(ObserveSerial(resumed->get(), now), want);
     }
 
-    // --- Leg C: parallel kill + restore + replay, swept across
-    // storage backend x shard count.
-    for (bool arena : {false, true}) {
-      for (size_t shards : {1u, 2u, 4u}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "seed=" << seed << " cut=" << cut
-                     << " leg=parallel-restore shards=" << shards
-                     << " arena=" << (arena ? "on" : "off")
-                     << " batch=" << config.batch_size << " query="
-                     << inst->query.ToString()
-                     << " shape=" << shape.ToString(inst->query));
-        ExecutorConfig pconfig = config;
-        pconfig.arena = arena;
-        pconfig.shards = shards;
+    // --- Leg C: parallel kill + restore + replay, swept across shard
+    // count.
+    for (size_t shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed=" << seed << " cut=" << cut
+                   << " leg=parallel-restore shards=" << shards
+                   << " batch=" << config.batch_size << " query="
+                   << inst->query.ToString()
+                   << " shape=" << shape.ToString(inst->query));
+      ExecutorConfig pconfig = config;
+      pconfig.shards = shards;
 
-        StateSnapshot captured;
-        {
-          auto run = ParallelExecutor::Create(inst->query, inst->schemes,
-                                              shape, pconfig);
-          ASSERT_TRUE(run.ok()) << run.status().ToString();
-          for (size_t i = 0; i < cut; ++i) {
-            ASSERT_TRUE((*run)->Push(trace[i]).ok());
-          }
-          Result<StateSnapshot> snap = (*run)->Checkpoint(now);
-          ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-          captured = std::move(*snap);
-          (*run)->Stop();  // the kill
+      StateSnapshot captured;
+      {
+        auto run = ParallelExecutor::Create(inst->query, inst->schemes,
+                                            shape, pconfig);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        for (size_t i = 0; i < cut; ++i) {
+          ASSERT_TRUE((*run)->Push(trace[i]).ok());
         }
-        auto resumed = ParallelExecutor::Create(inst->query, inst->schemes,
-                                                shape, pconfig);
-        ASSERT_TRUE(resumed.ok());
-        ASSERT_TRUE((*resumed)->RestoreState(captured).ok());
-        for (size_t i = cut; i < trace.size(); ++i) {
-          ASSERT_TRUE((*resumed)->Push(trace[i]).ok());
-        }
-        ExpectEqualObservation(ObserveParallel(resumed->get(), now), want);
+        Result<StateSnapshot> snap = (*run)->Checkpoint(now);
+        ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+        captured = std::move(*snap);
+        (*run)->Stop();  // the kill
       }
+      auto resumed = ParallelExecutor::Create(inst->query, inst->schemes,
+                                              shape, pconfig);
+      ASSERT_TRUE(resumed.ok());
+      ASSERT_TRUE((*resumed)->RestoreState(captured).ok());
+      for (size_t i = cut; i < trace.size(); ++i) {
+        ASSERT_TRUE((*resumed)->Push(trace[i]).ok());
+      }
+      ExpectEqualObservation(ObserveParallel(resumed->get(), now), want);
     }
 
     // --- Leg D: cross-mode — the serial snapshot restored into a

@@ -4,7 +4,7 @@
 
 #include "core/punctuation_graph.h"
 #include "core/safety_checker.h"
-#include "exec/input_manager.h"
+#include "exec/plan_executor.h"
 #include "query/cjq.h"
 
 namespace punctsafe {

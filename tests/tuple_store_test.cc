@@ -240,8 +240,8 @@ TEST(TupleStoreTest, NoIndexes) {
   EXPECT_EQ(count, 2u);
 }
 
-// A string longer than Value::kInlineStringCap, so arena mode stores
-// its bytes as external payload in the arena block.
+// A string longer than Value::kInlineStringCap, so the store keeps its
+// bytes as external payload in the arena block.
 std::string LongKey(int i) {
   return "long-string-payload-well-past-inline-" + std::to_string(i);
 }
@@ -252,7 +252,6 @@ TEST(TupleStoreTest, StringValuesSurviveCompactionAndEpochReclaim) {
   // of *other* tuples, until the next AdvanceEpoch. Survivors keep
   // their bytes across epoch advances too.
   TupleStore store({0});
-  ASSERT_TRUE(store.arena_enabled());
 
   // One survivor, then enough doomed same-key tuples to trip the
   // probe-path compaction trigger once they die.
@@ -297,7 +296,6 @@ TEST(TupleStoreTest, RemovedStringsStayReadableUntilEpochAdvance) {
   // addressable (deferred release) — MJoin may still hold a reference
   // from the probe that matched it earlier in the step.
   TupleStore store({0});
-  ASSERT_TRUE(store.arena_enabled());
   size_t slot = store.Insert(Tuple({Value(LongKey(42)), Value(7)}));
   const Tuple& ref = store.At(slot);
   std::string_view view = ref.at(0).AsString();
@@ -313,7 +311,6 @@ TEST(TupleStoreTest, SteadyStateInsertAllocsReachZeroWithArena) {
   // insert/purge cycles recycle blocks through the free list and
   // inserts stop allocating entirely.
   TupleStore store({0});
-  ASSERT_TRUE(store.arena_enabled());
   auto run_round = [&store](int round) {
     std::vector<size_t> slots;
     for (int i = 0; i < 500; ++i) {
@@ -334,44 +331,30 @@ TEST(TupleStoreTest, SteadyStateInsertAllocsReachZeroWithArena) {
   EXPECT_GT(snap.arena_bytes_reserved, 0u);
 }
 
-TEST(TupleStoreTest, HeapModeCountsPerInsertAllocs) {
-  TupleStore store({0}, TupleStoreOptions{.arena = false});
-  EXPECT_FALSE(store.arena_enabled());
-  store.Insert(Tuple({Value(1), Value(2)}));
-  StateMetricsSnapshot snap = store.metrics().Snapshot();
-  EXPECT_EQ(snap.insert_allocs, 1u);  // the value vector
-  store.Insert(Tuple({Value(LongKey(0)), Value(LongKey(1))}));
-  snap = store.metrics().Snapshot();
-  EXPECT_EQ(snap.insert_allocs, 4u);  // vector + two long strings
-  EXPECT_EQ(snap.arena_bytes_reserved, 0u);
-  EXPECT_EQ(snap.arena_blocks_reclaimed, 0u);
-}
-
-TEST(TupleStoreTest, ArenaOffOnParity) {
-  // Identical operation sequences must observe identical contents in
-  // both storage modes.
-  TupleStore with_arena({0});
-  TupleStore without({0}, TupleStoreOptions{.arena = false});
-  for (TupleStore* store : {&with_arena, &without}) {
-    std::vector<size_t> slots;
-    for (int i = 0; i < 200; ++i) {
-      slots.push_back(store->Insert(
-          Tuple({Value(i % 7), Value(LongKey(i % 13)), Value(i)})));
-    }
-    for (size_t i = 0; i < slots.size(); i += 3) store->Remove(slots[i]);
-    store->AdvanceEpoch();
+TEST(TupleStoreTest, ProbesSeeExactlySurvivorsAfterEpochAdvance) {
+  // Removing every third tuple and advancing the epoch reclaims their
+  // payloads; probes must still return exactly the survivors, long
+  // strings intact.
+  TupleStore store({0});
+  std::vector<size_t> slots;
+  std::vector<std::multiset<std::string>> want(7);
+  for (int i = 0; i < 200; ++i) {
+    Tuple t({Value(i % 7), Value(LongKey(i % 13)), Value(i)});
+    slots.push_back(store.Insert(t));
+    if (i % 3 != 0) want[i % 7].insert(t.ToString());
   }
-  ASSERT_EQ(with_arena.live_count(), without.live_count());
+  for (size_t i = 0; i < slots.size(); i += 3) store.Remove(slots[i]);
+  store.AdvanceEpoch();
+  size_t probed = 0;
   for (int key = 0; key < 7; ++key) {
-    std::multiset<std::string> a, b;
-    with_arena.ProbeEach(0, Value(key), [&](size_t, const Tuple& t) {
-      a.insert(t.ToString());
+    std::multiset<std::string> got;
+    store.ProbeEach(0, Value(key), [&](size_t, const Tuple& t) {
+      got.insert(t.ToString());
     });
-    without.ProbeEach(0, Value(key), [&](size_t, const Tuple& t) {
-      b.insert(t.ToString());
-    });
-    EXPECT_EQ(a, b) << "key " << key;
+    EXPECT_EQ(got, want[key]) << "key " << key;
+    probed += got.size();
   }
+  EXPECT_EQ(store.live_count(), probed);
 }
 
 }  // namespace

@@ -60,13 +60,13 @@ run_config() {
   echo "=== [${name}] ctest ==="
   (cd "${dir}" && ctest --output-on-failure --timeout "${CTEST_TIMEOUT}" \
     -j "${JOBS}")
-  # The arena storage sweep (parallel_differential_test crosses
-  # arena {off,on} x shards {1,2,4} against an arena-off serial
-  # reference) runs as part of ctest above; under ASan it is the
-  # lifetime proof for epoch-deferred reclamation and under TSan the
-  # publication-order proof for cross-shard hand-off, so make its
-  # presence explicit in both rather than relying on the suite
-  # listing.
+  # The parallel differential sweep (parallel_differential_test runs
+  # shards {1,2,4} against a tuple-at-a-time serial reference, itself
+  # checked against the never-purging reference join) runs as part of
+  # ctest above; under ASan it is the lifetime proof for epoch-deferred
+  # arena reclamation and under TSan the publication-order proof for
+  # cross-shard hand-off, so make its presence explicit in both rather
+  # than relying on the suite listing.
   # The batched-expansion differential oracle (batch_size sweep vs the
   # tuple-at-a-time reference, exact emission order, cross-product /
   # verify-heavy / sparse-selection shapes, expand_allocs pin) also
@@ -94,11 +94,11 @@ run_config() {
     "${ROOT}/tools/simd_crosscheck.sh"
   fi
   if [ "${name}" = "asan" ] || [ "${name}" = "tsan" ]; then
-    echo "=== [${name}] arena differential sweep (explicit) ==="
+    echo "=== [${name}] parallel differential sweep (explicit) ==="
     run_explicit "${dir}/tests/parallel_differential_test" \
       --gtest_filter='ParallelDifferentialTest.HundredRandomTrialsMatchSerialExecutor'
     # The recovery oracle (serial = kill/restore/replay = split-merge =
-    # parallel restore, arena {off,on} x shards {1,2,4}) exercises the
+    # parallel restore at shards {1,2,4}) exercises the
     # checkpoint barrier, snapshot capture on parked shards, and the
     # restore recheck handshake; under ASan it proves captured state
     # outlives the executor it came from, under TSan that the barrier
@@ -159,8 +159,8 @@ run_bench_smoke() {
   echo "=== [bench] arena regression gate ==="
   # Gates the arena insert and interleaved insert+purge micro rates at
   # the same floor against BENCH_arena.json; the binary additionally
-  # hard-CHECKs steady-state insert_allocs == 0 and arena-on/off
-  # end-to-end result equality on every run.
+  # hard-CHECKs steady-state insert_allocs == 0, blocks reclaimed > 0,
+  # and result equality against the reference join on every run.
   "${dir}/bench/bench_arena" --iters 1 \
     --baseline "${ROOT}/BENCH_arena.json"
   echo "=== [bench] checkpoint regression gate ==="
