@@ -8,13 +8,9 @@
 // shard. Emits a single JSON object (checked-in baseline:
 // BENCH_partitioned.json, experiment E15 in EXPERIMENTS.md).
 //
-// A second, zipf-skewed trace (--zipf, default 1.2) drives the
-// rebalancer comparison: serial vs static shards=4 (rebalance
-// tracking on, migrations off — per-shard routed/stall counters with
-// a frozen map) vs adaptively rebalanced shards=4. The JSON records
-// per-shard routed/stall counters, migrations, tuples moved, the
-// final skew ratio, and speedup_rebalanced_vs_serial /
-// speedup_rebalanced_vs_static (experiment E15).
+// A second, zipf-skewed trace (--zipf, default 1.2) runs serial and
+// shards=4: a few hot keys dominate each generation, so the static
+// hash routing sees uneven per-shard load (experiment E15).
 //
 // Usage: bench_partitioned_join [--streams N] [--generations G]
 //                               [--iters I] [--queue-capacity C]
@@ -23,7 +19,7 @@
 // Note: sharding needs one hardware thread per shard to pay off; the
 // JSON records hardware_threads so a 1-core container's numbers are
 // interpretable. On >= 4 cores the target is shards=4 >= 2x over the
-// pipelined shards=1 run and rebalanced > serial on the skewed trace.
+// pipelined shards=1 run.
 
 #include <chrono>
 #include <cstdint>
@@ -47,12 +43,6 @@ struct RunStats {
   size_t final_live = 0;
   size_t num_shards = 1;
   std::vector<size_t> shard_state_hw;
-  // Rebalance-tracking extras (zero / empty unless rebalance.enabled).
-  std::vector<uint64_t> shard_routed;
-  std::vector<uint64_t> shard_stalls;
-  uint64_t migrations = 0;
-  uint64_t tuples_moved = 0;
-  double skew = 1.0;
 };
 
 using Clock = std::chrono::steady_clock;
@@ -85,15 +75,10 @@ RunStats RunPartitionedOnce(const bench::ChainFixture& fx,
   stats.results = (*exec)->num_results();
   stats.state_hw = (*exec)->tuple_high_water();
   stats.final_live = (*exec)->TotalLiveTuples();
-  stats.migrations = (*exec)->rebalance_migrations();
-  stats.tuples_moved = (*exec)->rebalance_tuples_moved();
   auto snaps = (*exec)->GroupSnapshots();
   PUNCTSAFE_CHECK(!snaps.empty());
   stats.num_shards = snaps[0].num_shards;
   stats.shard_state_hw = snaps[0].shard_high_water;
-  stats.shard_routed = snaps[0].shard_routed;
-  stats.shard_stalls = snaps[0].shard_stalls;
-  stats.skew = snaps[0].skew;
   (*exec)->Stop();
   return stats;
 }
@@ -131,22 +116,6 @@ void PrintRun(const char* name, const RunStats& s, size_t events,
     std::printf("%s%zu", i ? ", " : "", s.shard_state_hw[i]);
   }
   std::printf("]");
-  if (!s.shard_routed.empty()) {
-    std::printf(", \"shard_routed\": [");
-    for (size_t i = 0; i < s.shard_routed.size(); ++i) {
-      std::printf("%s%llu", i ? ", " : "",
-                  static_cast<unsigned long long>(s.shard_routed[i]));
-    }
-    std::printf("], \"shard_stalls\": [");
-    for (size_t i = 0; i < s.shard_stalls.size(); ++i) {
-      std::printf("%s%llu", i ? ", " : "",
-                  static_cast<unsigned long long>(s.shard_stalls[i]));
-    }
-    std::printf(
-        "], \"skew\": %.3f, \"migrations\": %llu, \"tuples_moved\": %llu",
-        s.skew, static_cast<unsigned long long>(s.migrations),
-        static_cast<unsigned long long>(s.tuples_moved));
-  }
   std::printf("}%s\n", trailing_comma ? "," : "");
 }
 
@@ -209,30 +178,13 @@ int Main(int argc, char** argv) {
                               PartitionedConfig(queue_capacity, 4));
   });
 
-  // Skewed legs. "Static" keeps the initial balanced ShardMap but
-  // tracks routing pressure (rebalance enabled, controller interval 0
-  // = never fires) so the JSON shows the skew the rebalancer sees;
-  // "rebalanced" lets the controller migrate hot slots away.
+  // Skewed legs: the same static hash routing as shard4 above.
   RunStats serial_zipf =
       Best(iters, [&] { return RunSerialOnce(fx, shape, zipf_trace); });
-  ExecutorConfig static_config = PartitionedConfig(queue_capacity, 4);
-  static_config.rebalance.enabled = true;
-  static_config.rebalance.interval_punctuations = 0;
-  RunStats static_zipf = Best(
-      iters, [&] { return RunPartitionedOnce(fx, shape, zipf_trace,
-                                             static_config); });
-  ExecutorConfig rebal_config = PartitionedConfig(queue_capacity, 4);
-  rebal_config.rebalance.enabled = true;
-  // The zipf trace's hot slot drifts per generation, so every check
-  // window shows skew: the default drift backoff
-  // (RebalanceConfig::max_backoff_windows) is what keeps the
-  // controller from paying a quiesce barrier per window chasing it.
-  rebal_config.rebalance.interval_punctuations = 16;
-  rebal_config.rebalance.skew_threshold = 1.2;
-  rebal_config.rebalance.min_routed = 256;
-  RunStats rebal_zipf = Best(
-      iters, [&] { return RunPartitionedOnce(fx, shape, zipf_trace,
-                                             rebal_config); });
+  RunStats static_zipf = Best(iters, [&] {
+    return RunPartitionedOnce(fx, shape, zipf_trace,
+                              PartitionedConfig(queue_capacity, 4));
+  });
 
   for (const RunStats* s : {&shard1, &shard2, &shard4}) {
     PUNCTSAFE_CHECK(s->results == serial.results)
@@ -241,18 +193,11 @@ int Main(int argc, char** argv) {
     PUNCTSAFE_CHECK(s->final_live == serial.final_live)
         << "final state diverged at shards=" << s->num_shards;
   }
-  for (const RunStats* s : {&static_zipf, &rebal_zipf}) {
-    PUNCTSAFE_CHECK(s->results == serial_zipf.results)
-        << "zipf executors disagree: serial=" << serial_zipf.results
-        << " got " << s->results;
-    PUNCTSAFE_CHECK(s->final_live == serial_zipf.final_live)
-        << "zipf final state diverged";
-  }
-  PUNCTSAFE_CHECK(static_zipf.migrations == 0)
-      << "static leg must not migrate";
-  PUNCTSAFE_CHECK(rebal_zipf.migrations > 0)
-      << "rebalanced leg saw no migrations: the zipf trace (s=" << zipf
-      << ") did not trip the skew threshold";
+  PUNCTSAFE_CHECK(static_zipf.results == serial_zipf.results)
+      << "zipf executors disagree: serial=" << serial_zipf.results
+      << " shards=4 -> " << static_zipf.results;
+  PUNCTSAFE_CHECK(static_zipf.final_live == serial_zipf.final_live)
+      << "zipf final state diverged at shards=4";
 
   std::printf("{\n");
   std::printf("  \"bench\": \"partitioned_join\",\n");
@@ -274,22 +219,12 @@ int Main(int argc, char** argv) {
            /*trailing_comma=*/true);
   PrintRun("static_zipf_shards4", static_zipf, zipf_trace.size(),
            /*trailing_comma=*/true);
-  PrintRun("rebalanced_zipf_shards4", rebal_zipf, zipf_trace.size(),
-           /*trailing_comma=*/true);
   std::printf("  \"speedup_shards2_vs_shards1\": %.3f,\n",
               shard2.seconds > 0 ? shard1.seconds / shard2.seconds : 0.0);
   std::printf("  \"speedup_shards4_vs_shards1\": %.3f,\n",
               shard4.seconds > 0 ? shard1.seconds / shard4.seconds : 0.0);
-  std::printf("  \"speedup_shards4_vs_serial\": %.3f,\n",
+  std::printf("  \"speedup_shards4_vs_serial\": %.3f\n",
               shard4.seconds > 0 ? serial.seconds / shard4.seconds : 0.0);
-  std::printf(
-      "  \"speedup_rebalanced_vs_serial\": %.3f,\n",
-      rebal_zipf.seconds > 0 ? serial_zipf.seconds / rebal_zipf.seconds
-                             : 0.0);
-  std::printf(
-      "  \"speedup_rebalanced_vs_static\": %.3f\n",
-      rebal_zipf.seconds > 0 ? static_zipf.seconds / rebal_zipf.seconds
-                             : 0.0);
   std::printf("}\n");
 
   // Sharding must actually pay on hosts with the cores for it; on
@@ -300,23 +235,6 @@ int Main(int argc, char** argv) {
           shard2.seconds > 0 ? shard1.seconds / shard2.seconds : 0.0,
           1.05)) {
     return 1;
-  }
-  // The rebalanced-vs-serial target assumes a thread per shard; below
-  // 4 hardware threads the 4-shard runtime time-slices and the ratio
-  // carries no signal.
-  if (bench::HardwareThreads() >= 4) {
-    if (!bench::CheckParallelSpeedup(
-            "partitioned_join rebalanced-vs-serial",
-            rebal_zipf.seconds > 0
-                ? serial_zipf.seconds / rebal_zipf.seconds
-                : 0.0,
-            1.0)) {
-      return 1;
-    }
-  } else {
-    std::fprintf(stderr,
-                 "partitioned_join rebalanced-vs-serial: SKIP ratio gate "
-                 "(hardware_threads < 4)\n");
   }
   return 0;
 }

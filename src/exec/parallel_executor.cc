@@ -87,13 +87,6 @@ struct ParallelExecutor::Worker {
   std::vector<TupleBatch> emit_buf;
   size_t emit_buffered = 0;
 
-  // Routing-pressure counters for the rebalancer (maintained only
-  // when ExecutorConfig::rebalance.enabled; obs counters stay tied to
-  // observability). `routed` counts tuples enqueued to this shard,
-  // `stalls` counts full-queue observations before a blocking push.
-  std::atomic<uint64_t> routed{0};
-  std::atomic<uint64_t> stalls{0};
-
   // Barrier handshake (drain / checkpoint / recheck markers all share
   // it). `drains_requested` is touched only by the driver thread;
   // `drains_done` is the worker's ack, published under `mu`.
@@ -106,40 +99,14 @@ struct ParallelExecutor::Worker {
 // One logical operator: K contiguous shard workers behind a
 // partitioning router, plus the output-punctuation merge barrier.
 struct ParallelExecutor::OpGroup {
-  OpGroup(size_t num_shards_in, size_t active_shards, PartitionSpec spec_in)
+  OpGroup(size_t num_shards_in, PartitionSpec spec_in)
       : num_shards(num_shards_in),
         spec(std::move(spec_in)),
-        shard_map(active_shards),
         aligner(num_shards_in) {}
 
   size_t first_worker = 0;  // index into workers_/operators_
-  // Allocated shard workers. Broadcasts, barriers, and the aligner
-  // always cover all of them; the ShardMap routes tuples to an active
-  // subset (idle workers hold full punctuation stores and vote
-  // immediately, so correctness is unaffected by headroom).
   size_t num_shards = 1;
   PartitionSpec spec;
-  // Versioned slot -> shard routing table (exec/shard_map.h). Read
-  // lock-free on every route; mutated only by the driver while the
-  // group is parked at a kMigrate barrier.
-  ShardMap shard_map;
-  // Per-slot routed-tuple counters feeding the rebalancer (null
-  // unless rebalance tracking is on and the group is partitioned);
-  // `slot_base` is the driver-side snapshot the next pass diffs
-  // against, `stall_base` likewise for the group's stall total.
-  std::unique_ptr<std::atomic<uint64_t>[]> slot_routed;
-  std::vector<uint64_t> slot_base;
-  uint64_t stall_base = 0;
-  // Drift backoff (RebalanceConfig::max_backoff_windows): after an
-  // automatic migration the controller sits out `cooldown` check
-  // windows for this group, doubling on each further migration and
-  // resetting when a window comes in balanced.
-  size_t rebalance_backoff = 1;
-  size_t rebalance_cooldown = 0;
-  // The operator's input layout, kept so migration can instantiate
-  // fresh shard replicas (MJoinOperator::RestoreState requires a
-  // freshly created operator).
-  std::vector<LocalInput> node_inputs;
   // Serializes punctuation/drain broadcasts into this group so every
   // shard observes the same punctuation order (keeps the per-shard
   // punctuation stores identical; see docs/CONCURRENCY.md).
@@ -171,7 +138,6 @@ Result<std::unique_ptr<ParallelExecutor>> ParallelExecutor::Create(
   exec->config_ = config;
   exec->safety_ = std::move(safety);
   exec->ingest_batch_ = TupleBatch(config.batch_size);
-  exec->track_pressure_ = config.rebalance.enabled;
 
   PUNCTSAFE_ASSIGN_OR_RETURN(
       OperatorTree tree,
@@ -179,29 +145,12 @@ Result<std::unique_ptr<ParallelExecutor>> ParallelExecutor::Create(
 
   ParallelExecutor* raw = exec.get();
   const size_t num_groups = tree.operators.size();
-  // Elasticity headroom: allocate workers up to rebalance.max_shards
-  // per partitionable group; the ShardMap initially activates
-  // config.shards of them.
-  const size_t allocated_shards =
-      config.rebalance.enabled
-          ? std::max(config.shards, config.rebalance.max_shards)
-          : config.shards;
   for (size_t j = 0; j < num_groups; ++j) {
     PartitionSpec spec =
         ComputePartitionSpec(exec->query_, tree.node_inputs[j]);
-    size_t shards = spec.partitionable ? allocated_shards : 1;
-    size_t active = spec.partitionable ? config.shards : 1;
-    auto group = std::make_unique<OpGroup>(shards, active, std::move(spec));
+    size_t shards = spec.partitionable ? config.shards : 1;
+    auto group = std::make_unique<OpGroup>(shards, std::move(spec));
     group->first_worker = exec->workers_.size();
-    group->node_inputs = tree.node_inputs[j];
-    if (exec->track_pressure_ && shards > 1) {
-      group->slot_routed =
-          std::make_unique<std::atomic<uint64_t>[]>(ShardMap::kNumSlots);
-      for (size_t i = 0; i < ShardMap::kNumSlots; ++i) {
-        group->slot_routed[i].store(0, std::memory_order_relaxed);
-      }
-      group->slot_base.assign(ShardMap::kNumSlots, 0);
-    }
     for (size_t s = 0; s < shards; ++s) {
       std::unique_ptr<MJoinOperator> op;
       if (s == 0) {
@@ -371,7 +320,6 @@ void ParallelExecutor::FlushEmits(Worker& worker) {
     TupleBatch& staged = worker.emit_buf[s];
     if (staged.empty()) continue;
     Worker& target = *workers_[parent.first_worker + s];
-    NotePressure(target, staged.size());
     if (obs::kCompiled && obs_ != nullptr) {
       target.obs->IncRouted(staged.size());
     }
@@ -392,32 +340,15 @@ void ParallelExecutor::FlushEmits(Worker& worker) {
   worker.emit_buffered = 0;
 }
 
-size_t ParallelExecutor::RouteShard(OpGroup& group, size_t input,
-                                    const Tuple& tuple) {
-  if (group.num_shards <= 1) return 0;
-  const uint64_t h = group.spec.KeyHash(input, tuple);
-  if (group.slot_routed != nullptr) {
-    group.slot_routed[ShardMap::SlotOf(h)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  return group.shard_map.ShardOf(h);
-}
-
-void ParallelExecutor::NotePressure(Worker& target, uint64_t routed) {
-  if (!track_pressure_) return;
-  target.routed.fetch_add(routed, std::memory_order_relaxed);
-  // Same racy-but-useful stall heuristic as the obs counter: a full
-  // reading here means the blocking push almost certainly waited.
-  if (target.queue.size() >= target.queue.capacity()) {
-    target.stalls.fetch_add(1, std::memory_order_relaxed);
-  }
+size_t ParallelExecutor::RouteShard(const OpGroup& group, size_t input,
+                                    const Tuple& tuple) const {
+  return group.spec.ShardOf(input, tuple, group.num_shards);
 }
 
 bool ParallelExecutor::RouteTuple(OpGroup& group, size_t input,
                                   const StreamElement& element) {
   size_t shard = RouteShard(group, input, element.tuple);
   Worker& target = *workers_[group.first_worker + shard];
-  NotePressure(target, 1);
   OpMessage message{PipelineMarker::kNone, input, element, 0};
   if (obs::kCompiled && obs_ != nullptr) {
     message.enqueue_ns = obs::NowNs();
@@ -665,7 +596,6 @@ Status ParallelExecutor::Push(const TraceEvent& event) {
   NoteProgress(*idx, event.element.timestamp);
   if (!event.element.is_tuple()) {
     MaybeAutoCheckpoint(event.element.timestamp);
-    MaybeRebalance(event.element.timestamp);
   }
   return Status::OK();
 }
@@ -676,12 +606,10 @@ bool ParallelExecutor::FlushIngest() {
   OpGroup& group = *groups_[group_idx];
   bool ok = true;
   if (group.num_shards > 1) {
-    // Single-pass scatter into per-shard sub-batches (routed through
-    // the group's ShardMap, counting slot loads for the rebalancer in
-    // the same pass), then one queue message per non-empty shard.
-    ScatterBatch(group.spec, group.shard_map, input, ingest_batch_,
-                 group.num_shards, &scatter_scratch_,
-                 group.slot_routed.get());
+    // Single-pass scatter into per-shard sub-batches, then one queue
+    // message per non-empty shard.
+    ScatterBatch(group.spec, input, ingest_batch_, group.num_shards,
+                 &scatter_scratch_);
     for (size_t s = 0; s < group.num_shards; ++s) {
       if (scatter_scratch_[s].empty()) continue;
       ok &= PushIngestBatch(group, s, input, &scatter_scratch_[s]);
@@ -696,7 +624,6 @@ bool ParallelExecutor::FlushIngest() {
 bool ParallelExecutor::PushIngestBatch(OpGroup& group, size_t shard,
                                        size_t input, TupleBatch* batch) {
   Worker& target = *workers_[group.first_worker + shard];
-  NotePressure(target, batch->size());
   OpMessage message;
   message.input = input;
   if (obs::kCompiled && obs_ != nullptr) {
@@ -748,7 +675,6 @@ void ParallelExecutor::PushPunctuation(size_t stream,
                 StreamElement::OfPunctuation(punctuation, ts))) {
     NoteProgress(stream, ts);
     MaybeAutoCheckpoint(ts);
-    MaybeRebalance(ts);
   }
 }
 
@@ -914,11 +840,11 @@ Status ParallelExecutor::RestoreGroupFromLogical(
                " inputs but the operator has ", num_inputs));
   }
   // Split the logical snapshot across the group's shards: tuples by
-  // the group's ShardMap over the partition-key hash (the same route
-  // live tuples take, so restored and replayed tuples agree on their
-  // shard), punctuations / pending / sweep counters replicated
-  // (broadcast state — every shard holds the full set), summed
-  // counters and result credits on shard 0 only.
+  // PartitionSpec::ShardOf (the same route live tuples take, so
+  // restored and replayed tuples agree on their shard), punctuations /
+  // pending / sweep counters replicated (broadcast state — every shard
+  // holds the full set), summed counters and result credits on shard 0
+  // only.
   std::vector<OperatorStateSnapshot> pieces(group.num_shards);
   for (size_t s = 0; s < group.num_shards; ++s) {
     OperatorStateSnapshot& piece = pieces[s];
@@ -941,10 +867,7 @@ Status ParallelExecutor::RestoreGroupFromLogical(
   }
   for (size_t k = 0; k < num_inputs; ++k) {
     for (const Tuple& tuple : logical.inputs[k].tuples) {
-      size_t target =
-          group.num_shards > 1
-              ? group.shard_map.ShardOf(group.spec.KeyHash(k, tuple))
-              : 0;
+      const size_t target = RouteShard(group, k, tuple);
       pieces[target].inputs[k].tuples.push_back(tuple);
       pieces[target].inputs[k].state_metrics.live += 1;
     }
@@ -960,223 +883,6 @@ Status ParallelExecutor::RestoreGroupFromLogical(
     PUNCTSAFE_RETURN_IF_ERROR(
         operators_[group.first_worker + s]->RestoreState(pieces[s]));
   }
-  return Status::OK();
-}
-
-void ParallelExecutor::MaybeRebalance(int64_t ts) {
-  if (!config_.rebalance.enabled ||
-      config_.rebalance.interval_punctuations == 0) {
-    return;
-  }
-  if (++punctuations_since_rebalance_ <
-      config_.rebalance.interval_punctuations) {
-    return;
-  }
-  punctuations_since_rebalance_ = 0;
-  Status status = RebalancePass(ts, /*target_active=*/0, /*force=*/false);
-  if (!status.ok()) {
-    PUNCTSAFE_LOG(Warning) << "automatic shard rebalance failed: "
-                           << status.ToString();
-  }
-}
-
-Status ParallelExecutor::RebalanceNow(int64_t now) {
-  if (!config_.rebalance.enabled) {
-    return Status::FailedPrecondition(
-        "RebalanceNow requires ExecutorConfig::rebalance.enabled "
-        "(the routed-load counters do not exist otherwise)");
-  }
-  return RebalancePass(now, /*target_active=*/0, /*force=*/true);
-}
-
-Status ParallelExecutor::ResizeShards(size_t active, int64_t now) {
-  if (!config_.rebalance.enabled) {
-    return Status::FailedPrecondition(
-        "ResizeShards requires ExecutorConfig::rebalance.enabled");
-  }
-  if (active == 0) {
-    return Status::InvalidArgument("ResizeShards: active must be >= 1");
-  }
-  return RebalancePass(now, active, /*force=*/true);
-}
-
-Status ParallelExecutor::RebalancePass(int64_t now, size_t target_active,
-                                       bool force) {
-  // Plan first from the driver-visible counters (relaxed reads are
-  // fine: the plan is heuristic; the authoritative state move happens
-  // under the barrier). Nothing pays for a barrier unless some group
-  // actually wants to move.
-  struct PlannedMigration {
-    size_t group = 0;
-    std::vector<uint32_t> assignment;
-    size_t active = 0;
-  };
-  std::vector<PlannedMigration> plan;
-  for (size_t j = 0; j < groups_.size(); ++j) {
-    OpGroup& group = *groups_[j];
-    if (group.num_shards <= 1 || group.slot_routed == nullptr) continue;
-    const size_t current_active = group.shard_map.num_shards();
-    size_t active = target_active == 0
-                        ? current_active
-                        : std::min(target_active, group.num_shards);
-
-    // Load deltas since the last pass, per slot and per active shard.
-    std::vector<uint64_t> slot_delta(ShardMap::kNumSlots, 0);
-    uint64_t routed_delta = 0;
-    for (size_t i = 0; i < ShardMap::kNumSlots; ++i) {
-      const uint64_t total =
-          group.slot_routed[i].load(std::memory_order_relaxed);
-      slot_delta[i] = total - group.slot_base[i];
-      routed_delta += slot_delta[i];
-    }
-    uint64_t stall_total = 0;
-    for (size_t s = 0; s < group.num_shards; ++s) {
-      stall_total += workers_[group.first_worker + s]->stalls.load(
-          std::memory_order_relaxed);
-    }
-    const uint64_t stall_delta = stall_total - group.stall_base;
-
-    if (!force) {
-      if (routed_delta < config_.rebalance.min_routed) continue;
-      // Backoff: a recent migration means this window's loads were
-      // shaped by the old assignment anyway — consume the window and
-      // sit it out.
-      if (group.rebalance_cooldown > 0) {
-        --group.rebalance_cooldown;
-        for (size_t i = 0; i < ShardMap::kNumSlots; ++i) {
-          group.slot_base[i] += slot_delta[i];
-        }
-        group.stall_base = stall_total;
-        continue;
-      }
-      std::vector<uint64_t> shard_delta(current_active, 0);
-      for (size_t i = 0; i < ShardMap::kNumSlots; ++i) {
-        shard_delta[group.shard_map.shard_of_slot(i)] += slot_delta[i];
-      }
-      const double skew = LoadSkew(shard_delta);
-      // Auto-grow: chronic queue stalls mean the active set is
-      // compute-bound, not just imbalanced — activate headroom.
-      const bool grow = config_.rebalance.grow_stall_threshold > 0 &&
-                        stall_delta >= config_.rebalance.grow_stall_threshold &&
-                        active < group.num_shards;
-      if (grow) {
-        ++active;
-      } else if (skew < config_.rebalance.skew_threshold) {
-        // Balanced enough: consume the window so the next check looks
-        // at fresh traffic only, and forgive past drift.
-        group.rebalance_backoff = 1;
-        for (size_t i = 0; i < ShardMap::kNumSlots; ++i) {
-          group.slot_base[i] += slot_delta[i];
-        }
-        group.stall_base = stall_total;
-        continue;
-      }
-    }
-
-    std::vector<uint32_t> assignment = ComputeShardAssignment(
-        routed_delta > 0 ? slot_delta
-                         : std::vector<uint64_t>(ShardMap::kNumSlots, 1),
-        active);
-    // Consume the load window regardless of whether the assignment
-    // actually changes.
-    for (size_t i = 0; i < ShardMap::kNumSlots; ++i) {
-      group.slot_base[i] += slot_delta[i];
-    }
-    group.stall_base = stall_total;
-    if (assignment == group.shard_map.slots() &&
-        active == current_active) {
-      continue;
-    }
-    if (!force && config_.rebalance.max_backoff_windows > 0) {
-      group.rebalance_cooldown = group.rebalance_backoff;
-      group.rebalance_backoff = std::min(
-          group.rebalance_backoff * 2, config_.rebalance.max_backoff_windows);
-    }
-    plan.push_back({j, std::move(assignment), active});
-  }
-  if (plan.empty()) return Status::OK();
-
-  // Quiesce the whole pipeline (kMigrate: pure barrier, no sweep —
-  // migration must observe state, not change it), move the planned
-  // groups, then rebuild aligner votes with a recheck barrier exactly
-  // as checkpoint restore does.
-  PUNCTSAFE_RETURN_IF_ERROR(BarrierAll(PipelineMarker::kMigrate, now));
-  for (PlannedMigration& m : plan) {
-    PUNCTSAFE_RETURN_IF_ERROR(
-        MigrateGroup(m.group, std::move(m.assignment), m.active));
-  }
-  return BarrierAll(PipelineMarker::kRecheck, now);
-}
-
-Status ParallelExecutor::MigrateGroup(size_t group_idx,
-                                      std::vector<uint32_t> assignment,
-                                      size_t active) {
-  OpGroup& group = *groups_[group_idx];
-  // Capture every allocated shard (workers are parked at the kMigrate
-  // barrier; the acks published their state to this thread) and fold
-  // into the logical operator snapshot — the same monoid checkpoint
-  // uses, so migration is literally Merge then Split.
-  OperatorStateSnapshot logical =
-      operators_[group.first_worker]->CaptureState();
-  for (size_t s = 1; s < group.num_shards; ++s) {
-    logical = MergeOperatorSnapshots(
-        logical, operators_[group.first_worker + s]->CaptureState());
-  }
-  // The merged high-water is the sum of the replicas' marks — a sound
-  // upper bound for one restore, but repeated migrations would seed
-  // each capture with the previous sum and compound it without bound.
-  // At a migration point the state is exactly the live tuples, so the
-  // mark restarts there.
-  for (InputStateSnapshot& input : logical.inputs) {
-    input.state_metrics.high_water =
-        std::max<uint64_t>(input.tuples.size(), input.state_metrics.live);
-  }
-
-  // Count the tuples whose owning shard changes under the new
-  // assignment before installing it.
-  uint64_t moved = 0;
-  for (size_t k = 0; k < logical.inputs.size(); ++k) {
-    for (const Tuple& tuple : logical.inputs[k].tuples) {
-      const uint64_t h = group.spec.KeyHash(k, tuple);
-      if (assignment[ShardMap::SlotOf(h)] != group.shard_map.ShardOf(h)) {
-        ++moved;
-      }
-    }
-  }
-
-  PUNCTSAFE_RETURN_IF_ERROR(
-      group.shard_map.Apply(std::move(assignment), active));
-
-  // Fresh operator replicas (MJoinOperator::RestoreState requires a
-  // freshly created operator), rewired exactly as Create wires them.
-  // Swapping worker.op / operators_ is safe: every worker of every
-  // group is parked in PopAll, and the next queue push publishes the
-  // new pointers.
-  ParallelExecutor* raw = this;
-  for (size_t s = 0; s < group.num_shards; ++s) {
-    PUNCTSAFE_ASSIGN_OR_RETURN(
-        std::unique_ptr<MJoinOperator> op,
-        MJoinOperator::Create(query_, group.node_inputs, config_.mjoin));
-    const size_t w = group.first_worker + s;
-    op->SetEmitter([raw, group_idx, s](const StreamElement& e) {
-      raw->EmitFromShard(group_idx, s, e);
-    });
-    if (config_.batch_size > 1) {
-      op->SetBatchEmitter([raw, group_idx, s](TupleBatch& b) {
-        raw->EmitBatchFromShard(group_idx, s, b);
-      });
-    }
-    if (workers_[w]->obs != nullptr) op->SetObserver(workers_[w]->obs);
-    workers_[w]->op = op.get();
-    operators_[w] = std::move(op);
-  }
-  PUNCTSAFE_RETURN_IF_ERROR(RestoreGroupFromLogical(group, logical));
-  // Votes recorded under the old assignment are stale (a shard's
-  // matching state just changed under it); the caller's kRecheck
-  // barrier rebuilds them from the restored pending propagations.
-  group.aligner.Reset();
-  rebalance_migrations_.fetch_add(1, std::memory_order_relaxed);
-  rebalance_tuples_moved_.fetch_add(moved, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -1224,8 +930,6 @@ ParallelExecutor::GroupSnapshots() const {
     snap.num_shards = group->num_shards;
     snap.partitioned = group->num_shards > 1;
     snap.partition_detail = group->spec.detail;
-    snap.active_shards = group->shard_map.num_shards();
-    snap.shard_map_version = group->shard_map.version();
     for (size_t s = 0; s < group->num_shards; ++s) {
       const MJoinOperator& op = *operators_[group->first_worker + s];
       StateMetricsSnapshot shard = op.AggregateStateSnapshot();
@@ -1236,20 +940,6 @@ ParallelExecutor::GroupSnapshots() const {
           std::max(snap.punctuations_live,
                    op.metrics().punctuations_live.load(
                        std::memory_order_relaxed));
-      if (track_pressure_) {
-        const Worker& worker = *workers_[group->first_worker + s];
-        snap.shard_routed.push_back(
-            worker.routed.load(std::memory_order_relaxed));
-        snap.shard_stalls.push_back(
-            worker.stalls.load(std::memory_order_relaxed));
-      }
-    }
-    if (!snap.shard_routed.empty()) {
-      std::vector<uint64_t> active_routed(
-          snap.shard_routed.begin(),
-          snap.shard_routed.begin() +
-              std::min(snap.active_shards, snap.shard_routed.size()));
-      snap.skew = LoadSkew(active_routed);
     }
     out.push_back(std::move(snap));
   }
@@ -1266,22 +956,11 @@ obs::ObsSnapshot ParallelExecutor::ObservabilitySnapshot() const {
   snap.live_punctuations = TotalLivePunctuations();
   snap.tuple_high_water = tuple_high_water();
   snap.punctuation_high_water = punctuation_high_water();
-  snap.rebalance_migrations = rebalance_migrations();
-  snap.rebalance_tuples_moved = rebalance_tuples_moved();
   if (obs_ == nullptr) return snap;
   snap.operators.reserve(workers_.size());
   for (const auto& group : groups_) {
     const size_t aligner_pending = group->aligner.pending();
     const size_t aligner_hw = group->aligner.pending_high_water();
-    double group_skew = 1.0;
-    if (track_pressure_ && group->num_shards > 1) {
-      std::vector<uint64_t> active_routed(group->shard_map.num_shards(), 0);
-      for (size_t s = 0; s < active_routed.size(); ++s) {
-        active_routed[s] = workers_[group->first_worker + s]->routed.load(
-            std::memory_order_relaxed);
-      }
-      group_skew = LoadSkew(active_routed);
-    }
     for (size_t s = 0; s < group->num_shards; ++s) {
       const size_t w = group->first_worker + s;
       obs::OperatorObsEntry entry;
@@ -1289,9 +968,6 @@ obs::ObsSnapshot ParallelExecutor::ObservabilitySnapshot() const {
       entry.num_shards = group->num_shards;
       entry.partitioned = group->num_shards > 1;
       entry.partition_detail = group->spec.detail;
-      entry.active_shards = group->shard_map.num_shards();
-      entry.shard_map_version = group->shard_map.version();
-      entry.skew = group_skew;
       entry.state = operators_[w]->AggregateStateSnapshot();
       entry.op_metrics = operators_[w]->metrics().Snapshot();
       // Group-level gauges, replicated onto each shard entry (the

@@ -77,20 +77,12 @@ namespace punctsafe {
 ///  * kRecheck    — re-evaluate pending punctuation propagations
 ///    (RestoreState phase 2: shards whose state is already clear
 ///    re-emit to the aligner, reconstructing votes a crash
-///    discarded — docs/RECOVERY.md);
-///  * kMigrate    — nothing: pure quiescence like kCheckpoint, but
-///    broadcast by the rebalancer. With every worker parked, the
-///    driver captures + merges the group's shard states, installs a
-///    new ShardMap assignment, re-splits the merged state under it
-///    into fresh operator replicas, then runs a kRecheck barrier so
-///    aligner votes are rebuilt (docs/CONCURRENCY.md, "Rebalancing
-///    and the migration marker").
+///    discarded — docs/RECOVERY.md).
 enum class PipelineMarker : uint8_t {
   kNone = 0,
   kDrain = 1,
   kCheckpoint = 2,
   kRecheck = 3,
-  kMigrate = 4,
 };
 
 struct OpMessage;
@@ -101,7 +93,7 @@ class ParallelExecutor {
   /// aggregated state accounting, so state-boundedness claims stay
   /// checkable operator-by-operator under partitioning.
   struct OperatorGroupSnapshot {
-    size_t num_shards = 1;  ///< allocated shard workers
+    size_t num_shards = 1;  ///< shard workers
     bool partitioned = false;       ///< spec admitted > 1 shard
     std::string partition_detail;   ///< chosen key class / fallback reason
     /// Summed over the group's shards and inputs (high_water is the
@@ -112,19 +104,6 @@ class ParallelExecutor {
     /// Max over shards (each shard stores the full broadcast set, so
     /// the max — not the sum — is the logical operator's count).
     size_t punctuations_live = 0;
-    /// Shards the current ShardMap routes to (<= num_shards; the rest
-    /// are allocated-but-idle elasticity headroom).
-    size_t active_shards = 1;
-    /// ShardMap::version() — how many migrations this group has seen.
-    uint64_t shard_map_version = 0;
-    /// Cumulative tuples routed / queue-stall events per shard worker
-    /// (populated only while ExecutorConfig::rebalance.enabled tracks
-    /// routing pressure; empty otherwise).
-    std::vector<uint64_t> shard_routed;
-    std::vector<uint64_t> shard_stalls;
-    /// max/mean of shard_routed over the active shards (1.0 when
-    /// untracked or unloaded) — the rebalance trigger signal.
-    double skew = 1.0;
   };
 
   /// \brief Builds the operator tree and starts shards x operators
@@ -173,42 +152,15 @@ class ParallelExecutor {
 
   /// \brief Rebuilds executor state from a snapshot. Must be called on
   /// a freshly created executor before anything is pushed. Tuples are
-  /// re-routed to shards via each group's ShardMap over the partition
-  /// key hash (the split inverse of the snapshot merge, and the same
-  /// route live tuples take); punctuation stores and
-  /// pending propagations are replicated to every shard (broadcast
-  /// state). A kRecheck barrier then runs on the worker threads so
-  /// already-clear shards re-emit pending punctuations to the aligner.
+  /// re-routed to shards by PartitionSpec::ShardOf (the split inverse
+  /// of the snapshot merge, and the same route live tuples take);
+  /// punctuation stores and pending propagations are replicated to
+  /// every shard (broadcast state). A kRecheck barrier then runs on
+  /// the worker threads so already-clear shards re-emit pending
+  /// punctuations to the aligner.
   /// Afterwards, resume by replaying each stream's suffix from
   /// `snapshot.progress[s].events_consumed`.
   Status RestoreState(const StateSnapshot& snapshot);
-
-  /// \brief Forces one rebalance pass now (driver thread only): for
-  /// every partitioned group, computes a fresh greedy-LPT ShardMap
-  /// assignment from the routed-load counters accumulated since the
-  /// last pass and — when it differs from the installed map — runs a
-  /// punctuation-aligned migration (kMigrate barrier, capture + merge
-  /// + re-split under the new map, kRecheck). Requires
-  /// ExecutorConfig::rebalance.enabled (the load counters otherwise
-  /// do not exist). A no-op pass (no group's assignment changed)
-  /// returns OK without migrating.
-  Status RebalanceNow(int64_t now);
-
-  /// \brief Elastic resize (driver thread only): re-routes every
-  /// partitioned group onto `active` shards (clamped to [1, allocated
-  /// workers]) via the same migration protocol. Growing activates
-  /// idle pre-allocated workers; shrinking drains their state into
-  /// the survivors. Requires rebalance.enabled.
-  Status ResizeShards(size_t active, int64_t now);
-
-  /// \brief Completed punctuation-aligned migrations (group x pass).
-  uint64_t rebalance_migrations() const {
-    return rebalance_migrations_.load(std::memory_order_relaxed);
-  }
-  /// \brief Tuples whose owning shard changed across all migrations.
-  uint64_t rebalance_tuples_moved() const {
-    return rebalance_tuples_moved_.load(std::memory_order_relaxed);
-  }
 
   /// \brief Per-stream consumption positions (driver thread only;
   /// exact counts of successful pushes, for checkpoint replay).
@@ -301,35 +253,15 @@ class ParallelExecutor {
   Status BarrierAll(PipelineMarker marker, int64_t now);
   void NoteProgress(size_t stream, int64_t ts);
   void MaybeAutoCheckpoint(int64_t ts);
-  /// Rebalance controller tick (driver thread, punctuation path):
-  /// every rebalance.interval_punctuations punctuations, check each
-  /// partitioned group's routed-load skew since the last check and
-  /// migrate the groups that exceed rebalance.skew_threshold (plus
-  /// auto-grow on queue-stall pressure when configured).
-  void MaybeRebalance(int64_t ts);
-  /// One rebalance pass shared by MaybeRebalance / RebalanceNow /
-  /// ResizeShards. `target_active` == 0 keeps each group's current
-  /// active count; `force` migrates even below the skew threshold
-  /// (explicit calls), otherwise the per-group trigger applies.
-  Status RebalancePass(int64_t now, size_t target_active, bool force);
-  /// Migrates one quiesced group onto (assignment, active): capture +
-  /// merge all allocated shards, install the map, re-split into fresh
-  /// operator replicas, reset the aligner. Caller holds the kMigrate
-  /// barrier and runs the kRecheck barrier afterwards.
-  Status MigrateGroup(size_t group_idx, std::vector<uint32_t> assignment,
-                      size_t active);
-  /// Splits `logical` across the group's shards under its current
-  /// ShardMap and restores each piece into the group's (freshly
-  /// created) shard operators. Shared by RestoreState and migration.
+  /// Splits `logical` across the group's shards by
+  /// PartitionSpec::ShardOf and restores each piece into the group's
+  /// (freshly created) shard operators.
   Status RestoreGroupFromLogical(OpGroup& group,
                                  const OperatorStateSnapshot& logical);
-  /// Tuple -> shard under the group's ShardMap, bumping the group's
-  /// per-slot load counter when rebalance tracking is on.
-  size_t RouteShard(OpGroup& group, size_t input, const Tuple& tuple);
-  /// Worker-side routing-pressure accounting (routed count + racy
-  /// full-queue stall heuristic); no-op unless rebalance tracking is
-  /// on.
-  void NotePressure(Worker& target, uint64_t routed);
+  /// Tuple -> shard by the group's PartitionSpec::ShardOf (0 for an
+  /// unpartitioned group).
+  size_t RouteShard(const OpGroup& group, size_t input,
+                    const Tuple& tuple) const;
   /// Delivers the driver-side ingest batch: scatter into per-shard
   /// sub-batches (one pass), one queue message per non-empty shard.
   /// False iff stopped. No-op (true) when empty.
@@ -363,12 +295,6 @@ class ParallelExecutor {
   // punctuation counter.
   std::vector<InputProgress> progress_;
   size_t punctuations_since_checkpoint_ = 0;
-  size_t punctuations_since_rebalance_ = 0;
-  // True when ExecutorConfig::rebalance.enabled: per-worker routed /
-  // stall counters and per-slot load counters are maintained.
-  bool track_pressure_ = false;
-  std::atomic<uint64_t> rebalance_migrations_{0};
-  std::atomic<uint64_t> rebalance_tuples_moved_{0};
   // Driver-side ingest batching (batch_size > 1 only): the open batch
   // of consecutive ingest_stream_ tuples, plus the recycled per-shard
   // scatter buffers FlushIngest fills (see partition_router.h,

@@ -46,10 +46,6 @@ size_t PartitionSpec::ShardOf(size_t input, const Tuple& tuple,
   return Mix64(tuple.at(hash_offsets[input]).Hash()) % num_shards;
 }
 
-uint64_t PartitionSpec::KeyHash(size_t input, const Tuple& tuple) const {
-  return Mix64(tuple.at(hash_offsets[input]).Hash());
-}
-
 void ScatterBatch(const PartitionSpec& spec, size_t input,
                   const TupleBatch& batch, size_t num_shards,
                   std::vector<TupleBatch>* out) {
@@ -59,23 +55,6 @@ void ScatterBatch(const PartitionSpec& spec, size_t input,
   for (size_t i = 0; i < n; ++i) {
     const Tuple& t = batch.tuple(i);
     (*out)[spec.ShardOf(input, t, num_shards)].Append(t, batch.timestamp(i));
-  }
-}
-
-void ScatterBatch(const PartitionSpec& spec, const ShardMap& map, size_t input,
-                  const TupleBatch& batch, size_t num_shards,
-                  std::vector<TupleBatch>* out,
-                  std::atomic<uint64_t>* slot_routed) {
-  if (out->size() < num_shards) out->resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) (*out)[s].Clear();
-  const size_t n = batch.size();
-  for (size_t i = 0; i < n; ++i) {
-    const Tuple& t = batch.tuple(i);
-    const uint64_t h = spec.KeyHash(input, t);
-    if (slot_routed != nullptr) {
-      slot_routed[ShardMap::SlotOf(h)].fetch_add(1, std::memory_order_relaxed);
-    }
-    (*out)[map.ShardOf(h)].Append(t, batch.timestamp(i));
   }
 }
 
@@ -193,11 +172,6 @@ bool PunctuationAligner::Arrive(size_t shard, const Punctuation& p,
   *forward_ts = entry.max_ts;
   entries_.erase(p);
   return true;
-}
-
-void PunctuationAligner::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
 }
 
 size_t PunctuationAligner::pending() const {

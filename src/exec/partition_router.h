@@ -37,7 +37,6 @@
 #ifndef PUNCTSAFE_EXEC_PARTITION_ROUTER_H_
 #define PUNCTSAFE_EXEC_PARTITION_ROUTER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -46,7 +45,6 @@
 #include <vector>
 
 #include "core/local_graph.h"
-#include "exec/shard_map.h"
 #include "exec/tuple_batch.h"
 #include "query/cjq.h"
 #include "stream/punctuation.h"
@@ -66,21 +64,16 @@ struct PartitionSpec {
   /// Human-readable: the chosen class, or why partitioning is off.
   std::string detail;
 
-  /// \brief Shard for a tuple arriving on `input`. `num_shards` >= 1.
+  /// \brief Shard for a tuple arriving on `input`: the mixed hash of
+  /// its partition-key attribute modulo `num_shards` (>= 1). This is
+  /// the one routing function: live tuples, batched ingest scatter,
+  /// inter-operator re-hashing and restore's re-split all call it.
   /// Pure function of (input, key value, num_shards) — the checkpoint
   /// layer relies on this determinism: restore re-splits a merged
   /// logical snapshot by calling ShardOf on each stored tuple, so
   /// every tuple lands back on the shard that would have received it
   /// live, for any shard count (exec/checkpoint.h, docs/RECOVERY.md).
   size_t ShardOf(size_t input, const Tuple& tuple, size_t num_shards) const;
-
-  /// \brief Mixed 64-bit hash of the tuple's partition-key attribute
-  /// for `input`: the value every routing layer agrees on. ShardOf is
-  /// `KeyHash % num_shards`; ShardMap routing is
-  /// `map.ShardOf(KeyHash)` — both pure functions of the key, which
-  /// is what lets migration re-split captured state under a new map
-  /// and know live routing will agree.
-  uint64_t KeyHash(size_t input, const Tuple& tuple) const;
 };
 
 /// \brief Derives the partition spec for an operator over `inputs`
@@ -97,18 +90,6 @@ PartitionSpec ComputePartitionSpec(const ContinuousJoinQuery& query,
 void ScatterBatch(const PartitionSpec& spec, size_t input,
                   const TupleBatch& batch, size_t num_shards,
                   std::vector<TupleBatch>* out);
-
-/// \brief ShardMap-routed variant: rows go to
-/// `map.ShardOf(spec.KeyHash(...))`. `out` is still sized to
-/// `num_shards` (the *allocated* worker count — the map may route to
-/// an active subset of it). When `slot_routed` is non-null it points
-/// at ShardMap::kNumSlots relaxed counters and each row increments
-/// its slot — the rebalancer's load signal, gathered in the same pass
-/// as the scatter.
-void ScatterBatch(const PartitionSpec& spec, const ShardMap& map, size_t input,
-                  const TupleBatch& batch, size_t num_shards,
-                  std::vector<TupleBatch>* out,
-                  std::atomic<uint64_t>* slot_routed);
 
 /// \brief Merge barrier for output punctuations of a sharded
 /// operator: forwards a punctuation downstream only once every shard
@@ -138,14 +119,6 @@ class PunctuationAligner {
 
   /// \brief Punctuations currently waiting on at least one shard.
   size_t pending() const;
-
-  /// \brief Drops every pending entry (high water is kept). Migration
-  /// uses this: after shard state is re-split under a new ShardMap,
-  /// recorded votes describe the old assignment, so the executor
-  /// clears them and re-runs the recheck barrier to rebuild votes
-  /// from the restored stores (the same handshake checkpoint restore
-  /// uses — docs/CONCURRENCY.md).
-  void Reset();
 
   /// \brief Largest pending() ever observed (tracked under the same
   /// mutex as Arrive, so it is exact): an alignment-backlog gauge for

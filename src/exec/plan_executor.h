@@ -14,7 +14,6 @@
 #include "core/plan_safety.h"
 #include "exec/checkpoint.h"
 #include "exec/mjoin.h"
-#include "exec/shard_map.h"
 #include "exec/tuple_batch.h"
 #include "obs/observability.h"
 #include "query/cjq.h"
@@ -76,13 +75,6 @@ struct ExecutorConfig {
   /// kParallel: after a checkpoint barrier drains the pipeline).
   /// Disabled by default; Checkpoint() can always be called manually.
   CheckpointConfig checkpoint;
-  /// Adaptive shard rebalancing under kParallel (exec/shard_map.h):
-  /// per-slot routed counters feed a controller that migrates hot key
-  /// ranges between shards at punctuation-aligned barriers, and (with
-  /// max_shards > shards) grows/shrinks the active shard set. Off by
-  /// default: routing then uses the initial balanced ShardMap and no
-  /// counters are maintained.
-  RebalanceConfig rebalance;
   /// Under kParallel: rewrite plan nodes that ComputePartitionSpec
   /// cannot shard (>= 3 inputs keyed on multiple equivalence classes)
   /// into left-deep binary chains so every operator partitions and the

@@ -82,8 +82,9 @@ class QueryRegister {
   /// fingerprint are validated; a snapshot taken under a different
   /// query/shape is rejected with InvalidArgument. Works for both
   /// execution modes and any shard count — the snapshot format is
-  /// mode-agnostic (shard states are merged at capture and re-split by
-  /// ShardOf at restore). Afterwards, resume by replaying each input
+  /// mode-agnostic (shard states are merged at capture and re-split at
+  /// restore by PartitionSpec::ShardOf, the function that routes live
+  /// tuples). Afterwards, resume by replaying each input
   /// stream's suffix from `snapshot progress[s].events_consumed`
   /// (exposed via the executor's progress() accessor).
   Result<RegisteredQuery> Restore(

@@ -66,15 +66,6 @@ void AppendKvString(std::string* out, const char* key,
   out->push_back('"');
 }
 
-void AppendKvDouble(std::string* out, const char* key, double value,
-                    bool* first) {
-  if (!*first) out->push_back(',');
-  *first = false;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.3f", key, value);
-  out->append(buf);
-}
-
 void AppendKvBool(std::string* out, const char* key, bool value,
                   bool* first) {
   if (!*first) out->push_back(',');
@@ -115,11 +106,6 @@ void AppendOperator(std::string* out, const OperatorObsEntry& e,
   AppendKv(out, "shard", e.shard, &f);
   AppendKv(out, "num_shards", e.num_shards, &f);
   AppendKvBool(out, "partitioned", e.partitioned, &f);
-  // Rebalancer view of the group (replicated per shard entry, like
-  // the aligner gauges).
-  AppendKv(out, "active_shards", e.active_shards, &f);
-  AppendKv(out, "shard_map_version", e.shard_map_version, &f);
-  AppendKvDouble(out, "skew", e.skew, &f);
   if (!e.partition_detail.empty()) {
     AppendKvString(out, "partition", e.partition_detail, &f);
   }
@@ -176,10 +162,6 @@ std::string RenderJsonLine(const ObsSnapshot& snapshot) {
            &first);
   AppendKv(&out, "punctuation_high_water",
            snapshot.punctuation_high_water, &first);
-  AppendKv(&out, "rebalance_migrations", snapshot.rebalance_migrations,
-           &first);
-  AppendKv(&out, "rebalance_tuples_moved",
-           snapshot.rebalance_tuples_moved, &first);
   out.append(",\"operators\":[");
   bool op_first = true;
   for (const auto& e : snapshot.operators) {

@@ -1,8 +1,8 @@
 // Runtime observability context for one executor: a registry of
 // per-shard-operator observation points (OperatorObs), each bundling
 // a lock-free trace ring with the latency / punctuation-lag /
-// purge-sweep / queue-occupancy histograms the adaptive layers need
-// (skew rebalancing cannot rebalance what it cannot measure).
+// purge-sweep / queue-occupancy histograms that explain where time
+// goes and why state is the size it is.
 //
 // Cost model: every hook is a handful of relaxed atomics; operators
 // hold a nullable OperatorObs* and skip the hooks entirely when
@@ -182,15 +182,6 @@ struct OperatorObsEntry {
   size_t num_shards = 1;
   bool partitioned = false;
   std::string partition_detail;
-  /// Shards the group's ShardMap currently routes to (<= num_shards;
-  /// the rest are pre-allocated elasticity headroom).
-  size_t active_shards = 1;
-  /// ShardMap::version() — migrations this group has absorbed.
-  uint64_t shard_map_version = 0;
-  /// max/mean routed load over the group's active shards (1.0 when
-  /// rebalance tracking is off). Replicated per shard like the
-  /// aligner gauges.
-  double skew = 1.0;
   StateMetricsSnapshot state;
   OperatorMetricsSnapshot op_metrics;
   uint64_t routed_tuples = 0;
@@ -237,11 +228,6 @@ struct ObsSnapshot {
   size_t live_punctuations = 0;
   size_t tuple_high_water = 0;
   size_t punctuation_high_water = 0;
-  /// Rebalancer totals (parallel executor; zero when rebalancing is
-  /// off): punctuation-aligned migrations completed and tuples whose
-  /// owning shard changed across them.
-  uint64_t rebalance_migrations = 0;
-  uint64_t rebalance_tuples_moved = 0;
   std::vector<OperatorObsEntry> operators;
 };
 

@@ -48,7 +48,6 @@
 #include "exec/parallel_executor.h"
 #include "exec/plan_executor.h"
 #include "exec/query_register.h"
-#include "exec/purge_engine.h"
 #include "exec/reference_join.h"
 
 // Plan selection (paper Section 5.2).

@@ -89,10 +89,10 @@ Trace MakeCoveringTrace(const ContinuousJoinQuery& query,
   // Skewed mode: draw pool ranks from Zipf(zipf_s) instead of
   // uniformly. Rank 0 is the hot value of every generation; since the
   // pool is generation-scoped (required for punctuations to close it),
-  // the hot value — and hence the hot key-hash slot — moves with every
-  // generation. Routing skew is therefore strong within a window and
-  // drifting across windows: the adversarial case a rebalance
-  // controller has to chase rather than solve once.
+  // the hot value — and hence the shard its key hashes to — moves with
+  // every generation. Routing skew is therefore strong within a window
+  // and drifting across windows, so static hash sharding spreads it
+  // over time.
   std::optional<ZipfSampler> zipf;
   if (config.zipf_s > 0.0) {
     zipf.emplace(config.values_per_generation, config.zipf_s);

@@ -61,9 +61,9 @@ struct CoveringTraceConfig {
   /// value pool. 0 (default) draws uniformly; s > 0 ranks the pool and
   /// draws value rank r with probability proportional to 1/(r+1)^s, so
   /// a few hot keys dominate every generation — the skewed-routing
-  /// workload the shard rebalancer exists for. Generation scoping (and
-  /// thus purgeability) is unchanged: only the within-pool
-  /// distribution skews.
+  /// workload for sharded execution. Generation scoping (and thus
+  /// purgeability) is unchanged: only the within-pool distribution
+  /// skews.
   double zipf_s = 0.0;
   uint64_t seed = 2;
 };

@@ -405,7 +405,7 @@ TEST(CheckpointExecutorTest, ParallelCaptureRestoreCaptureIsByteStable) {
   PlanShape shape = PlanShape::SingleMJoin(3);
   Trace trace = TriangleTrace(6);
 
-  for (size_t shards : {1u, 2u, 4u}) {
+  for (size_t shards : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE(::testing::Message() << "shards=" << shards);
     ExecutorConfig config = BaseConfig();
     config.shards = shards;

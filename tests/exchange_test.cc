@@ -160,9 +160,10 @@ TEST(ExchangeTest, UnshardableChainRunsShardedWithIdenticalResults) {
   (*exec)->Stop();
 }
 
-TEST(ExchangeTest, ExchangeComposesWithRebalancing) {
-  // The exchanged plan's groups are ordinary partitioned groups: the
-  // rebalancer can migrate them like any other.
+TEST(ExchangeTest, ExchangeMatchesSerialOnSkewedTrace) {
+  // A zipf-skewed trace concentrates each generation on a few hot keys,
+  // so the exchange's re-hash between the two binary groups routes
+  // unevenly; results must still equal the serial executor's.
   MultiClassFixture fx = MakeMultiClassChain();
   PlanShape shape = PlanShape::SingleMJoin(3);
 
@@ -187,14 +188,9 @@ TEST(ExchangeTest, ExchangeComposesWithRebalancing) {
   config.keep_results = true;
   config.shards = 4;
   config.exchange = true;
-  config.rebalance.enabled = true;
-  config.rebalance.interval_punctuations = 8;
-  config.rebalance.skew_threshold = 1.2;
-  config.rebalance.min_routed = 64;
   auto exec = ParallelExecutor::Create(fx.query, fx.schemes, shape, config);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   ASSERT_TRUE(FeedTraceParallel(exec.ValueOrDie().get(), trace).ok());
-  EXPECT_GT((*exec)->rebalance_migrations(), 0u);
   std::vector<Tuple> got = (*exec)->kept_results();
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, want);

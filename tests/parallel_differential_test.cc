@@ -7,7 +7,7 @@
 // number of tuples (purged + dropped-on-arrival — the split between
 // the two can differ because the parallel interleaving may detect
 // removability at arrival where the serial order stores first, and
-// vice versa). Each trial sweeps shards in {1, 2, 4} and rotates the
+// vice versa). Each trial sweeps shards in {1, 2, 3, 4} and rotates the
 // ingest batch size through {1, 7, 64, 1024} — the serial reference is
 // pinned at batch_size=1 (tuple-at-a-time), so the sweep proves batched
 // execution changes no answers either, and the reference's own result
@@ -193,7 +193,7 @@ TEST(ParallelDifferentialTest, HundredRandomTrialsMatchSerialExecutor) {
     // (Operators whose predicates don't admit an exact partitioning
     // silently fall back to one shard, so this also covers mixed
     // partitioned/unpartitioned plans.)
-    for (size_t shards : {1u, 2u, 4u}) {
+    for (size_t shards : {1u, 2u, 3u, 4u}) {
       SCOPED_TRACE(::testing::Message()
                    << "seed=" << seed << " shards=" << shards
                    << " batch=" << batch_size << " query="

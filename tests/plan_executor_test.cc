@@ -51,28 +51,40 @@ TEST(PlanExecutorTest, PushRoutesByStreamName) {
 
 // Figure 7 at runtime: the unsafe left-deep plan executes but its
 // lower join state never shrinks, even under the full punctuation
-// load that keeps the MJoin plan bounded.
+// load that keeps the MJoin plan bounded. The single MJoin over all
+// three inputs is the paper's plan-independent purge model (Sec 2.4):
+// fed the same trace, it releases every S1 tuple from whole-query
+// punctuation knowledge.
 TEST(PlanExecutorTest, UnsafeShapeRunsButLeaks) {
   StreamCatalog catalog = PaperCatalog();
   ContinuousJoinQuery q = TriangleQuery(catalog);
   SchemeSet schemes = Fig5Schemes(catalog);
+  auto feed = [](PlanExecutor* exec) {
+    for (int i = 0; i < 20; ++i) {
+      exec->PushTuple(0, Tuple({Value(i), Value(i)}), i);
+      // Every punctuation the schemes allow.
+      exec->PushPunctuation(0, Punctuation::OfConstants(2, {{1, Value(i)}}),
+                            i);
+      exec->PushPunctuation(1, Punctuation::OfConstants(2, {{1, Value(i)}}),
+                            i);
+      exec->PushPunctuation(2, Punctuation::OfConstants(2, {{1, Value(i)}}),
+                            i);
+    }
+  };
+
   auto exec = PlanExecutor::Create(q, schemes,
                                    PlanShape::LeftDeepBinary({0, 1, 2}));
   ASSERT_TRUE(exec.ok());
   EXPECT_FALSE((*exec)->safety().safe);
-
-  for (int i = 0; i < 20; ++i) {
-    (*exec)->PushTuple(0, Tuple({Value(i), Value(i)}), i);
-    // Every punctuation the schemes allow.
-    (*exec)->PushPunctuation(
-        0, Punctuation::OfConstants(2, {{1, Value(i)}}), i);
-    (*exec)->PushPunctuation(
-        1, Punctuation::OfConstants(2, {{1, Value(i)}}), i);
-    (*exec)->PushPunctuation(
-        2, Punctuation::OfConstants(2, {{1, Value(i)}}), i);
-  }
+  feed(exec->get());
   // The S1 tuples are stuck in the lower operator forever.
   EXPECT_GE((*exec)->TotalLiveTuples(), 20u);
+
+  auto mjoin = PlanExecutor::Create(q, schemes, PlanShape::SingleMJoin(3));
+  ASSERT_TRUE(mjoin.ok());
+  EXPECT_TRUE((*mjoin)->safety().safe);
+  feed(mjoin->get());
+  EXPECT_EQ((*mjoin)->TotalLiveTuples(), 0u);
 }
 
 // The Figure 8 safe tree plan: punctuation propagation lets the upper

@@ -9,7 +9,7 @@
 //  * the same snapshot split into 2K shard pieces and re-merged (the
 //    monoid inverse law on live state, checked byte-for-byte and then
 //    by replay);
-//  * parallel kill + restore + replay swept across shards {1,2,4}
+//  * parallel kill + restore + replay swept across shards {1,2,3,4}
 //    (the checkpoint barrier, shard merge at capture, and ShardOf
 //    re-split at restore);
 //  * the serial snapshot restored into a sharded executor (snapshots
@@ -247,7 +247,7 @@ TEST(RecoveryDifferentialTest, HundredRandomKillRestoreTrialsMatchSerial) {
 
     // --- Leg C: parallel kill + restore + replay, swept across shard
     // count.
-    for (size_t shards : {1u, 2u, 4u}) {
+    for (size_t shards : {1u, 2u, 3u, 4u}) {
       SCOPED_TRACE(::testing::Message()
                    << "seed=" << seed << " cut=" << cut
                    << " leg=parallel-restore shards=" << shards

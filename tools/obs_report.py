@@ -54,12 +54,6 @@ def render_snapshot(snap, out):
         head += f" simd={snap['simd_dispatch']}"
     if snap.get("batch_size"):
         head += f" batch={snap['batch_size']}"
-    migrations = snap.get("rebalance_migrations", 0)
-    if migrations:
-        head += (
-            f" migrations={migrations}"
-            f" tuples_moved={fmt_count(snap.get('rebalance_tuples_moved', 0))}"
-        )
     print(head, file=out)
 
     ops = snap.get("operators", [])
@@ -67,13 +61,6 @@ def render_snapshot(snap, out):
         print("  (no operator entries: observability was off)\n", file=out)
         return
 
-    # Rebalancer columns only render when some group carries the
-    # signal (rebalance tracking enabled / a migration happened), so
-    # the common no-rebalance table stays narrow.
-    rebalancing = any(
-        e.get("shard_map_version", 0) or e.get("skew", 1.0) != 1.0
-        for e in ops
-    )
     cols = [
         ("op/shard", lambda e: f"{e['op']}/{e['shard']}"
          + ("*" if e.get("partitioned") else "")),
@@ -96,13 +83,6 @@ def render_snapshot(snap, out):
          + (f"(-{fmt_count(e['trace_dropped'])})"
             if e.get("trace_dropped") else "")),
     ]
-    if rebalancing:
-        cols[1:1] = [
-            ("act", lambda e: f"{e.get('active_shards', 1)}"
-             f"/{e.get('num_shards', 1)}"),
-            ("mapv", lambda e: str(e.get("shard_map_version", 0))),
-            ("skew", lambda e: f"{e.get('skew', 1.0):.2f}"),
-        ]
     rows = [[name for name, _ in cols]]
     rows += [[cell(e) for _, cell in cols] for e in ops]
     widths = [max(len(r[i]) for r in rows) for i in range(len(cols))]
