@@ -1,27 +1,23 @@
-// Hot-path microbenchmarks for the tuple/probe data path, plus an
+// Hot-path microbenchmarks for the tuple data path, plus an
 // end-to-end tuples/sec comparison (serial vs pipelined vs sharded).
 //
-// The micro sections drive TupleStore directly the way the join
-// operators do: values are constructed once (as they are on tuple
-// arrival) and then probed many times, so a cached key hash pays off
-// exactly as it does inside MJoinOperator::Expand. The probe loops
-// report probes/sec for int64 and string keys separately — string
-// keys are where rehash-per-probe used to dominate. The *_batch_*
-// micros drive the vectorized TupleBatch paths (InsertBatch and
-// ProbeBatch over key-clustered batches, SIMD dispatch recorded as
-// simd_dispatch) and hard-CHECK hit-count identity against the
-// per-row cursor; serial_batchN_events_per_sec sweeps
-// ExecutorConfig::batch_size end-to-end. The insert comparison is
-// per-row vs InsertBatch over identical key-clustered rows (batch
-// must not lose — in-binary gate); the *_expand_* micros drive a
-// whole m=3 MJoinOperator per-row vs batch-at-a-time through the
-// columnar expansion frontier and report arrivals/sec plus the
-// batch-over-row speedup.
+// The store micros drive TupleStore directly, int64 and string keys
+// separately: per-row Insert, the batched InsertBatch over
+// key-clustered TupleBatches, and interleaved insert+purge. The insert
+// comparison is per-row vs InsertBatch over identical key-clustered
+// rows (batch must not lose — in-binary gate). Probing is measured
+// where the runtime does it: the *_expand_* micros drive a whole m=3
+// MJoinOperator per-row vs batch-at-a-time through the columnar
+// expansion frontier (FindBucket + ForBucketLive per same-key run,
+// SIMD dispatch recorded as simd_dispatch) and report arrivals/sec
+// plus the batch-over-row speedup. serial_batchN_events_per_sec
+// sweeps ExecutorConfig::batch_size end-to-end.
 //
 // Emits one JSON object (checked-in baseline: BENCH_hot_path.json,
 // experiment E16 in EXPERIMENTS.md). With --baseline FILE the binary
 // re-reads a checked-in baseline and exits non-zero if any tracked
-// throughput fell below the gate floor of it — the CI regression gate
+// micro rate (insert batch, expand batch, purge) fell below the gate
+// floor of it — the CI regression gate
 // (tools/ci.sh, bench-smoke config). The floor is --min-ratio, else
 // the PUNCTSAFE_BENCH_MIN_RATIO environment variable, else 0.75; a
 // failing gate prints the full measured/baseline ratio table.
@@ -69,10 +65,6 @@ struct MicroResult {
   double insert_mps = 0;      // inserts per second (millions not implied)
   double insert_clustered_mps = 0;  // per-row inserts, clustered keys
   double insert_batch_mps = 0;  // TupleBatch-build + InsertBatch path
-  double probe_legacy_ps = 0; // Probe() (allocating) probes/sec
-  double probe_each_ps = 0;   // ProbeEach cursor probes/sec
-  double probe_into_ps = 0;   // ProbeInto scratch probes/sec
-  double probe_batch_ps = 0;  // vectorized ProbeBatch probes/sec
   double purge_ps = 0;        // interleaved insert+purge ops/sec
   uint64_t checksum = 0;      // anti-DCE
 };
@@ -89,22 +81,9 @@ std::vector<Tuple> MakeRows(size_t n, size_t keys, bool string_keys) {
   return rows;
 }
 
-std::vector<Value> MakeProbeValues(size_t keys, bool string_keys) {
-  // Constructed once, probed many times — the arrival-side pattern.
-  std::vector<Value> probes;
-  probes.reserve(keys);
-  for (size_t k = 0; k < keys; ++k) {
-    probes.push_back(string_keys ? Value("key-" + std::to_string(k))
-                                 : Value(static_cast<int64_t>(k)));
-  }
-  return probes;
-}
-
-MicroResult RunMicro(size_t n, size_t keys, size_t probe_iters,
-                     bool string_keys) {
+MicroResult RunMicro(size_t n, size_t keys, bool string_keys) {
   MicroResult r;
   std::vector<Tuple> rows = MakeRows(n, keys, string_keys);
-  std::vector<Value> probes = MakeProbeValues(keys, string_keys);
 
   // Insert throughput.
   {
@@ -113,101 +92,17 @@ MicroResult RunMicro(size_t n, size_t keys, size_t probe_iters,
     for (const Tuple& t : rows) store.Insert(t);
     double secs = SecondsSince(start);
     r.insert_mps = secs > 0 ? n / secs : 0;
-    // Legacy allocating probe.
-    start = Clock::now();
-    for (size_t i = 0; i < probe_iters; ++i) {
-      r.checksum += store.Probe(0, probes[i % keys]).size();
-    }
-    secs = SecondsSince(start);
-    r.probe_legacy_ps = secs > 0 ? probe_iters / secs : 0;
-
-    // Allocation-free cursor probe (what the operators now use).
-    start = Clock::now();
-    for (size_t i = 0; i < probe_iters; ++i) {
-      size_t hits = 0;
-      store.ProbeEach(0, probes[i % keys],
-                      [&](size_t, const Tuple&) { ++hits; });
-      r.checksum += hits;
-    }
-    secs = SecondsSince(start);
-    r.probe_each_ps = secs > 0 ? probe_iters / secs : 0;
-
-    // Caller-scratch probe (steady state: no allocation after the
-    // first call grows the scratch).
-    std::vector<size_t> scratch;
-    start = Clock::now();
-    for (size_t i = 0; i < probe_iters; ++i) {
-      store.ProbeInto(0, probes[i % keys], &scratch);
-      r.checksum += scratch.size();
-    }
-    secs = SecondsSince(start);
-    r.probe_into_ps = secs > 0 ? probe_iters / secs : 0;
-
-    // Vectorized batch probe. Arrival batches cluster on keys (same
-    // generation, same source), modeled here as runs of kRunLen equal
-    // keys packed into kDefaultCapacity-row batches; hash columns are
-    // built once per cycle and the cycle replayed. ProbeBatch must
-    // reproduce the per-row cursor's hits exactly — the CHECK below is
-    // the result-multiset identity the batched path is specified by.
-    constexpr size_t kRunLen = 8;
-    std::vector<TupleBatch> cycle;
-    size_t cycle_probes = 0;
-    {
-      TupleBatch building(TupleBatch::kDefaultCapacity);
-      for (size_t k = 0; k < keys; ++k) {
-        for (size_t rep = 0; rep < kRunLen; ++rep) {
-          building.Append(Tuple({probes[k]}),
-                          static_cast<int64_t>(cycle_probes++));
-          if (building.full()) {
-            building.SelectAll();
-            building.BuildHashColumn(0);
-            cycle.push_back(std::move(building));
-            building = TupleBatch(TupleBatch::kDefaultCapacity);
-          }
-        }
-      }
-      if (!building.empty()) {
-        building.SelectAll();
-        building.BuildHashColumn(0);
-        cycle.push_back(std::move(building));
-      }
-    }
-    uint64_t each_cycle_hits = 0;
-    for (const TupleBatch& b : cycle) {
-      for (uint32_t row : b.selection()) {
-        store.ProbeEach(0, b.tuple(row).at(0),
-                        [&](size_t, const Tuple&) { ++each_cycle_hits; });
-      }
-    }
-    const size_t replays =
-        cycle_probes > 0 ? (probe_iters + cycle_probes - 1) / cycle_probes
-                         : 0;
-    uint64_t batch_hits = 0;
-    start = Clock::now();
-    for (size_t rep = 0; rep < replays; ++rep) {
-      for (const TupleBatch& b : cycle) {
-        store.ProbeBatch(0, b, 0, [&](uint32_t, size_t, const Tuple&) {
-          ++batch_hits;
-        });
-      }
-    }
-    secs = SecondsSince(start);
-    r.probe_batch_ps = secs > 0 ? replays * cycle_probes / secs : 0;
-    PUNCTSAFE_CHECK(batch_hits == each_cycle_hits * replays)
-        << "ProbeBatch diverged from ProbeEach: " << batch_hits << " vs "
-        << each_cycle_hits << " x " << replays;
-    r.checksum += batch_hits;
+    r.checksum += store.live_count();
   }
 
-  // Batched ingestion vs the identical per-row loop, over the
-  // key-clustered arrival model the probe micro documents (same
-  // generation, same source => runs of kRunLen equal keys). Both
-  // timed loops consume pre-built rows; the rows are built fresh for
-  // each sub-block so neither path inherits the other's cached key
-  // hashes. InsertBatch's run-amortized index path (one bucket
-  // resolution per same-key run) plus once-per-batch bookkeeping must
-  // at least match tuple-at-a-time ingestion on this data — gated
-  // hard in Main() for both key types.
+  // Batched ingestion vs the identical per-row loop, over a
+  // key-clustered arrival model (same generation, same source => runs
+  // of kRunLen equal keys). Both timed loops consume pre-built rows;
+  // the rows are built fresh for each sub-block so neither path
+  // inherits the other's cached key hashes. InsertBatch's run-amortized
+  // index path (one bucket resolution per same-key run) plus
+  // once-per-batch bookkeeping must at least match tuple-at-a-time
+  // ingestion on this data — gated hard in Main() for both key types.
   {
     constexpr size_t kRunLen = 8;
     auto clustered = [&] {
@@ -284,7 +179,7 @@ struct ExpandMicro {
 // m=3 chain expansion end to end through MJoinOperator: T1 and T2 are
 // pre-loaded with kPartners matching tuples per key, then a
 // key-clustered T0 arrival sequence (runs of kRunLen equal keys, the
-// probe micro's arrival model) is driven per-row through one operator
+// insert micro's arrival model) is driven per-row through one operator
 // instance and batch-at-a-time through an identically loaded twin.
 // Each arrival expands through two hops and emits kPartners^2
 // results. Both paths consume pre-staged input (flat tuples vs packed
@@ -430,7 +325,7 @@ RunStats RunParallelOnce(const bench::ChainFixture& fx, const PlanShape& shape,
 int Main(int argc, char** argv) {
   size_t store_tuples = 20000;
   size_t keys = 512;
-  size_t probe_iters = 400000;
+  size_t probe_iters = 400000;  // arrivals per expansion micro run
   size_t generations = 150;
   size_t iters = 3;
   std::string baseline_path;
@@ -460,8 +355,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  MicroResult int_micro = RunMicro(store_tuples, keys, probe_iters, false);
-  MicroResult str_micro = RunMicro(store_tuples, keys, probe_iters, true);
+  MicroResult int_micro = RunMicro(store_tuples, keys, false);
+  MicroResult str_micro = RunMicro(store_tuples, keys, true);
 
   // Batched ingestion must not lose to the per-row loop over the same
   // clustered rows (this pins the string-key regression the
@@ -564,18 +459,10 @@ int Main(int argc, char** argv) {
   emit("int_insert_per_sec", int_micro.insert_mps);
   emit("int_insert_clustered_per_sec", int_micro.insert_clustered_mps);
   emit("int_insert_batch_per_sec", int_micro.insert_batch_mps);
-  emit("int_probe_legacy_per_sec", int_micro.probe_legacy_ps);
-  emit("int_probe_each_per_sec", int_micro.probe_each_ps);
-  emit("int_probe_into_per_sec", int_micro.probe_into_ps);
-  emit("int_probe_batch_per_sec", int_micro.probe_batch_ps);
   emit("int_purge_ops_per_sec", int_micro.purge_ps);
   emit("str_insert_per_sec", str_micro.insert_mps);
   emit("str_insert_clustered_per_sec", str_micro.insert_clustered_mps);
   emit("str_insert_batch_per_sec", str_micro.insert_batch_mps);
-  emit("str_probe_legacy_per_sec", str_micro.probe_legacy_ps);
-  emit("str_probe_each_per_sec", str_micro.probe_each_ps);
-  emit("str_probe_into_per_sec", str_micro.probe_into_ps);
-  emit("str_probe_batch_per_sec", str_micro.probe_batch_ps);
   emit("str_purge_ops_per_sec", str_micro.purge_ps);
   emit("int_expand_row_per_sec", int_expand.row_ps);
   emit("int_expand_batch_per_sec", int_expand.batch_ps);
@@ -653,16 +540,13 @@ int Main(int argc, char** argv) {
     }
     std::stringstream ss;
     ss << in.rdbuf();
-    // Gate on the micro probe paths (stable across runs); end-to-end
-    // numbers are informational — they depend on scheduler noise and
-    // core count too much for a hard fail.
+    // Gate on the micro rates (stable across runs); the runtime probe
+    // path is gated through *_expand_batch_per_sec. End-to-end numbers
+    // are informational — they depend on scheduler noise and core
+    // count too much for a hard fail.
     if (!bench::CheckBaselineRates(
             ss.str(),
-            {{"int_probe_each_per_sec", int_micro.probe_each_ps},
-             {"str_probe_each_per_sec", str_micro.probe_each_ps},
-             {"int_probe_batch_per_sec", int_micro.probe_batch_ps},
-             {"str_probe_batch_per_sec", str_micro.probe_batch_ps},
-             {"int_insert_batch_per_sec", int_micro.insert_batch_mps},
+            {{"int_insert_batch_per_sec", int_micro.insert_batch_mps},
              {"str_insert_batch_per_sec", str_micro.insert_batch_mps},
              {"int_expand_batch_per_sec", int_expand.batch_ps},
              {"str_expand_batch_per_sec", str_expand.batch_ps},

@@ -65,8 +65,7 @@ class FlatKeyIndex {
   }
 
   /// \brief Bucket stored under `key`, or nullptr. `hash` must be
-  /// key.Hash() — callers on the batch path pass it from the
-  /// contiguous hash column instead of re-reading the Value.
+  /// key.Hash() (the Value's cached hash, so no key bytes are re-read).
   const Bucket* Find(size_t hash, const Value& key) const {
     if (capacity_ == 0) return nullptr;
     const uint64_t spread = Spread(hash);

@@ -78,11 +78,12 @@ struct StateMetrics {
   std::atomic<uint64_t> purged{0};         ///< tuples removed via punctuations
   std::atomic<uint64_t> dropped_on_arrival{0};  ///< immediately removable
   std::atomic<uint64_t> probes{0};         ///< index probes (any flavor)
-  /// Probes that heap-allocated a fresh result vector (the legacy
-  /// TupleStore::Probe). The allocation-free hot path — ProbeEach /
-  /// ProbeInto — never bumps this, so `probe_allocs == 0` with
-  /// `probes > 0` is the observable "no alloc per probe" property
-  /// (pinned in tests/tuple_store_test.cc).
+  /// Always 0: it counted the allocating TupleStore::Probe, which no
+  /// longer exists (every probe goes through FindBucket/ForBucketLive
+  /// or AnyMatch, neither of which allocates). The field is kept only
+  /// because the PSCK checkpoint format carries it and
+  /// perfbench/cjq_bench.cc reads it; dropping it needs a format
+  /// version bump and a benchmark change.
   std::atomic<uint64_t> probe_allocs{0};
   std::atomic<uint64_t> index_compactions{0};  ///< dead-slot index rebuilds
   /// Fresh arena block mallocs performed by Insert for tuple storage
@@ -96,8 +97,7 @@ struct StateMetrics {
   /// pair, or staged-output scratch had to grow). Once the working-set
   /// capacities have warmed up the expansion pipeline reuses them, so
   /// `expand_allocs` stops moving — the steady-state "no alloc per
-  /// result" property pinned in tests alongside probe_allocs and
-  /// insert_allocs.
+  /// result" property pinned in tests alongside insert_allocs.
   std::atomic<uint64_t> expand_allocs{0};
   /// Arena blocks reclaimed wholesale at epoch boundaries.
   std::atomic<uint64_t> arena_blocks_reclaimed{0};
@@ -116,9 +116,6 @@ struct StateMetrics {
   }
   void OnExpandAllocs(uint64_t count) {
     if (count != 0) expand_allocs.fetch_add(count, std::memory_order_relaxed);
-  }
-  void OnProbeAlloc() {
-    probe_allocs.fetch_add(1, std::memory_order_relaxed);
   }
   void OnIndexCompaction() {
     index_compactions.fetch_add(1, std::memory_order_relaxed);

@@ -368,8 +368,7 @@ void MJoinOperator::Expand(size_t v, const BatchFrontier& in,
     size_t k = 0;
     while (k < rows) {
       const Value& key = in.cell(k, o_in)->at(o_off);
-      // Exact key equality guards hash collisions inside the hash run
-      // (same discipline as ProbeBatch).
+      // Exact key equality guards hash collisions inside the hash run.
       const size_t hash_run =
           simd::HashRunLength(probe_hashes_.data() + k, rows - k);
       size_t same_key = 1;
@@ -590,10 +589,10 @@ bool MJoinOperator::Removable(size_t input, const Tuple& tuple, int64_t now) {
       // Extend T_t[Υ] through the newly closed input.
       Expand(edge.target_input, *joinable, scratch);
       std::swap(joinable, scratch);
-      if (joinable->size() > config_.max_joinable_set) {
+      if (joinable->size() > kMaxJoinableSet) {
         PUNCTSAFE_LOG(Warning)
             << "removability check aborted: joinable set exceeded "
-            << config_.max_joinable_set;
+            << kMaxJoinableSet;
         return false;  // conservative
       }
       covered[edge.target_input] = true;

@@ -60,9 +60,6 @@ struct MJoinConfig {
   bool drop_excluded_arrivals = true;
   /// Emit output punctuations for propagatable schemes.
   bool propagate_punctuations = true;
-  /// Joinable-set size cap during removability checks; exceeding it
-  /// aborts the check conservatively (tuple stays).
-  size_t max_joinable_set = 4096;
   /// Purge stored punctuations once partner punctuations prove them
   /// obsolete (paper Section 5.1, "punctuation purgeability"): a
   /// punctuation can go when, for every join predicate touching one of
@@ -73,6 +70,10 @@ struct MJoinConfig {
 
 class MJoinOperator : public JoinOperator {
  public:
+  /// Joinable-set size cap during removability checks; exceeding it
+  /// aborts the check conservatively (tuple stays).
+  static constexpr size_t kMaxJoinableSet = 4096;
+
   /// \brief Builds an MJoin over `inputs` (>= 2) of `query`.
   ///
   /// `inputs[k].streams` are the query streams covered by input k;
@@ -92,9 +93,9 @@ class MJoinOperator : public JoinOperator {
   /// the per-tuple overheads amortized to the batch boundary — the
   /// punctuation-exclusion scan and the eager removability check are
   /// skipped wholesale when no punctuation can affect them (stores
-  /// cannot change mid-batch), and the binary-join first hop probes
-  /// through the vectorized TupleStore::ProbeBatch over the batch's
-  /// hash column.
+  /// cannot change mid-batch), and the whole selection is seeded as
+  /// one frontier, so every expansion hop (Expand) resolves one index
+  /// bucket per same-key run across the batch.
   void PushBatch(size_t input, TupleBatch& batch) override;
   void PushPunctuation(size_t input, const Punctuation& punctuation,
                        int64_t ts) override;

@@ -34,8 +34,8 @@ class JoinOperator {
   /// inside it — batched expansion stages rows as views over operator
   /// scratch) is only valid DURING the call: consumers must copy what
   /// they keep and must not hold references past their return. The
-  /// reference is mutable so consumers can build hash columns / filter
-  /// the selection in place.
+  /// reference is mutable so consumers can filter the selection in
+  /// place.
   using BatchEmitter = std::function<void(TupleBatch&)>;
 
   virtual ~JoinOperator() = default;
@@ -51,9 +51,9 @@ class JoinOperator {
   /// its own timestamp. Must be result-identical to pushing the rows
   /// one at a time (batching changes granularity, not semantics);
   /// operators override it to amortize punctuation/purge checks to
-  /// batch boundaries and probe through the vectorized store path.
-  /// The batch is mutable so overrides can build its hash column and
-  /// filter its selection vector in place.
+  /// batch boundaries and expand the whole batch as one frontier.
+  /// The batch is mutable so overrides can filter its selection vector
+  /// in place.
   virtual void PushBatch(size_t input, TupleBatch& batch) {
     for (size_t i = 0; i < batch.size(); ++i) {
       PushTuple(input, batch.tuple(i), batch.timestamp(i));

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "exec/bounded_queue.h"
-#include "exec/exchange.h"
 #include "exec/operator_tree.h"
 #include "exec/simd.h"
 #include "util/logging.h"
@@ -121,20 +120,14 @@ struct ParallelExecutor::OpGroup {
 Result<std::unique_ptr<ParallelExecutor>> ParallelExecutor::Create(
     const ContinuousJoinQuery& query, const SchemeSet& schemes,
     const PlanShape& shape, ExecutorConfig config) {
-  // Exchange planning (exec/exchange.h): rewrite unshardable m-way
-  // nodes into binary chains before anything is derived from the
-  // shape — the executed shape (safety report, operator tree,
-  // checkpoint fingerprint) is the decomposed one.
-  PlanShape effective_shape =
-      config.exchange ? DecomposeForExchange(query, shape) : shape;
   PUNCTSAFE_ASSIGN_OR_RETURN(PlanSafetyReport safety,
-                             CheckPlanSafety(query, schemes, effective_shape));
+                             CheckPlanSafety(query, schemes, shape));
   if (config.shards == 0) config.shards = 1;
   if (config.batch_size == 0) config.batch_size = 1;
 
   auto exec = std::unique_ptr<ParallelExecutor>(new ParallelExecutor());
   exec->query_ = query;
-  exec->shape_ = std::move(effective_shape);
+  exec->shape_ = shape;
   exec->config_ = config;
   exec->safety_ = std::move(safety);
   exec->ingest_batch_ = TupleBatch(config.batch_size);
@@ -251,11 +244,10 @@ void ParallelExecutor::EmitFromShard(size_t group_idx, size_t shard,
   if (element.is_tuple()) {
     // Stage into the per-parent-shard batch; the flush moves each
     // staged batch with one queue operation instead of one per tuple.
-    // This re-hash onto the parent's partition key is the
-    // repartitioning exchange (exec/exchange.h): child and parent may
-    // shard on different equivalence classes. A failed flush means
-    // Stop() closed the pipeline; elements are dropped (the
-    // non-graceful path).
+    // This re-hash onto the parent's partition key repartitions
+    // between operators: child and parent may shard on different
+    // equivalence classes. A failed flush means Stop() closed the
+    // pipeline; elements are dropped (the non-graceful path).
     size_t target = RouteShard(parent, group.parent_input, element.tuple);
     self.emit_buf[target].Append(element.tuple, element.timestamp);
     if (++self.emit_buffered >= config_.batch_size) FlushEmits(self);

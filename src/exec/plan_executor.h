@@ -75,13 +75,6 @@ struct ExecutorConfig {
   /// kParallel: after a checkpoint barrier drains the pipeline).
   /// Disabled by default; Checkpoint() can always be called manually.
   CheckpointConfig checkpoint;
-  /// Under kParallel: rewrite plan nodes that ComputePartitionSpec
-  /// cannot shard (>= 3 inputs keyed on multiple equivalence classes)
-  /// into left-deep binary chains so every operator partitions and the
-  /// inter-operator emit re-hash acts as a repartitioning exchange
-  /// (exec/exchange.h). Off by default — the executed shape (and the
-  /// checkpoint fingerprint) then match the caller's shape exactly.
-  bool exchange = false;
 };
 
 /// \brief Identity string tying a snapshot to (query, plan shape);

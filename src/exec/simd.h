@@ -1,8 +1,8 @@
 // SIMD primitives for the vectorized probe and expansion paths:
 // 16-wide control-tag matching (exec/flat_index.h), equal-hash run
-// detection over the contiguous hash column a TupleBatch carries
-// (TupleStore::ProbeBatch), and the pairwise equal-hash filter that
-// prefilters expansion verification (MJoinOperator::Expand).
+// detection over the per-hop probe-key hash column
+// (MJoinOperator::Expand), and the pairwise equal-hash filter that
+// prefilters expansion verification (also MJoinOperator::Expand).
 //
 // Dispatch is compile-time: SSE2 (implied by x86-64) with an AVX2
 // refinement for the 4-wide uint64 hash compare, NEON on AArch64, and
@@ -79,8 +79,9 @@ inline uint32_t MatchTags16(const uint8_t* tags, uint8_t tag) {
 
 /// \brief Length of the prefix of `hashes[0..n)` equal to `hashes[0]`
 /// (n == 0 returns 0). The vectorized variants compare 4 (AVX2) or 2
-/// (SSE2/NEON) cached hashes per step; ProbeBatch uses the run length
-/// to reuse one bucket resolution across a run of same-key rows.
+/// (SSE2/NEON) cached hashes per step; MJoinOperator::Expand, its only
+/// caller, uses the run length to reuse one bucket resolution across a
+/// run of same-key rows.
 inline size_t HashRunLength(const uint64_t* hashes, size_t n) {
   if (n == 0) return 0;
   const uint64_t head = hashes[0];

@@ -2,15 +2,10 @@
 // one input, carried through ingestion, queues, and operators as a
 // single object (docs/PERF.md, "Batched & vectorized execution").
 //
-// Columnar side-structures make the probe path vectorizable:
-//  * the **hash column** gathers each row's cached join-key hash into
-//    one contiguous uint64_t vector (BuildHashColumn — a single pass,
-//    no re-hashing: Value caches its hash at construction), which is
-//    what TupleStore::ProbeBatch scans with SIMD run detection;
-//  * the **selection vector** lists the active row indices, so
-//    predicate / punctuation-exclusion filtering drops rows without
-//    moving tuple payloads — downstream stages iterate the selection,
-//    not the raw rows.
+// The **selection vector** lists the active row indices, so
+// predicate / punctuation-exclusion filtering drops rows without
+// moving tuple payloads — downstream stages iterate the selection,
+// not the raw rows.
 //
 // Tuple slots are POOLED: Clear() resets the logical size but keeps
 // the constructed Tuples, so a recycled batch re-fills by
@@ -44,7 +39,6 @@
 #include <vector>
 
 #include "stream/tuple.h"
-#include "util/logging.h"
 
 namespace punctsafe {
 
@@ -72,11 +66,8 @@ class TupleBatch {
         size_(other.size_),
         tuples_(std::move(other.tuples_)),
         timestamps_(std::move(other.timestamps_)),
-        selection_(std::move(other.selection_)),
-        hashes_(std::move(other.hashes_)),
-        hash_offset_(other.hash_offset_) {
+        selection_(std::move(other.selection_)) {
     other.size_ = 0;
-    other.hash_offset_ = kNoHashColumn;
   }
   TupleBatch& operator=(TupleBatch&& other) noexcept {
     if (this != &other) {
@@ -85,10 +76,7 @@ class TupleBatch {
       tuples_ = std::move(other.tuples_);
       timestamps_ = std::move(other.timestamps_);
       selection_ = std::move(other.selection_);
-      hashes_ = std::move(other.hashes_);
-      hash_offset_ = other.hash_offset_;
       other.size_ = 0;
-      other.hash_offset_ = kNoHashColumn;
     }
     return *this;
   }
@@ -150,12 +138,10 @@ class TupleBatch {
     size_ = 0;
     timestamps_.clear();
     selection_.clear();
-    hashes_.clear();
-    hash_offset_ = kNoHashColumn;
   }
 
   /// \brief Selects every row (identity selection). Call before
-  /// filtering; ProbeBatch and the operators iterate the selection.
+  /// filtering; the operators iterate the selection.
   void SelectAll() {
     selection_.resize(size_);
     std::iota(selection_.begin(), selection_.end(), 0u);
@@ -166,37 +152,16 @@ class TupleBatch {
   /// drop rows (ascending row order must be preserved).
   std::vector<uint32_t>* mutable_selection() { return &selection_; }
 
-  /// \brief Builds the contiguous hash column over attribute `offset`:
-  /// one gather pass over the rows' cached Value hashes. Returns the
-  /// column; it stays valid until the next Append/Clear.
-  const uint64_t* BuildHashColumn(size_t offset) {
-    hashes_.clear();
-    hashes_.reserve(size_);
-    for (size_t i = 0; i < size_; ++i) {
-      const Tuple& t = tuples_[i];
-      PUNCTSAFE_CHECK(offset < t.size()) << "hash column offset out of range";
-      hashes_.push_back(static_cast<uint64_t>(t.HashAt(offset)));
-    }
-    hash_offset_ = offset;
-    return hashes_.data();
-  }
-  bool HasHashColumn(size_t offset) const { return hash_offset_ == offset; }
-  const std::vector<uint64_t>& hashes() const { return hashes_; }
-
   /// \brief Capacity of the pooled tuple-slot vector (expand_allocs
   /// accounting input for operators that stage output batches).
   size_t TupleCapacity() const { return tuples_.capacity(); }
 
  private:
-  static constexpr size_t kNoHashColumn = static_cast<size_t>(-1);
-
   size_t capacity_;
   size_t size_ = 0;  // logical rows; tuples_ may hold more (pooled)
   std::vector<Tuple> tuples_;
   std::vector<int64_t> timestamps_;
   std::vector<uint32_t> selection_;
-  std::vector<uint64_t> hashes_;
-  size_t hash_offset_ = kNoHashColumn;
 };
 
 }  // namespace punctsafe

@@ -113,7 +113,7 @@ size_t TupleStore::InsertBatch(const TupleBatch& batch) {
   if (indexed_offsets_.size() == 1) {
     // Single-index store (the common operator shape): one bucket
     // resolution per same-key run across the batch — the insert-side
-    // twin of ProbeBatch's run amortization. The bucket pointer stays
+    // twin of Expand's run amortization. The bucket pointer stays
     // valid for the whole run because nothing calls FindOrCreate (the
     // only operation that can grow the index) until the key changes.
     const size_t off = indexed_offsets_[0];
@@ -198,21 +198,6 @@ bool TupleStore::AnyLive(
     if (pred(handles_[slot])) return true;
   }
   return false;
-}
-
-void TupleStore::ProbeInto(size_t offset, const Value& value,
-                           std::vector<size_t>* out) const {
-  out->clear();
-  ProbeEach(offset, value,
-            [out](size_t slot, const Tuple&) { out->push_back(slot); });
-}
-
-std::vector<size_t> TupleStore::Probe(size_t offset,
-                                      const Value& value) const {
-  metrics_.OnProbeAlloc();
-  std::vector<size_t> out;
-  ProbeInto(offset, value, &out);
-  return out;
 }
 
 void TupleStore::PurgeSlots(const std::vector<size_t>& slots) {

@@ -21,12 +21,12 @@
 //    few-slot case;
 //  * `offset_to_index_` maps attribute offset -> index position in
 //    O(1), replacing the old linear scan of `indexed_offsets_`;
-//  * ProbeEach / AnyMatch / ProbeInto are the allocation-free probe
-//    cursors the operators use; FindBucket/ForBucketLive split the
-//    cursor so batch-aware expansion can reuse one bucket lookup
-//    across a run of same-key rows; ProbeBatch is the vectorized
-//    flavor — it walks a TupleBatch's contiguous hash column with
-//    SIMD run detection and resolves one bucket per same-key run.
+//  * the probe path is allocation-free and has exactly two entry
+//    points, the ones the MJoin calls: FindBucket + ForBucketLive, a
+//    split cursor so batch-aware expansion (MJoinOperator::Expand)
+//    resolves one bucket for a whole run of same-key rows, and the
+//    early-exit AnyMatch used by punctuation propagation and
+//    punctuation purgeability.
 //
 // Lifetime contract: `const Tuple&`/`const Value&` references obtained
 // from At() or probes stay valid until the *next* AdvanceEpoch() —
@@ -49,7 +49,6 @@
 #include "exec/arena.h"
 #include "exec/flat_index.h"
 #include "exec/metrics.h"
-#include "exec/simd.h"
 #include "exec/tuple_batch.h"
 #include "obs/observability.h"
 #include "stream/tuple.h"
@@ -89,7 +88,7 @@ class TupleStore {
   /// \brief Stores every *selected* row of the batch. Single-index
   /// stores (the common operator shape) resolve one index bucket per
   /// same-key run across the batch — the insert-side twin of
-  /// ProbeBatch's run amortization — and the slot bookkeeping grows
+  /// Expand's run amortization — and the slot bookkeeping grows
   /// once per batch instead of amortized-doubling inside the row
   /// loop. Returns the number of rows inserted.
   size_t InsertBatch(const TupleBatch& batch);
@@ -125,12 +124,11 @@ class TupleStore {
   const ProbeRunStats& probe_run_stats() const { return probe_run_stats_; }
 
   /// \brief Accounts one same-key run of `rows` probe rows that shared
-  /// a single bucket resolution (ProbeBatch and the frontier expansion
-  /// both call it once per run): folds the run into ProbeRunStats
-  /// and counts the rows beyond the first
-  /// as probes — the first row's probe is counted by the accompanying
-  /// ForBucketLive, so per-run totals equal a per-row probe loop
-  /// exactly (checkpointed counters stay mode-independent).
+  /// a single bucket resolution (the frontier expansion calls it once
+  /// per run): folds the run into ProbeRunStats and counts the rows
+  /// beyond the first as probes — the first row's probe is counted by
+  /// the accompanying ForBucketLive, so per-run totals equal a per-row
+  /// probe loop exactly (checkpointed counters stay mode-independent).
   void NoteProbeRun(size_t rows) const {
     probe_run_stats_.rows += rows;
     ++probe_run_stats_.runs;
@@ -209,17 +207,9 @@ class TupleStore {
     NoteProbeFilter(dead, hit);
   }
 
-  /// \brief Allocation-free probe cursor: calls fn(slot, tuple) for
-  /// every live tuple whose `offset` attribute equals `value`, via the
-  /// hash index. `offset` must be indexed. The callback must not
-  /// mutate the store (the bucket being walked would be invalidated).
-  template <typename Fn>
-  void ProbeEach(size_t offset, const Value& value, Fn&& fn) const {
-    ForBucketLive(FindBucket(offset, value), std::forward<Fn>(fn));
-  }
-
-  /// \brief Early-exit probe: true iff some live matching tuple
-  /// satisfies `pred`. Same contract as ProbeEach.
+  /// \brief Early-exit probe: true iff some live tuple whose `offset`
+  /// attribute equals `value` satisfies `pred`. `offset` must be
+  /// indexed; `pred` must not mutate the store.
   template <typename Pred>
   bool AnyMatch(size_t offset, const Value& value, Pred&& pred) const {
     metrics_.OnProbe();
@@ -230,90 +220,6 @@ class TupleStore {
     }
     return false;
   }
-
-  /// \brief Vectorized batch probe: for every *selected* row of
-  /// `batch`, calls fn(row, slot, tuple) once per live tuple whose
-  /// `offset` attribute equals the row's `key_offset` attribute.
-  ///
-  /// The batch's hash column must have been built over `key_offset`
-  /// (TupleBatch::BuildHashColumn — the "hash all keys up front" half
-  /// of the bargain). The scan walks the contiguous hash column with
-  /// SIMD run detection (exec/simd.h, 2–4 cached hashes per compare):
-  /// a run of equal-key rows resolves its index bucket once, filters
-  /// its live slots once into a scratch, and replays the dense slot
-  /// list per row — the per-row tombstone bit tests are paid once per
-  /// run, not once per row. Match emission order per row is identical
-  /// to a per-row ProbeEach loop (the store cannot change mid-batch:
-  /// the callback must not mutate it).
-  template <typename Fn>
-  void ProbeBatch(size_t offset, const TupleBatch& batch, size_t key_offset,
-                  Fn&& fn) const {
-    if (pending_compact_) CompactIndexes();
-    PUNCTSAFE_CHECK(HasIndexOn(offset))
-        << "probe on non-indexed offset " << offset;
-    PUNCTSAFE_CHECK(batch.HasHashColumn(key_offset))
-        << "ProbeBatch needs the hash column built over the key offset";
-    const FlatKeyIndex& index = indexes_[offset_to_index_[offset]];
-    const std::vector<uint32_t>& sel = batch.selection();
-    const uint64_t* hashes = batch.hashes().data();
-    const size_t n = sel.size();
-    // Live slots of the current run's bucket, filtered once. Reused
-    // across runs and calls, so steady-state probing allocates nothing.
-    thread_local std::vector<size_t> run_slots;
-    size_t k = 0;
-    while (k < n) {
-      const uint32_t row = sel[k];
-      const Value& key = batch.tuple(row).at(key_offset);
-      const Bucket* bucket =
-          index.Find(static_cast<size_t>(hashes[row]), key);
-      // Contiguous span of the selection starting at this row: only a
-      // dense stretch can share the SIMD hash-run scan.
-      size_t span = 1;
-      while (k + span < n && sel[k + span] == row + span) ++span;
-      const size_t run = simd::HashRunLength(hashes + row, span);
-      // Equal hashes almost always mean equal keys; verify so a
-      // collision splits the run instead of borrowing the bucket.
-      size_t same_key = 1;
-      while (same_key < run &&
-             batch.tuple(row + same_key).at(key_offset) == key) {
-        ++same_key;
-      }
-      NoteProbeRun(same_key);
-      if (same_key == 1) {
-        ForBucketLive(bucket, [&](size_t slot, const Tuple& t) {
-          fn(row, slot, t);
-        });
-      } else {
-        run_slots.clear();
-        ForBucketLive(bucket, [&](size_t slot, const Tuple&) {
-          run_slots.push_back(slot);
-        });
-        for (size_t slot : run_slots) fn(row, slot, handles_[slot]);
-        for (size_t j = 1; j < same_key; ++j) {
-          const uint32_t r = row + static_cast<uint32_t>(j);
-          for (size_t slot : run_slots) fn(r, slot, handles_[slot]);
-        }
-      }
-      k += same_key;
-    }
-  }
-
-  /// \brief Probe into a caller-supplied scratch buffer (cleared
-  /// first): the steady-state path reuses the buffer's capacity, so no
-  /// allocation per probe once it has warmed up.
-  void ProbeInto(size_t offset, const Value& value,
-                 std::vector<size_t>* out) const;
-
-  /// \brief Live slots whose `offset` attribute equals `value`.
-  ///
-  /// Deprecated for production use: this legacy flavor heap-allocates
-  /// a fresh result vector per call and is the only probe that bumps
-  /// StateMetrics::probe_allocs — `probe_allocs == 0` is the pinned
-  /// steady-state invariant, so any nonzero reading means a hot path
-  /// regressed onto this API. Kept for tests and as the comparison
-  /// baseline in bench_hot_path; new operator code must use
-  /// ProbeEach / AnyMatch / ProbeInto / FindBucket+ForBucketLive.
-  std::vector<size_t> Probe(size_t offset, const Value& value) const;
 
   /// \brief Marks `slots` purged and updates metrics.
   void PurgeSlots(const std::vector<size_t>& slots);
@@ -386,7 +292,7 @@ class TupleStore {
   mutable bool pending_compact_ = false;
   mutable StateMetrics metrics_;
   // Probe-run statistics (see ProbeRunStats); mutable because
-  // ProbeBatch is logically const.
+  // NoteProbeRun is logically const.
   mutable ProbeRunStats probe_run_stats_;
   obs::OperatorObs* obs_ = nullptr;
 };

@@ -1,11 +1,10 @@
 // Batched execution primitives and their equivalence contracts:
-//  * TupleBatch — the unit of batched hand-off (hash column, selection
-//    vector, storage recycling);
+//  * TupleBatch — the unit of batched hand-off (selection vector,
+//    storage recycling);
 //  * simd helpers — MatchTags16 / HashRunLength against their scalar
 //    definitions;
 //  * FlatKeyIndex — find/insert/growth over int and string keys;
-//  * TupleStore::ProbeBatch / InsertBatch — row-for-row identical to
-//    the per-row cursors, selection vectors respected;
+//  * TupleStore::InsertBatch — selection vectors respected;
 //  * JoinOperator::PushBatch — result-identical to per-tuple pushes;
 //  * ScatterBatch — per-shard sub-batches agree with ShardOf and keep
 //    arrival order;
@@ -19,7 +18,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/plan_safety.h"
@@ -63,21 +61,10 @@ TEST(TupleBatchTest, AppendSelectClearRecycles) {
   EXPECT_EQ(batch.selection()[0], 0u);
   EXPECT_EQ(batch.selection()[3], 3u);
 
-  EXPECT_FALSE(batch.HasHashColumn(0));
-  batch.BuildHashColumn(0);
-  EXPECT_TRUE(batch.HasHashColumn(0));
-  EXPECT_FALSE(batch.HasHashColumn(1));
-  ASSERT_EQ(batch.hashes().size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(batch.hashes()[i],
-              static_cast<uint64_t>(batch.tuple(i).at(0).Hash()));
-  }
-
   batch.Clear();
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.capacity(), 4u);
   EXPECT_TRUE(batch.selection().empty());
-  EXPECT_FALSE(batch.HasHashColumn(0));
 }
 
 TEST(TupleBatchTest, ZeroCapacityNormalizesToOne) {
@@ -185,90 +172,6 @@ TEST(FlatKeyIndexTest, FindOrCreateAppendsToSameBucket) {
   ASSERT_NE(bucket, nullptr);
   ASSERT_EQ(bucket->size(), 10u);
   for (size_t i = 0; i < 10; ++i) EXPECT_EQ((*bucket)[i], i);
-}
-
-// ProbeBatch must visit exactly the (row, slot) pairs a per-row
-// ProbeEach loop visits, in the same order — over equal-key runs and
-// sparse selections.
-TEST(TupleStoreBatchTest, ProbeBatchMatchesProbeEach) {
-  TupleStore store({0});
-  for (int64_t i = 0; i < 40; ++i) {
-    store.Insert(Tuple({Value(i % 8), Value(i)}));
-  }
-
-  TupleBatch batch(32);
-  // Runs of equal keys, singletons, and misses, interleaved.
-  const int64_t keys[] = {3, 3, 3, 5, 99, 99, 0, 1, 1, 1, 1, 2, 77, 6};
-  int64_t ts = 0;
-  for (int64_t k : keys) {
-    batch.Append(Tuple({Value(k), Value(100 + ts)}), ts);
-    ++ts;
-  }
-  batch.SelectAll();
-  batch.BuildHashColumn(0);
-
-  std::vector<std::pair<uint32_t, size_t>> batched;
-  store.ProbeBatch(0, batch, 0, [&](uint32_t row, size_t slot,
-                                    const Tuple& t) {
-    EXPECT_EQ(t.at(0), batch.tuple(row).at(0));
-    batched.emplace_back(row, slot);
-  });
-
-  std::vector<std::pair<uint32_t, size_t>> per_row;
-  for (uint32_t row : batch.selection()) {
-    store.ProbeEach(0, batch.tuple(row).at(0),
-                    [&](size_t slot, const Tuple&) {
-                      per_row.emplace_back(row, slot);
-                    });
-  }
-  EXPECT_EQ(batched, per_row);
-}
-
-TEST(TupleStoreBatchTest, ProbeBatchHonorsSparseSelection) {
-  TupleStore store({0});
-  for (int64_t i = 0; i < 10; ++i) store.Insert(Tuple({Value(i % 3)}));
-
-  TupleBatch batch(8);
-  for (int64_t i = 0; i < 8; ++i) batch.Append(Tuple({Value(i % 3)}), i);
-  batch.BuildHashColumn(0);
-  // Only rows 1, 2, 6 are selected: a dense pair and an isolated row.
-  *batch.mutable_selection() = {1, 2, 6};
-
-  std::vector<uint32_t> probed_rows;
-  store.ProbeBatch(0, batch, 0,
-                   [&](uint32_t row, size_t, const Tuple&) {
-                     probed_rows.push_back(row);
-                   });
-  for (uint32_t row : probed_rows) {
-    EXPECT_TRUE(row == 1 || row == 2 || row == 6) << "row " << row;
-  }
-  // Every selected key (1 % 3, 2 % 3, 6 % 3 = 0) has matches stored.
-  EXPECT_TRUE(std::count(probed_rows.begin(), probed_rows.end(), 1u) > 0);
-  EXPECT_TRUE(std::count(probed_rows.begin(), probed_rows.end(), 2u) > 0);
-  EXPECT_TRUE(std::count(probed_rows.begin(), probed_rows.end(), 6u) > 0);
-}
-
-TEST(TupleStoreBatchTest, ProbeBatchStringKeysSplitHashRunsByKey) {
-  TupleStore store({0});
-  store.Insert(Tuple({Value("alpha")}));
-  store.Insert(Tuple({Value("beta")}));
-
-  TupleBatch batch(4);
-  batch.Append(Tuple({Value("alpha")}), 0);
-  batch.Append(Tuple({Value("alpha")}), 1);
-  batch.Append(Tuple({Value("beta")}), 2);
-  batch.SelectAll();
-  batch.BuildHashColumn(0);
-
-  std::vector<std::pair<uint32_t, std::string>> hits;
-  store.ProbeBatch(0, batch, 0,
-                   [&](uint32_t row, size_t, const Tuple& t) {
-                     hits.emplace_back(row, t.at(0).AsString());
-                   });
-  ASSERT_EQ(hits.size(), 3u);
-  EXPECT_EQ(hits[0], (std::pair<uint32_t, std::string>{0, "alpha"}));
-  EXPECT_EQ(hits[1], (std::pair<uint32_t, std::string>{1, "alpha"}));
-  EXPECT_EQ(hits[2], (std::pair<uint32_t, std::string>{2, "beta"}));
 }
 
 TEST(TupleStoreBatchTest, InsertBatchRespectsSelection) {

@@ -6,7 +6,10 @@
 //  2. a broadcast punctuation purges across the shards exactly the
 //     tuples the unpartitioned operator would purge: no double purge
 //     (each tuple lives on exactly one shard) and no stranded state (a
-//     shard holding a key's tuples always receives every punctuation).
+//     shard holding a key's tuples always receives every punctuation);
+//  3. between two sharded operators keyed on different equivalence
+//     classes, the inter-operator re-hash repartitions every result
+//     onto the parent's key, so the answers match the serial executor.
 //
 // The differential test covers the same ground statistically; these
 // tests pin the mechanisms directly on hand-built queries.
@@ -23,6 +26,7 @@
 #include "exec/plan_executor.h"
 #include "test_util.h"
 #include "util/logging.h"
+#include "workload/random_query.h"
 
 namespace punctsafe {
 namespace {
@@ -365,6 +369,102 @@ TEST(PartitionPurgeTest, GroupSnapshotsReflectShardLayout) {
             std::string::npos);
   EXPECT_EQ((*tri)->operators().size(), 1u);
   (*tri)->Stop();
+}
+
+// The multi-class chain T0.k = T1.k AND T1.v = T2.v has two
+// equivalence classes ({T0.k, T1.k} and {T1.v, T2.v}), so the 3-way
+// MJoin cannot shard, while every hop of a binary chain seeded on T1
+// can: the lower operator shards on k, the upper one on v, and each
+// lower-shard result is re-hashed onto v on its way up.
+struct MultiClassChain {
+  StreamCatalog catalog;
+  ContinuousJoinQuery query;
+  SchemeSet schemes;
+
+  static MultiClassChain Make() {
+    StreamCatalog catalog;
+    SchemeSet schemes;
+    for (const char* name : {"T0", "T1", "T2"}) {
+      PUNCTSAFE_CHECK_OK(catalog.Register(name, Schema::OfInts({"k", "v"})));
+      PUNCTSAFE_CHECK_OK(schemes.Add(SchemeOn(catalog, name, {"k"})));
+      PUNCTSAFE_CHECK_OK(schemes.Add(SchemeOn(catalog, name, {"v"})));
+    }
+    auto q = ContinuousJoinQuery::Create(
+        catalog, {"T0", "T1", "T2"},
+        {Eq({"T0", "k"}, {"T1", "k"}), Eq({"T1", "v"}, {"T2", "v"})});
+    PUNCTSAFE_CHECK(q.ok()) << q.status().ToString();
+    return {catalog, *q, schemes};
+  }
+};
+
+// Runs `trace` serially on the single MJoin and in parallel on the
+// binary chain ((T1 JOIN T0) JOIN T2) with 4 shards per operator, and
+// expects both groups sharded and the sorted answers equal.
+void ExpectShardedChainMatchesSerial(const MultiClassChain& fx,
+                                     const Trace& trace) {
+  ExecutorConfig serial_config;
+  serial_config.keep_results = true;
+  auto serial = PlanExecutor::Create(fx.query, fx.schemes,
+                                     PlanShape::SingleMJoin(3), serial_config);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(FeedTrace(serial.ValueOrDie().get(), trace).ok());
+  std::vector<Tuple> want = (*serial)->kept_results();
+  std::sort(want.begin(), want.end());
+  ASSERT_GT(want.size(), 0u);
+
+  ExecutorConfig config;
+  config.keep_results = true;
+  config.shards = 4;
+  const PlanShape chain = PlanShape::LeftDeepBinary({1, 0, 2});
+  auto exec = ParallelExecutor::Create(fx.query, fx.schemes, chain, config);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  EXPECT_TRUE((*exec)->shape() == chain);
+  auto snaps = (*exec)->GroupSnapshots();
+  ASSERT_EQ(snaps.size(), 2u);
+  for (const auto& snap : snaps) {
+    EXPECT_TRUE(snap.partitioned) << snap.partition_detail;
+    EXPECT_EQ(snap.num_shards, 4u);
+  }
+  ASSERT_TRUE(FeedTraceParallel(exec.ValueOrDie().get(), trace).ok());
+  std::vector<Tuple> got = (*exec)->kept_results();
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
+  (*exec)->Stop();
+}
+
+TEST(PartitionPurgeTest, MultiClassChainShardsOnlyAsBinaryChain) {
+  MultiClassChain fx = MultiClassChain::Make();
+
+  // As a single MJoin the chain cannot shard: 4 shards fall back to 1.
+  ExecutorConfig config;
+  config.shards = 4;
+  auto mjoin = ParallelExecutor::Create(fx.query, fx.schemes,
+                                        PlanShape::SingleMJoin(3), config);
+  ASSERT_TRUE(mjoin.ok()) << mjoin.status().ToString();
+  auto snaps = (*mjoin)->GroupSnapshots();
+  ASSERT_EQ(snaps.size(), 1u);
+  EXPECT_EQ(snaps[0].num_shards, 1u) << snaps[0].partition_detail;
+  (*mjoin)->Stop();
+
+  CoveringTraceConfig tconfig;
+  tconfig.num_generations = 12;
+  tconfig.values_per_generation = 5;
+  tconfig.tuples_per_generation = 36;
+  tconfig.seed = 23;
+  {
+    SCOPED_TRACE("uniform trace");
+    ExpectShardedChainMatchesSerial(
+        fx, MakeCoveringTrace(fx.query, fx.schemes, tconfig));
+  }
+  // A zipf-skewed trace concentrates each generation on a few hot keys,
+  // so the re-hash between the two groups routes unevenly.
+  tconfig.zipf_s = 1.4;
+  tconfig.seed = 29;
+  {
+    SCOPED_TRACE("zipf 1.4 trace");
+    ExpectShardedChainMatchesSerial(
+        fx, MakeCoveringTrace(fx.query, fx.schemes, tconfig));
+  }
 }
 
 }  // namespace

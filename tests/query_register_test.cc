@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
 #include "workload/auction.h"
 
 namespace punctsafe {
@@ -60,6 +61,40 @@ TEST(QueryRegisterTest, RejectsUnsafeShapeEvenForSafeQuery) {
 
   auto good = reg.Register({"S1", "S2", "S3"}, preds);
   EXPECT_TRUE(good.ok()) << good.status().ToString();
+}
+
+// The parallel executor runs exactly the plan admission checked. The
+// triangle query under the Figure 5 schemes is safe only as the single
+// MJoin (Figure 7), so running any other shape would leak state.
+TEST(QueryRegisterTest, ParallelRegistrationRunsTheAdmittedPlan) {
+  StreamCatalog catalog = testing_util::PaperCatalog();
+  QueryRegister reg(catalog, testing_util::Fig5Schemes(catalog));
+  ExecutorConfig config;
+  config.mode = ExecutionMode::kParallel;
+  config.shards = 2;
+  auto out = reg.Register({"S1", "S2", "S3"},
+                          {Eq({"S1", "B"}, {"S2", "B"}),
+                           Eq({"S2", "C"}, {"S3", "C"}),
+                           Eq({"S3", "A"}, {"S1", "A"})},
+                          config);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_TRUE(out->is_parallel());
+  ParallelExecutor& exec = *out->parallel_executor;
+  EXPECT_EQ(exec.shape(), out->shape);
+  EXPECT_TRUE(exec.safety().safe);
+
+  // The PlanExecutorTest.UnsafeShapeRunsButLeaks feed: every
+  // punctuation the schemes allow, so the admitted plan drains fully.
+  for (int i = 0; i < 20; ++i) {
+    exec.PushTuple(0, Tuple({Value(i), Value(i)}), i);
+    for (size_t s = 0; s < 3; ++s) {
+      exec.PushPunctuation(s, Punctuation::OfConstants(2, {{1, Value(i)}}),
+                           i);
+    }
+  }
+  ASSERT_TRUE(exec.Drain(20).ok());
+  EXPECT_EQ(exec.TotalLiveTuples(), 0u);
+  exec.Stop();
 }
 
 TEST(QueryRegisterTest, SchemeValidation) {

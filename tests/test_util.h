@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/tuple_store.h"
 #include "query/cjq.h"
 #include "stream/catalog.h"
 #include "stream/scheme.h"
@@ -98,6 +99,19 @@ inline SchemeSet Fig8Schemes(const StreamCatalog& catalog) {
   PUNCTSAFE_CHECK_OK(set.Add(SchemeOn(catalog, "S2", {"C"})));
   PUNCTSAFE_CHECK_OK(set.Add(SchemeOn(catalog, "S3", {"C", "A"})));
   return set;
+}
+
+/// \brief Live slots of `store` whose `offset` attribute equals
+/// `value`, in bucket order: the FindBucket + ForBucketLive walk that
+/// MJoinOperator::Expand runs, collected into a vector for assertions.
+inline std::vector<size_t> LiveSlots(const TupleStore& store, size_t offset,
+                                     const Value& value) {
+  std::vector<size_t> slots;
+  store.ForBucketLive(store.FindBucket(offset, value),
+                      [&](size_t slot, const Tuple&) {
+                        slots.push_back(slot);
+                      });
+  return slots;
 }
 
 }  // namespace testing_util

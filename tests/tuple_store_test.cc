@@ -7,8 +7,12 @@
 #include <string_view>
 #include <vector>
 
+#include "test_util.h"
+
 namespace punctsafe {
 namespace {
+
+using testing_util::LiveSlots;
 
 TEST(TupleStoreTest, InsertAndProbe) {
   TupleStore store({0});
@@ -18,11 +22,11 @@ TEST(TupleStoreTest, InsertAndProbe) {
   EXPECT_EQ(store.live_count(), 3u);
   EXPECT_TRUE(store.IsLive(s1));
 
-  auto hits = store.Probe(0, Value(1));
+  auto hits = LiveSlots(store, 0, Value(1));
   EXPECT_EQ(std::set<size_t>(hits.begin(), hits.end()),
             (std::set<size_t>{s1, s2}));
-  EXPECT_EQ(store.Probe(0, Value(2)), (std::vector<size_t>{s3}));
-  EXPECT_TRUE(store.Probe(0, Value(9)).empty());
+  EXPECT_EQ(LiveSlots(store, 0, Value(2)), (std::vector<size_t>{s3}));
+  EXPECT_TRUE(LiveSlots(store, 0, Value(9)).empty());
 }
 
 TEST(TupleStoreTest, RemoveIsIdempotentAndHidesFromProbe) {
@@ -32,7 +36,7 @@ TEST(TupleStoreTest, RemoveIsIdempotentAndHidesFromProbe) {
   store.Remove(s1);
   EXPECT_EQ(store.live_count(), 0u);
   EXPECT_FALSE(store.IsLive(s1));
-  EXPECT_TRUE(store.Probe(0, Value(1)).empty());
+  EXPECT_TRUE(LiveSlots(store, 0, Value(1)).empty());
   // The tuple data stays addressable (slot ids stable).
   EXPECT_EQ(store.At(s1), Tuple({Value(1)}));
 }
@@ -40,8 +44,8 @@ TEST(TupleStoreTest, RemoveIsIdempotentAndHidesFromProbe) {
 TEST(TupleStoreTest, MultipleIndexes) {
   TupleStore store({0, 2});
   size_t s = store.Insert(Tuple({Value(1), Value(2), Value(3)}));
-  EXPECT_EQ(store.Probe(0, Value(1)), (std::vector<size_t>{s}));
-  EXPECT_EQ(store.Probe(2, Value(3)), (std::vector<size_t>{s}));
+  EXPECT_EQ(LiveSlots(store, 0, Value(1)), (std::vector<size_t>{s}));
+  EXPECT_EQ(LiveSlots(store, 2, Value(3)), (std::vector<size_t>{s}));
 }
 
 TEST(TupleStoreTest, ForEachLiveSkipsRemoved) {
@@ -97,32 +101,7 @@ TEST(TupleStoreTest, IndexCompactionKeepsProbesCorrect) {
   EXPECT_EQ(store.live_count(), 0u);
   // One survivor among the debris.
   size_t keep = store.Insert(Tuple({Value(3), Value(999)}));
-  EXPECT_EQ(store.Probe(0, Value(3)), (std::vector<size_t>{keep}));
-}
-
-TEST(TupleStoreTest, ProbeEachAndProbeIntoAgreeWithProbe) {
-  TupleStore store({0});
-  // Interleave inserts and removes so buckets carry tombstones.
-  std::vector<size_t> slots;
-  for (int i = 0; i < 200; ++i) {
-    slots.push_back(store.Insert(Tuple({Value(i % 13), Value(i)})));
-  }
-  for (size_t i = 0; i < slots.size(); i += 3) store.Remove(slots[i]);
-
-  std::vector<size_t> scratch;
-  for (int k = 0; k < 13; ++k) {
-    Value key(k);
-    std::vector<size_t> legacy = store.Probe(0, key);
-    std::vector<size_t> each;
-    store.ProbeEach(0, key,
-                    [&](size_t slot, const Tuple& t) {
-                      EXPECT_EQ(t.at(0), key);
-                      each.push_back(slot);
-                    });
-    store.ProbeInto(0, key, &scratch);
-    EXPECT_EQ(each, legacy) << "ProbeEach vs Probe on key " << k;
-    EXPECT_EQ(scratch, legacy) << "ProbeInto vs Probe on key " << k;
-  }
+  EXPECT_EQ(LiveSlots(store, 0, Value(3)), (std::vector<size_t>{keep}));
 }
 
 TEST(TupleStoreTest, ProbeFilteringTriggersCompaction) {
@@ -143,15 +122,15 @@ TEST(TupleStoreTest, ProbeFilteringTriggersCompaction) {
   EXPECT_EQ(store.metrics().index_compactions, 0u);
 
   // First probe walks the tombstones and schedules; the next executes.
-  store.ProbeEach(0, Value(7), [](size_t, const Tuple&) { FAIL(); });
-  store.ProbeEach(0, Value(7), [](size_t, const Tuple&) { FAIL(); });
+  EXPECT_TRUE(LiveSlots(store, 0, Value(7)).empty());
+  EXPECT_TRUE(LiveSlots(store, 0, Value(7)).empty());
   EXPECT_GE(store.metrics().index_compactions, 1u);
 
   // Compaction must not disturb live data.
   EXPECT_EQ(store.live_count(), 1000u);
-  EXPECT_EQ(store.Probe(0, Value(1003)).size(), 1u);
+  EXPECT_EQ(LiveSlots(store, 0, Value(1003)).size(), 1u);
   size_t back = store.Insert(Tuple({Value(7), Value(-1)}));
-  EXPECT_EQ(store.Probe(0, Value(7)), (std::vector<size_t>{back}));
+  EXPECT_EQ(LiveSlots(store, 0, Value(7)), (std::vector<size_t>{back}));
 }
 
 TEST(TupleStoreTest, CompactionInvariantsUnderInterleavedInsertPurge) {
@@ -169,14 +148,13 @@ TEST(TupleStoreTest, CompactionInvariantsUnderInterleavedInsertPurge) {
     for (size_t i = 0; i < slots.size(); i += 2) purge.push_back(slots[i]);
     store.PurgeSlots(purge);
     size_t live_hits = 0;
-    store.ProbeEach(0, Value(2),
-                    [&](size_t slot, const Tuple&) {
-                      EXPECT_TRUE(store.IsLive(slot));
-                      ++live_hits;
-                    });
-    EXPECT_EQ(live_hits, store.Probe(0, Value(2)).size());
-    EXPECT_EQ(store.Probe(1, Value("s1")).size(),
-              store.Probe(1, Value(std::string("s1"))).size());
+    for (size_t slot : LiveSlots(store, 0, Value(2))) {
+      EXPECT_TRUE(store.IsLive(slot));
+      ++live_hits;
+    }
+    EXPECT_EQ(live_hits, LiveSlots(store, 0, Value(2)).size());
+    EXPECT_EQ(LiveSlots(store, 1, Value("s1")).size(),
+              LiveSlots(store, 1, Value(std::string("s1"))).size());
   }
   // Dense live bookkeeping stayed consistent with the indexes.
   size_t via_iter = 0;
@@ -194,10 +172,10 @@ TEST(TupleStoreTest, CachedHashIsTypeStrict) {
   // distinct values: probes must not cross types even if hashes were
   // ever to collide (probes re-check equality, and Value equality is
   // type-strict).
-  EXPECT_EQ(store.Probe(0, Value(static_cast<int64_t>(5))),
+  EXPECT_EQ(LiveSlots(store, 0, Value(static_cast<int64_t>(5))),
             (std::vector<size_t>{as_int}));
-  EXPECT_EQ(store.Probe(0, Value("5")), (std::vector<size_t>{as_str}));
-  EXPECT_EQ(store.Probe(0, Value(5.0)).size(), 1u);
+  EXPECT_EQ(LiveSlots(store, 0, Value("5")), (std::vector<size_t>{as_str}));
+  EXPECT_EQ(LiveSlots(store, 0, Value(5.0)).size(), 1u);
   bool any = store.AnyMatch(0, Value(static_cast<int64_t>(5)),
                             [](const Tuple& t) {
                               return t.at(0) == Value(static_cast<int64_t>(5));
@@ -213,22 +191,18 @@ TEST(TupleStoreTest, SteadyStateProbesNeverAllocate) {
   for (int i = 0; i < 500; ++i) {
     store.Insert(Tuple({Value(i % 11), Value(i)}));
   }
-  std::vector<size_t> scratch;
   uint64_t sink = 0;
   for (int i = 0; i < 2000; ++i) {
-    store.ProbeEach(0, Value(i % 11), [&](size_t, const Tuple&) { ++sink; });
-    store.ProbeInto(0, Value(i % 11), &scratch);
-    sink += scratch.size();
-    sink += store.AnyMatch(0, Value(i % 11),
-                           [](const Tuple&) { return true; });
+    const Value key(i % 11);
+    store.ForBucketLive(store.FindBucket(0, key),
+                        [&](size_t, const Tuple&) { ++sink; });
+    sink += store.AnyMatch(0, key, [](const Tuple&) { return true; });
   }
   EXPECT_GT(sink, 0u);
-  // The pinned property: the cursor paths count probes but never a
-  // probe allocation; only the legacy Probe() does.
+  // The pinned property: the runtime cursors count probes but never a
+  // probe allocation.
   EXPECT_GT(store.metrics().probes, 0u);
   EXPECT_EQ(store.metrics().probe_allocs, 0u);
-  store.Probe(0, Value(3));
-  EXPECT_EQ(store.metrics().probe_allocs, 1u);
 }
 
 TEST(TupleStoreTest, NoIndexes) {
@@ -263,17 +237,17 @@ TEST(TupleStoreTest, StringValuesSurviveCompactionAndEpochReclaim) {
   }
 
   // Capture a view of the survivor's string before anything dies.
-  std::string_view held;
-  store.ProbeEach(0, Value(LongKey(-1)),
-                  [&](size_t, const Tuple& t) { held = t.at(0).AsString(); });
+  std::vector<size_t> survivor = LiveSlots(store, 0, Value(LongKey(-1)));
+  ASSERT_EQ(survivor, (std::vector<size_t>{keeper}));
+  std::string_view held = store.At(survivor[0]).at(0).AsString();
   ASSERT_EQ(held, LongKey(-1));
 
   for (size_t slot : doomed) store.Remove(slot);
   // Probing a doomed key filters >= kCompactMinDead tombstones and
   // compacts the index; the held view must still read cleanly
   // (compaction touches index buckets, never tuple payloads).
-  store.ProbeEach(0, Value(LongKey(0)), [](size_t, const Tuple&) { FAIL(); });
-  store.ProbeEach(0, Value(LongKey(0)), [](size_t, const Tuple&) { FAIL(); });
+  EXPECT_TRUE(LiveSlots(store, 0, Value(LongKey(0))).empty());
+  EXPECT_TRUE(LiveSlots(store, 0, Value(LongKey(0))).empty());
   EXPECT_EQ(held, LongKey(-1));
 
   // Epoch boundary: doomed payloads are reclaimed wholesale, the
@@ -282,10 +256,10 @@ TEST(TupleStoreTest, StringValuesSurviveCompactionAndEpochReclaim) {
   store.AdvanceEpoch();
   EXPECT_EQ(store.At(keeper).at(0).AsString(), LongKey(-1));
   size_t hits = 0;
-  store.ProbeEach(0, Value(LongKey(-1)), [&](size_t, const Tuple& t) {
-    EXPECT_EQ(t.at(0).AsString(), LongKey(-1));
+  for (size_t slot : LiveSlots(store, 0, Value(LongKey(-1)))) {
+    EXPECT_EQ(store.At(slot).at(0).AsString(), LongKey(-1));
     ++hits;
-  });
+  }
   EXPECT_EQ(hits, 1u);
   // Dead slots read as empty after the epoch advance, not as garbage.
   EXPECT_EQ(store.At(doomed[0]).size(), 0u);
@@ -348,9 +322,9 @@ TEST(TupleStoreTest, ProbesSeeExactlySurvivorsAfterEpochAdvance) {
   size_t probed = 0;
   for (int key = 0; key < 7; ++key) {
     std::multiset<std::string> got;
-    store.ProbeEach(0, Value(key), [&](size_t, const Tuple& t) {
-      got.insert(t.ToString());
-    });
+    for (size_t slot : LiveSlots(store, 0, Value(key))) {
+      got.insert(store.At(slot).ToString());
+    }
     EXPECT_EQ(got, want[key]) << "key " << key;
     probed += got.size();
   }

@@ -142,9 +142,10 @@ run_bench_smoke() {
   echo "=== [bench] hot-path regression gate ==="
   # Default parameters match the checked-in baseline's configuration
   # exactly (rates depend on store size / key cardinality). Fails
-  # (exit 1) if any tracked probe/purge rate drops below the gate
-  # floor (PUNCTSAFE_BENCH_MIN_RATIO, default 0.75) of
-  # BENCH_hot_path.json, printing the measured/baseline ratio table.
+  # (exit 1) if any gated rate (int/str insert batch, int/str expand
+  # batch, int purge) drops below the gate floor
+  # (PUNCTSAFE_BENCH_MIN_RATIO, default 0.75) of BENCH_hot_path.json,
+  # printing the measured/baseline ratio table.
   "${dir}/bench/bench_hot_path" --iters 1 \
     --baseline "${ROOT}/BENCH_hot_path.json"
   echo "=== [bench] arena regression gate ==="
