@@ -1,7 +1,9 @@
 #include "exec/mjoin.h"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
+#include <utility>
 #include <unordered_set>
 
 #include "exec/simd.h"
@@ -15,6 +17,10 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
     MJoinConfig config) {
   if (inputs.size() < 2) {
     return Status::InvalidArgument("an MJoin needs at least two inputs");
+  }
+  if (inputs.size() > kMaxInputs) {
+    return Status::InvalidArgument("an MJoin takes at most " +
+                                   std::to_string(kMaxInputs) + " inputs");
   }
   std::vector<bool> covered(query.num_streams(), false);
   for (const LocalInput& in : inputs) {
@@ -143,6 +149,20 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
     op->punct_stores_.push_back(
         std::make_unique<PunctuationStore>(config.punctuation_lifespan));
   }
+  op->join_offsets_ = std::move(indexed);
+
+  // Scheme signatures per input (composite constrained offsets).
+  op->scheme_signatures_.resize(m);
+  for (size_t k = 0; k < m; ++k) {
+    for (const AvailableScheme& scheme : op->inputs_[k].schemes) {
+      std::vector<size_t> signature;
+      for (size_t attr : scheme.attrs) {
+        signature.push_back(op->OffsetOf(k, scheme.origin_stream, attr));
+      }
+      std::sort(signature.begin(), signature.end());
+      op->scheme_signatures_[k].push_back(std::move(signature));
+    }
+  }
 
   // All generalized edges from the operator-local graph, localized to
   // composite offsets; removability checks run a fixpoint over them.
@@ -158,6 +178,7 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
           {b.source_input,
            op->OffsetOf(b.source_input, b.source_stream, b.source_attr)});
     }
+    for (size_t s : edge.source_inputs) edge.source_mask |= uint64_t{1} << s;
     op->runtime_edges_.push_back(std::move(edge));
   }
   op->input_purgeable_.resize(m);
@@ -165,19 +186,7 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
     op->input_purgeable_[k] = LocalInputPurgeable(k, m, edges);
   }
 
-  // Propagatable scheme signatures (inputs with purgeable state only).
-  op->propagatable_signatures_.resize(m);
-  for (size_t k = 0; k < m; ++k) {
-    if (!op->input_purgeable_[k]) continue;
-    for (const AvailableScheme& scheme : op->inputs_[k].schemes) {
-      std::vector<size_t> signature;
-      for (size_t attr : scheme.attrs) {
-        signature.push_back(op->OffsetOf(k, scheme.origin_stream, attr));
-      }
-      std::sort(signature.begin(), signature.end());
-      op->propagatable_signatures_[k].push_back(std::move(signature));
-    }
-  }
+  op->queues_.resize(m);
   return op;
 }
 
@@ -215,19 +224,26 @@ void MJoinOperator::PushTuple(size_t input, const Tuple& tuple, int64_t ts) {
 
   // Under the eager policy, test the chained purge plan before
   // storing: if the stores already close every continuation, the
-  // tuple never occupies state.
-  const bool drop = config_.purge_policy == PurgePolicy::kEager &&
-                    Removable(input, tuple, ts);
+  // tuple never occupies state; otherwise it is parked on its blocking
+  // keys.
+  const bool eager = config_.purge_policy == PurgePolicy::kEager &&
+                     input_purgeable_[input];
+  const Check outcome = eager ? Removable(input, tuple, ts) : Check::kBlocked;
   // Any scratch-capacity growth across this push is one expansion
   // allocation event; steady state stays pinned at zero.
   if (ExpandScratchCapacity() > scratch_before) {
     states_[input]->CountExpandAllocs(1);
   }
-  if (drop) {
+  if (outcome == Check::kRemovable) {
     states_[input]->CountDroppedArrival();
     return;
   }
-  states_[input]->Insert(tuple);
+  const size_t slot = states_[input]->Insert(tuple);
+  if (eager) {
+    Park(input, slot, outcome);
+  } else {
+    QueueUnchecked(input, slot, 1);
+  }
 }
 
 void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
@@ -289,19 +305,23 @@ void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
   // expansion never walks through the arrival input, so running all
   // probes before any insert is result-identical to the interleaved
   // per-row order.
+  // Rows stored unchecked are queued for the next purge pass.
   const bool check_removable =
       config_.purge_policy == PurgePolicy::kEager &&
       input_purgeable_[input] && TotalLivePunctuations() > 0;
   if (check_removable) {
     for (uint32_t row : batch.selection()) {
-      if (Removable(input, batch.tuple(row), batch.timestamp(row))) {
+      const Check outcome =
+          Removable(input, batch.tuple(row), batch.timestamp(row));
+      if (outcome == Check::kRemovable) {
         states_[input]->CountDroppedArrival();
       } else {
-        states_[input]->Insert(batch.tuple(row));
+        Park(input, states_[input]->Insert(batch.tuple(row)), outcome);
       }
     }
   } else {
-    states_[input]->InsertBatch(batch);
+    const size_t first = states_[input]->num_slots();
+    QueueUnchecked(input, first, states_[input]->InsertBatch(batch));
   }
   if (ExpandScratchCapacity() > scratch_before) {
     states_[input]->CountExpandAllocs(1);
@@ -529,15 +549,151 @@ size_t MJoinOperator::ExpandScratchCapacity() const {
            run_cands_.capacity() + pair_rows_.capacity() +
            pair_cands_.capacity() + verify_hashes_a_.capacity() +
            verify_hashes_b_.capacity() + filter_scratch_.capacity();
-  total += combos_scratch_.capacity() + sweep_scratch_.capacity();
+  total += combo_values_.capacity() + combo_hashes_.capacity() +
+           combo_order_.capacity() + stalled_.capacity() +
+           wait_keys_.capacity() + sweep_scratch_.capacity();
   total += out_values_.capacity() + out_batch_.TupleCapacity();
   return total;
 }
 
-bool MJoinOperator::Removable(size_t input, const Tuple& tuple, int64_t now) {
-  if (!input_purgeable_[input]) return false;
+size_t MJoinOperator::WaitIndex::Mix(const WaitKey& key) {
+  uint64_t h = key.hash ^ ((uint64_t{key.owner} << 32 | key.signature) *
+                           0x9E3779B97F4A7C15ULL);
+  h ^= h >> 31;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 29;
+  return static_cast<size_t>(h);
+}
+
+size_t MJoinOperator::WaitIndex::Find(const WaitKey& key) const {
+  if (live_ == 0) return static_cast<size_t>(-1);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Mix(key) & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.state == SlotState::kFree) return static_cast<size_t>(-1);
+    if (slot.state == SlotState::kUsed && slot.key == key) return i;
+  }
+}
+
+void MJoinOperator::WaitIndex::File(const WaitKey& key,
+                                    const Waiter& waiter) {
+  if (2 * (used_ + 1) > slots_.size()) Rehash(live_ + 1);
+  const size_t mask = slots_.size() - 1;
+  size_t i = Mix(key) & mask;
+  size_t reuse = static_cast<size_t>(-1);
+  for (;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.state == SlotState::kUsed && slot.key == key) break;
+    if (slot.state == SlotState::kErased && reuse == static_cast<size_t>(-1)) {
+      reuse = i;
+    }
+    if (slot.state == SlotState::kFree) {
+      if (reuse != static_cast<size_t>(-1)) {
+        i = reuse;
+      } else {
+        ++used_;
+      }
+      slots_[i] = {key, kNil, SlotState::kUsed};
+      ++live_;
+      break;
+    }
+  }
+  uint32_t node = free_;
+  if (node != kNil) {
+    free_ = nodes_[node].next;
+  } else {
+    node = static_cast<uint32_t>(nodes_.size());
+    nodes_.push_back({});
+  }
+  nodes_[node] = {waiter, slots_[i].head};
+  slots_[i].head = node;
+  ++entries_;
+}
+
+template <typename Fn>
+void MJoinOperator::WaitIndex::TakeSlot(size_t i, Fn&& fn) {
+  Slot& slot = slots_[i];
+  for (uint32_t node = slot.head; node != kNil;) {
+    const uint32_t next = nodes_[node].next;
+    fn(nodes_[node].waiter);
+    nodes_[node].next = free_;
+    free_ = node;
+    --entries_;
+    node = next;
+  }
+  slot.head = kNil;
+  slot.state = SlotState::kErased;
+  --live_;
+}
+
+template <typename Fn>
+void MJoinOperator::WaitIndex::Take(const WaitKey& key, Fn&& fn) {
+  const size_t i = Find(key);
+  if (i != static_cast<size_t>(-1)) TakeSlot(i, fn);
+}
+
+template <typename Fn>
+void MJoinOperator::WaitIndex::TakePunctuationKeys(uint32_t owner, Fn&& fn) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
+    if (slot.state == SlotState::kUsed && slot.key.owner == owner &&
+        slot.key.signature != kPartnerKey) {
+      TakeSlot(i, fn);
+    }
+  }
+}
+
+template <typename Keep>
+size_t MJoinOperator::WaitIndex::Compact(Keep&& keep) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
+    if (slot.state != SlotState::kUsed) continue;
+    uint32_t kept = kNil;
+    for (uint32_t node = slot.head; node != kNil;) {
+      const uint32_t next = nodes_[node].next;
+      if (keep(nodes_[node].waiter)) {
+        nodes_[node].next = kept;
+        kept = node;
+      } else {
+        nodes_[node].next = free_;
+        free_ = node;
+        --entries_;
+      }
+      node = next;
+    }
+    slot.head = kept;
+    if (kept == kNil) {
+      slot.state = SlotState::kErased;
+      --live_;
+    }
+  }
+  Rehash(live_);
+  return entries_;
+}
+
+void MJoinOperator::WaitIndex::Rehash(size_t live) {
+  size_t capacity = 16;
+  while (capacity < 4 * live) capacity *= 2;
+  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
+  used_ = live_;
+  const size_t mask = capacity - 1;
+  for (const Slot& slot : old) {
+    if (slot.state != SlotState::kUsed) continue;
+    size_t i = Mix(slot.key) & mask;
+    while (slots_[i].state != SlotState::kFree) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+MJoinOperator::Check MJoinOperator::Removable(size_t input,
+                                              const Tuple& tuple,
+                                              int64_t now) {
+  wait_keys_.clear();
+  if (!input_purgeable_[input]) return Check::kBlocked;
   ++metrics_.removability_checks;
+  max_check_ts_ = std::max(max_check_ts_, now);
   const size_t m = num_inputs();
+  const uint64_t all = m == 64 ? ~uint64_t{0} : (uint64_t{1} << m) - 1;
 
   BatchFrontier* joinable = &expand_bufs_[0];
   BatchFrontier* scratch = &expand_bufs_[1];
@@ -547,60 +703,277 @@ bool MJoinOperator::Removable(size_t input, const Tuple& tuple, int64_t now) {
   // Fixpoint over the generalized edges: an input counts as closed as
   // soon as ANY edge whose sources are already closed has all its
   // value combinations excluded by the target's punctuation store —
-  // the existential reading of the chained purge strategy.
-  std::vector<bool> covered(m, false);
-  covered[input] = true;
-  size_t covered_count = 1;
-  bool progress = true;
-  while (progress && covered_count < m) {
-    progress = false;
-    for (const RuntimeEdge& edge : runtime_edges_) {
-      if (covered[edge.target_input]) continue;
-      bool sources_ready =
-          std::all_of(edge.source_inputs.begin(), edge.source_inputs.end(),
-                      [&](size_t s) { return covered[s]; });
-      if (!sources_ready) continue;
-      // The distinct value combinations the target's punctuations must
-      // exclude: δ_PA(T_t[Υ]) of the generalized chained purge.
-      // Dedup via sort+unique on a reused scratch vector — the old
-      // per-punctuation std::unordered_set allocated a node per combo.
-      combos_scratch_.clear();
-      for (size_t r = 0; r < joinable->size(); ++r) {
-        std::vector<Value> combo;
-        combo.reserve(edge.sources.size());
-        for (const RuntimeEdge::Source& src : edge.sources) {
-          combo.push_back(joinable->cell(r, src.input)->at(src.offset));
-        }
-        combos_scratch_.push_back(Tuple(std::move(combo)));
-      }
-      std::sort(combos_scratch_.begin(), combos_scratch_.end());
-      combos_scratch_.erase(
-          std::unique(combos_scratch_.begin(), combos_scratch_.end()),
-          combos_scratch_.end());
-      bool all_excluded = true;
-      for (const Tuple& combo : combos_scratch_) {
-        if (!punct_stores_[edge.target_input]->CoversSubspace(
-                edge.target_offsets, combo.values(), now)) {
-          all_excluded = false;
-          break;
-        }
-      }
-      if (!all_excluded) continue;  // maybe another edge closes it
-      // Extend T_t[Υ] through the newly closed input.
-      Expand(edge.target_input, *joinable, scratch);
-      std::swap(joinable, scratch);
-      if (joinable->size() > kMaxJoinableSet) {
+  // the existential reading of the chained purge strategy. The edges
+  // are visited cyclically until a full cycle closes nothing, so each
+  // edge is tested once per joinable set; stalled_ keeps the
+  // ready-but-open edges seen since the last closure, i.e. those of the
+  // final joinable set.
+  uint64_t covered = uint64_t{1} << input;
+  const size_t num_edges = runtime_edges_.size();
+  stalled_.clear();
+  for (size_t e = 0, idle = 0; idle < num_edges && covered != all;
+       e = e + 1 == num_edges ? 0 : e + 1) {
+    ++idle;
+    const RuntimeEdge& edge = runtime_edges_[e];
+    const uint64_t target = uint64_t{1} << edge.target_input;
+    if ((covered & target) != 0 || (edge.source_mask & ~covered) != 0) {
+      continue;
+    }
+    size_t blocking_row = 0;
+    if (!CombosExcluded(edge, *joinable, now, &blocking_row)) {
+      stalled_.push_back({e, blocking_row});
+      continue;  // maybe another edge closes it
+    }
+    // Extend T_t[Υ] through the newly closed input.
+    Expand(edge.target_input, *joinable, scratch);
+    std::swap(joinable, scratch);
+    if (joinable->size() > kMaxJoinableSet) {
+      if (!warned_joinable_cap_) {
+        warned_joinable_cap_ = true;
         PUNCTSAFE_LOG(Warning)
             << "removability check aborted: joinable set exceeded "
-            << kMaxJoinableSet;
-        return false;  // conservative
+            << kMaxJoinableSet << " (such tuples are re-checked on every "
+            << "purge pass; logged once per operator)";
       }
-      covered[edge.target_input] = true;
-      ++covered_count;
-      progress = true;
+      return Check::kAborted;  // conservative
+    }
+    covered |= target;
+    idle = 0;
+    stalled_.clear();
+  }
+  if (covered == all) return Check::kRemovable;
+  CollectWaitKeys(input, covered, *joinable);
+  return Check::kBlocked;
+}
+
+bool MJoinOperator::CombosExcluded(const RuntimeEdge& edge,
+                                   const BatchFrontier& joinable, int64_t now,
+                                   size_t* blocking_row) {
+  const size_t rows = joinable.size();
+  if (rows == 0) return true;  // nothing joins: vacuously closed
+  const PunctuationStore& store = *punct_stores_[edge.target_input];
+  if (store.size() == 0) {
+    *blocking_row = 0;
+    return false;
+  }
+  // The distinct value combinations the target's punctuations must
+  // exclude: δ_PA(T_t[Υ]) of the generalized chained purge. Each row's
+  // combination is a span of pointers into the joinable tuples; rows
+  // are ordered by the combination's hash so duplicates sit together
+  // and each distinct combination is probed once.
+  const size_t width = edge.sources.size();
+  combo_values_.resize(rows * width);
+  combo_hashes_.resize(rows);
+  combo_order_.resize(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const Value** combo = combo_values_.data() + r * width;
+    size_t hash = kTupleHashSeed;
+    for (size_t j = 0; j < width; ++j) {
+      const RuntimeEdge::Source& src = edge.sources[j];
+      combo[j] = &joinable.cell(r, src.input)->at(src.offset);
+      hash = TupleHashStep(hash, combo[j]->Hash());
+    }
+    combo_hashes_[r] = hash;
+    combo_order_[r] = static_cast<uint32_t>(r);
+  }
+  if (rows > 1) {
+    std::sort(combo_order_.begin(), combo_order_.end(),
+              [&](uint32_t a, uint32_t b) {
+                return combo_hashes_[a] != combo_hashes_[b]
+                           ? combo_hashes_[a] < combo_hashes_[b]
+                           : a < b;
+              });
+  }
+  auto same_combo = [&](size_t a, size_t b) {
+    for (size_t j = 0; j < width; ++j) {
+      if (!(*combo_values_[a * width + j] == *combo_values_[b * width + j])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  size_t prev = rows;
+  for (uint32_t r : combo_order_) {
+    if (prev != rows && combo_hashes_[r] == combo_hashes_[prev] &&
+        same_combo(r, prev)) {
+      continue;
+    }
+    prev = r;
+    if (!store.CoversSubspace(
+            edge.target_offsets,
+            std::span<const Value* const>(combo_values_.data() + r * width,
+                                          width),
+            now)) {
+      *blocking_row = r;
+      return false;
     }
   }
-  return covered_count == m;
+  return true;
+}
+
+void MJoinOperator::CollectWaitKeys(size_t input, uint64_t covered,
+                                    const BatchFrontier& joinable) {
+  const uint64_t partners = covered & ~(uint64_t{1} << input);
+  for (const auto& [e, blocking_row] : stalled_) {
+    const RuntimeEdge& edge = runtime_edges_[e];
+    auto value = [&](size_t row, size_t j) -> const Value& {
+      const RuntimeEdge::Source& src = edge.sources[j];
+      return joinable.cell(row, src.input)->at(src.offset);
+    };
+    // A punctuation closing the blocking combination, under each
+    // scheme signature of the target it may arrive with: those within
+    // the edge's target offsets, the combination projected onto them.
+    const auto& signatures = scheme_signatures_[edge.target_input];
+    for (size_t sig = 0; sig < signatures.size(); ++sig) {
+      size_t hash = kTupleHashSeed;
+      bool within = true;
+      for (size_t offset : signatures[sig]) {
+        auto it = std::find(edge.target_offsets.begin(),
+                            edge.target_offsets.end(), offset);
+        if (it == edge.target_offsets.end()) {
+          within = false;
+          break;
+        }
+        hash = TupleHashStep(
+            hash, value(blocking_row, it - edge.target_offsets.begin()).Hash());
+      }
+      if (within) {
+        wait_keys_.push_back({static_cast<uint32_t>(edge.target_input),
+                              static_cast<uint32_t>(sig), hash});
+      }
+    }
+    // The purge of any partner tuple in a row carrying the blocking
+    // combination: once all such rows are gone, so is the combination.
+    if (partners == 0) continue;
+    for (size_t r = 0; r < joinable.size(); ++r) {
+      bool same = true;
+      for (size_t j = 0; same && j < edge.sources.size(); ++j) {
+        same = value(r, j) == value(blocking_row, j);
+      }
+      if (!same) continue;
+      for (uint64_t left = partners; left != 0; left &= left - 1) {
+        const size_t k = static_cast<size_t>(std::countr_zero(left));
+        wait_keys_.push_back({static_cast<uint32_t>(k), kPartnerKey,
+                              PartnerHash(k, *joinable.cell(r, k))});
+      }
+    }
+  }
+  std::sort(wait_keys_.begin(), wait_keys_.end());
+  wait_keys_.erase(std::unique(wait_keys_.begin(), wait_keys_.end()),
+                   wait_keys_.end());
+}
+
+uint64_t MJoinOperator::JoinHash(size_t input, const Tuple& tuple) const {
+  size_t hash = kTupleHashSeed;
+  for (size_t offset : join_offsets_[input]) {
+    hash = TupleHashStep(hash, tuple.HashAt(offset));
+  }
+  return hash;
+}
+
+bool MJoinOperator::SameJoinValues(size_t input, const Tuple& a,
+                                   const Tuple& b) const {
+  for (size_t offset : join_offsets_[input]) {
+    if (!(a.at(offset) == b.at(offset))) return false;
+  }
+  return true;
+}
+
+uint64_t MJoinOperator::PartnerHash(size_t input, const Tuple& tuple) const {
+  const std::vector<size_t>& offsets = join_offsets_[input];
+  return offsets.empty() ? tuple.Hash() : tuple.HashAt(offsets.front());
+}
+
+void MJoinOperator::QueueUnchecked(size_t input, size_t first, size_t count) {
+  if (full_sweep_reference_ || !input_purgeable_[input]) return;
+  for (size_t slot = first; slot < first + count; ++slot) {
+    queues_[input].pending.push_back(slot);
+  }
+}
+
+void MJoinOperator::Park(size_t input, size_t slot, Check outcome) {
+  if (full_sweep_reference_ || !input_purgeable_[input]) return;
+  PurgeQueues& queues = queues_[input];
+  std::vector<uint32_t>& gens = queues.park_gen;
+  if (gens.size() <= slot) gens.resize(states_[input]->num_slots());
+  const uint32_t gen = ++gens[slot];
+  if (outcome == Check::kAborted) {
+    queues.recheck.push_back(slot);
+    return;
+  }
+  // Local reachability from a purgeable input guarantees a ready edge
+  // out of any closed set short of all inputs, so a stall has a key.
+  PUNCTSAFE_DCHECK(!wait_keys_.empty());
+  const Waiter waiter{slot, static_cast<uint32_t>(input), gen};
+  for (const WaitKey& key : wait_keys_) waits_.File(key, waiter);
+  MaybeCompactWaits();
+}
+
+bool MJoinOperator::Current(const Waiter& waiter) const {
+  return states_[waiter.input]->IsLive(waiter.slot) &&
+         queues_[waiter.input].park_gen[waiter.slot] == waiter.gen;
+}
+
+void MJoinOperator::Wake(const Waiter& waiter) {
+  if (Current(waiter)) queues_[waiter.input].pending.push_back(waiter.slot);
+}
+
+void MJoinOperator::WakeKey(const WaitKey& key) {
+  waits_.Take(key, [&](const Waiter& waiter) { Wake(waiter); });
+}
+
+size_t MJoinOperator::SignatureOf(size_t input,
+                                  const Punctuation& punctuation) const {
+  size_t constrained = 0;
+  for (const Pattern& pattern : punctuation.patterns()) {
+    constrained += pattern.is_wildcard() ? 0 : 1;
+  }
+  const auto& signatures = scheme_signatures_[input];
+  for (size_t sig = 0; sig < signatures.size(); ++sig) {
+    if (signatures[sig].size() == constrained &&
+        std::none_of(signatures[sig].begin(), signatures[sig].end(),
+                     [&](size_t a) {
+                       return punctuation.pattern(a).is_wildcard();
+                     })) {
+      return sig;
+    }
+  }
+  return static_cast<size_t>(-1);
+}
+
+void MJoinOperator::WakeOnPunctuation(size_t input,
+                                      const Punctuation& punctuation,
+                                      size_t sig) {
+  if (sig == static_cast<size_t>(-1)) {
+    // Not an instance of a declared scheme: it may still close keys
+    // filed under any signature containing its constrained attributes,
+    // so wake every punctuation waiter on this input.
+    waits_.TakePunctuationKeys(static_cast<uint32_t>(input),
+                               [&](const Waiter& waiter) { Wake(waiter); });
+    return;
+  }
+  size_t hash = kTupleHashSeed;
+  for (size_t a : scheme_signatures_[input][sig]) {
+    hash = TupleHashStep(hash, punctuation.pattern(a).constant().Hash());
+  }
+  WakeKey({static_cast<uint32_t>(input), static_cast<uint32_t>(sig), hash});
+}
+
+void MJoinOperator::WakeAll() {
+  for (size_t k = 0; k < num_inputs(); ++k) {
+    if (!input_purgeable_[k]) continue;
+    states_[k]->ForEachLive(
+        [&](size_t slot, const Tuple&) { queues_[k].pending.push_back(slot); });
+  }
+}
+
+void MJoinOperator::MaybeCompactWaits() {
+  if (waits_.entries() < std::max(kWaitCompactMin, wait_compact_at_)) return;
+  // Entries of purged tuples and of superseded parks pile up under keys
+  // that never fire; drop them once they could outnumber the current
+  // ones (amortized O(1) per park).
+  wait_compact_at_ =
+      2 * waits_.Compact([&](const Waiter& w) { return Current(w); });
 }
 
 void MJoinOperator::PushPunctuation(size_t input,
@@ -623,20 +996,20 @@ void MJoinOperator::PushPunctuation(size_t input,
     ++metrics_.punctuations_stored;
   }
   metrics_.OnPunctuationsLive(TotalLivePunctuations());
+  // A duplicate still wakes: it refreshes the arrival a lifespan counts
+  // from.
+  const size_t sig = SignatureOf(input, punctuation);
+  if (!full_sweep_reference_) WakeOnPunctuation(input, punctuation, sig);
 
   // Queue propagation if this instantiates a propagatable scheme.
-  if (config_.propagate_punctuations) {
-    std::vector<size_t> signature = punctuation.ConstrainedAttrs();
-    for (const auto& prop : propagatable_signatures_[input]) {
-      if (prop != signature) continue;
-      bool already = std::any_of(
-          pending_propagations_.begin(), pending_propagations_.end(),
-          [&](const PendingPropagation& p) {
-            return p.input == input && p.punctuation == punctuation;
-          });
-      if (!already) pending_propagations_.push_back({input, punctuation});
-      break;
-    }
+  if (config_.propagate_punctuations && input_purgeable_[input] &&
+      sig != static_cast<size_t>(-1)) {
+    bool already = std::any_of(
+        pending_propagations_.begin(), pending_propagations_.end(),
+        [&](const PendingPropagation& p) {
+          return p.input == input && p.punctuation == punctuation;
+        });
+    if (!already) pending_propagations_.push_back({input, punctuation});
   }
 
   switch (config_.purge_policy) {
@@ -649,9 +1022,7 @@ void MJoinOperator::PushPunctuation(size_t input,
     case PurgePolicy::kNone:
       break;
   }
-  std::vector<bool> changed(num_inputs(), false);
-  changed[input] = true;
-  TryPropagate(ts, changed);
+  TryPropagate(ts, uint64_t{1} << input);
 }
 
 void MJoinOperator::OnObserverSet() {
@@ -664,21 +1035,9 @@ void MJoinOperator::Sweep(int64_t now) {
   const bool observing = obs::kCompiled && obs_ != nullptr;
   const int64_t sweep_start = observing ? obs::NowNs() : 0;
   uint64_t purged_total = 0;
-  std::vector<bool> changed(num_inputs(), false);
-  for (size_t k = 0; k < num_inputs(); ++k) {
-    if (!input_purgeable_[k]) continue;
-    const size_t scratch_before = ExpandScratchCapacity();
-    sweep_scratch_.clear();
-    states_[k]->ForEachLive([&](size_t slot, const Tuple& t) {
-      if (Removable(k, t, now)) sweep_scratch_.push_back(slot);
-    });
-    if (!sweep_scratch_.empty()) changed[k] = true;
-    purged_total += sweep_scratch_.size();
-    states_[k]->PurgeSlots(sweep_scratch_);
-    if (ExpandScratchCapacity() > scratch_before) {
-      states_[k]->CountExpandAllocs(1);
-    }
-  }
+  const uint64_t changed = full_sweep_reference_
+                               ? FullSweepPass(now, &purged_total)
+                               : WakePass(now, &purged_total);
   TryPropagate(now, changed);
   if (config_.purge_punctuations) PurgeObsoletePunctuations(now);
   // Epoch boundary: no probe results from this sweep are in flight
@@ -686,6 +1045,105 @@ void MJoinOperator::Sweep(int64_t now) {
   // blocks reclaimed wholesale.
   for (auto& state : states_) state->AdvanceEpoch();
   if (observing) obs_->RecordSweep(obs::NowNs() - sweep_start, purged_total);
+}
+
+uint64_t MJoinOperator::WakePass(int64_t now, uint64_t* purged_total) {
+  if (config_.punctuation_lifespan.has_value() && now < max_check_ts_) {
+    WakeAll();
+  }
+  uint64_t changed = 0;
+  // Aborted checks re-run in the first round and after every round that
+  // purged something (the only rounds that can change their outcome).
+  bool recheck = true;
+  for (;;) {
+    if (recheck) {
+      for (size_t k = 0; k < num_inputs(); ++k) {
+        PurgeQueues& queues = queues_[k];
+        queues.pending.insert(queues.pending.end(), queues.recheck.begin(),
+                              queues.recheck.end());
+        queues.recheck.clear();
+      }
+    }
+    bool checked = false;
+    recheck = false;
+    for (size_t k = 0; k < num_inputs(); ++k) {
+      std::vector<size_t>& pending = queues_[k].pending;
+      if (pending.empty()) continue;
+      checked = true;
+      TupleStore& state = *states_[k];
+      // A check reads its tuple only through the join attributes, and
+      // nothing it depends on changes before the purges below, so the
+      // batch is ordered by join values and each run of equal values is
+      // checked once. (Purges below only wake tuples of other inputs,
+      // so `pending` stays empty while this batch runs.)
+      pass_rows_.clear();
+      for (size_t slot : pending) {
+        if (state.IsLive(slot)) {
+          pass_rows_.push_back({JoinHash(k, state.At(slot)), slot});
+        }
+      }
+      pending.clear();
+      std::sort(pass_rows_.begin(), pass_rows_.end());
+      pass_rows_.erase(std::unique(pass_rows_.begin(), pass_rows_.end()),
+                       pass_rows_.end());
+      const size_t scratch_before = ExpandScratchCapacity();
+      sweep_scratch_.clear();
+      const Tuple* checked_tuple = nullptr;
+      uint64_t checked_hash = 0;
+      Check outcome = Check::kBlocked;
+      for (const auto& [hash, slot] : pass_rows_) {
+        const Tuple& tuple = state.At(slot);
+        if (checked_tuple == nullptr || hash != checked_hash ||
+            !SameJoinValues(k, tuple, *checked_tuple)) {
+          outcome = Removable(k, tuple, now);  // refills wait_keys_
+          checked_tuple = &tuple;
+          checked_hash = hash;
+        }
+        if (outcome == Check::kRemovable) {
+          sweep_scratch_.push_back(slot);
+        } else {
+          Park(k, slot, outcome);
+        }
+      }
+      if (!sweep_scratch_.empty()) {
+        changed |= uint64_t{1} << k;
+        recheck = true;
+        *purged_total += sweep_scratch_.size();
+        state.PurgeSlots(sweep_scratch_);
+        // Payloads stay addressable until AdvanceEpoch.
+        for (size_t slot : sweep_scratch_) {
+          WakeKey({static_cast<uint32_t>(k), kPartnerKey,
+                   PartnerHash(k, state.At(slot))});
+        }
+      }
+      if (ExpandScratchCapacity() > scratch_before) {
+        state.CountExpandAllocs(1);
+      }
+    }
+    if (!checked) break;
+  }
+  return changed;
+}
+
+uint64_t MJoinOperator::FullSweepPass(int64_t now, uint64_t* purged_total) {
+  uint64_t changed = 0;
+  for (size_t k = 0; k < num_inputs(); ++k) {
+    if (!input_purgeable_[k]) continue;
+    const size_t scratch_before = ExpandScratchCapacity();
+    sweep_scratch_.clear();
+    states_[k]->ForEachLive([&](size_t slot, const Tuple& t) {
+      if (Removable(k, t, now) == Check::kRemovable) {
+        sweep_scratch_.push_back(slot);
+      }
+    });
+    if (!sweep_scratch_.empty()) changed |= uint64_t{1} << k;
+    *purged_total += sweep_scratch_.size();
+    states_[k]->PurgeSlots(sweep_scratch_);
+    if (ExpandScratchCapacity() > scratch_before) {
+      states_[k]->CountExpandAllocs(1);
+    }
+  }
+  return changed;
 }
 
 void MJoinOperator::PurgeObsoletePunctuations(int64_t now) {
@@ -743,12 +1201,11 @@ void MJoinOperator::PurgeObsoletePunctuations(int64_t now) {
   metrics_.OnPunctuationsLive(TotalLivePunctuations());
 }
 
-void MJoinOperator::TryPropagate(int64_t now,
-                                 const std::vector<bool>& changed_inputs) {
+void MJoinOperator::TryPropagate(int64_t now, uint64_t changed_inputs) {
   if (!config_.propagate_punctuations) return;
   for (auto it = pending_propagations_.begin();
        it != pending_propagations_.end();) {
-    if (!changed_inputs[it->input]) {
+    if ((changed_inputs >> it->input & 1) == 0) {
       ++it;  // nothing changed for this input since the last check
       continue;
     }
@@ -758,8 +1215,8 @@ void MJoinOperator::TryPropagate(int64_t now,
     const TupleStore& store = *states_[it->input];
     bool blocked = false;
     size_t probe_attr = static_cast<size_t>(-1);
-    for (size_t a : p.ConstrainedAttrs()) {
-      if (store.HasIndexOn(a)) {
+    for (size_t a = 0; a < p.arity(); ++a) {
+      if (!p.pattern(a).is_wildcard() && store.HasIndexOn(a)) {
         probe_attr = a;
         break;
       }
@@ -805,10 +1262,9 @@ OperatorStateSnapshot MJoinOperator::CaptureState() const {
     // snapshot stays valid past any arena epoch.
     states_[k]->ForEachLive(
         [&](size_t, const Tuple& t) { in.tuples.push_back(t); });
-    punct_stores_[k]->ForEachEntry(
-        [&](const Punctuation& p, int64_t arrival) {
-          in.punctuations.push_back({p, arrival});
-        });
+    punct_stores_[k]->ForEachEntry([&](Punctuation p, int64_t arrival) {
+      in.punctuations.push_back({std::move(p), arrival});
+    });
     in.state_metrics = states_[k]->metrics().Snapshot();
   }
   snap.pending.reserve(pending_propagations_.size());
@@ -848,7 +1304,7 @@ Status MJoinOperator::RestoreState(const OperatorStateSnapshot& snapshot) {
             "snapshot tuple width does not match input " +
             std::to_string(k));
       }
-      states_[k]->Insert(t);
+      QueueUnchecked(k, states_[k]->Insert(t), 1);
     }
     states_[k]->RestoreMetrics(in.state_metrics);
   }
@@ -879,8 +1335,7 @@ void MJoinOperator::RecheckPropagations(int64_t now) {
   const uint64_t propagated =
       metrics_.punctuations_propagated.load(std::memory_order_relaxed);
 
-  std::vector<bool> changed(num_inputs(), true);
-  TryPropagate(now, changed);
+  TryPropagate(now, ~uint64_t{0});
 
   for (size_t k = 0; k < num_inputs(); ++k) {
     states_[k]->RestoreMetrics(saved[k]);

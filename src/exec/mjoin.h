@@ -15,12 +15,16 @@
 //    graph), results emitted, tuple inserted; under the eager policy
 //    its removability is tested immediately so already-closed arrivals
 //    never occupy state ("purging future tuples", Section 5.1).
-//  * new punctuation — stored (with optional lifespan), then a purge
-//    sweep runs per policy: every stored tuple whose chained purge
-//    plan is fully covered by the punctuation stores is dropped.
-//    If the punctuation instantiates a propagatable scheme, an output
-//    punctuation is emitted once the matching stored tuples are gone
-//    (pending until then) — the propagation rule plan trees rely on.
+//  * new punctuation — stored (with optional lifespan); it wakes only
+//    the stored tuples whose removability check stalled on a value
+//    combination the punctuation closes (the wait index below), and a
+//    purge pass runs per policy (eager: now; lazy: every lazy_batch
+//    punctuations): woken tuples are re-checked, the removable ones
+//    dropped, and each drop wakes the partner tuples whose joinable
+//    set it shrank — to a fixpoint. If the punctuation instantiates a
+//    propagatable scheme, an output punctuation is emitted once the
+//    matching stored tuples are gone (pending until then) — the
+//    propagation rule plan trees rely on.
 //
 // Removability of tuple t in input i follows the chained purge plan
 // derived from the operator-local generalized punctuation graph
@@ -28,10 +32,25 @@
 // that the joinable-value combinations accumulated so far are all
 // excluded by the target input's punctuation store, then extend the
 // joinable set T_t[Υ] through the target's state.
+//
+// Wait index. A check that stalls leaves one blocking key per edge
+// that was ready (its sources closed) but not closed: the edge's first
+// uncovered value combination. Only two events can make the tuple
+// removable later — a punctuation closing that combination, or the
+// purge of a partner tuple in a joinable row carrying it — so the
+// tuple is parked under (target input, scheme signature, projected
+// combination) and under (partner input, partner join value), and is
+// re-checked only when one of those fires. A purge pass therefore
+// costs what the change can unblock, not O(live) per punctuation.
+// Tuples whose check hit kMaxJoinableSet have no key and are re-checked
+// on every pass instead.
 
 #ifndef PUNCTSAFE_EXEC_MJOIN_H_
 #define PUNCTSAFE_EXEC_MJOIN_H_
 
+#include <compare>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,8 +90,12 @@ struct MJoinConfig {
 class MJoinOperator : public JoinOperator {
  public:
   /// Joinable-set size cap during removability checks; exceeding it
-  /// aborts the check conservatively (tuple stays).
+  /// aborts the check conservatively (tuple stays, re-checked on every
+  /// purge pass).
   static constexpr size_t kMaxJoinableSet = 4096;
+  /// Input-count cap: the removability fixpoint tracks closed inputs
+  /// in one 64-bit mask.
+  static constexpr size_t kMaxInputs = 64;
 
   /// \brief Builds an MJoin over `inputs` (>= 2) of `query`.
   ///
@@ -83,6 +106,7 @@ class MJoinOperator : public JoinOperator {
   /// no purge plan: the operator still runs, its state just grows —
   /// exactly the unsafe behavior the safety checker exists to reject,
   /// kept executable for the paper's unbounded-state experiments.
+  /// More than kMaxInputs inputs is InvalidArgument.
   static Result<std::unique_ptr<MJoinOperator>> Create(
       const ContinuousJoinQuery& query, std::vector<LocalInput> inputs,
       MJoinConfig config);
@@ -133,8 +157,11 @@ class MJoinOperator : public JoinOperator {
   /// \brief Output composite width (attribute count).
   size_t output_width() const { return output_width_; }
 
-  /// \brief Forces a purge sweep (used by lazy-policy drivers that
-  /// want a final flush, and by tests).
+  /// \brief Runs a purge pass: re-checks every woken tuple (and every
+  /// tuple not checked since it arrived), drops the removable ones and
+  /// follows the wakes their drops cause, to a fixpoint. Eager purging
+  /// runs one per punctuation, lazy purging one per lazy_batch
+  /// punctuations; `SweepAll` and `Drain` call it for a final flush.
   void Sweep(int64_t now);
 
   /// \brief Stored punctuations dropped by the Section 5.1
@@ -152,7 +179,9 @@ class MJoinOperator : public JoinOperator {
   /// be freshly created (same query/inputs/config shape, empty state).
   /// Tuples are re-inserted through the normal path (so indexes and
   /// arena layout rebuild), then the metric counters are overwritten
-  /// with their captured values.
+  /// with their captured values. The wait index is derived state and
+  /// is not snapshotted: every restored tuple is queued for the next
+  /// purge pass, whose check parks it again.
   Status RestoreState(const OperatorStateSnapshot& snapshot);
 
   /// \brief Re-evaluates every pending propagation as if all inputs
@@ -166,6 +195,8 @@ class MJoinOperator : public JoinOperator {
   void OnObserverSet() override;
 
  private:
+  friend class MJoinTestPeer;  // tests/mjoin_test_peer.h
+
   // A join predicate localized to operator inputs and composite
   // offsets.
   struct LocalPredicate {
@@ -185,10 +216,78 @@ class MJoinOperator : public JoinOperator {
     };
     std::vector<Source> sources;
     std::vector<size_t> source_inputs;  // sorted, deduplicated
+    uint64_t source_mask = 0;           // source_inputs as a bitmask
   };
   struct PendingPropagation {
     size_t input;
     Punctuation punctuation;  // in the input's composite space
+  };
+  enum class Check { kRemovable, kBlocked, kAborted };
+  // A parked tuple. Each park bumps the slot's generation, so entries
+  // left under keys of an older check are recognized as stale.
+  struct Waiter {
+    size_t slot;
+    uint32_t input;
+    uint32_t gen;
+  };
+  // A blocking key. A punctuation key names the target input
+  // (`owner`), one of its scheme signatures and the hash of the
+  // blocking combination projected onto it; a partner key
+  // (signature kPartnerKey) names a partner input and the hash of the
+  // join value of a partner tuple in a blocking row. Keys are hashes:
+  // a collision only causes a spurious re-check.
+  static constexpr uint32_t kPartnerKey = static_cast<uint32_t>(-1);
+  struct WaitKey {
+    uint32_t owner;
+    uint32_t signature;
+    uint64_t hash;
+    auto operator<=>(const WaitKey&) const = default;
+  };
+  // Blocking key -> parked tuples: intrusive lists in one node pool
+  // behind one open-addressing table, so filing and waking allocate
+  // only when the pool or the table grows.
+  class WaitIndex {
+   public:
+    void File(const WaitKey& key, const Waiter& waiter);
+    /// Calls fn(waiter) for every waiter filed under `key`, then drops
+    /// them.
+    template <typename Fn>
+    void Take(const WaitKey& key, Fn&& fn);
+    /// Take over every punctuation key of `owner`.
+    template <typename Fn>
+    void TakePunctuationKeys(uint32_t owner, Fn&& fn);
+    /// Drops the waiters failing `keep`; returns how many remain.
+    template <typename Keep>
+    size_t Compact(Keep&& keep);
+    size_t entries() const { return entries_; }
+
+   private:
+    static constexpr uint32_t kNil = static_cast<uint32_t>(-1);
+    enum class SlotState : uint8_t { kFree, kUsed, kErased };
+    struct Slot {
+      WaitKey key{};
+      uint32_t head = kNil;
+      SlotState state = SlotState::kFree;
+    };
+    struct Node {
+      Waiter waiter;
+      uint32_t next;
+    };
+    static size_t Mix(const WaitKey& key);
+    /// Index of key's slot, or npos.
+    size_t Find(const WaitKey& key) const;
+    /// Calls fn on the list of slot i, frees its nodes, erases it.
+    template <typename Fn>
+    void TakeSlot(size_t i, Fn&& fn);
+    /// Resizes for `live` used slots, dropping erased ones.
+    void Rehash(size_t live);
+
+    std::vector<Slot> slots_;  // power-of-two size, at most half used
+    std::vector<Node> nodes_;
+    uint32_t free_ = kNil;     // free-node list
+    size_t used_ = 0;          // kUsed + kErased slots
+    size_t live_ = 0;          // kUsed slots
+    size_t entries_ = 0;       // filed waiters
   };
 
   MJoinOperator() = default;
@@ -221,11 +320,59 @@ class MJoinOperator : public JoinOperator {
   /// Summed capacities of every expansion scratch structure; growth
   /// across a push/sweep is charged to StateMetrics::expand_allocs.
   size_t ExpandScratchCapacity() const;
-  bool Removable(size_t input, const Tuple& tuple, int64_t now);
+  /// The chained-purge fixpoint for one tuple of `input`. On kBlocked,
+  /// wait_keys_ holds the deduplicated blocking keys. Allocation-free
+  /// once the scratch has warmed up.
+  Check Removable(size_t input, const Tuple& tuple, int64_t now);
+  /// Whether every distinct value combination of `joinable` projected
+  /// onto the edge's sources is excluded by the target's punctuation
+  /// store; if not, *blocking_row is a row carrying an uncovered one.
+  bool CombosExcluded(const RuntimeEdge& edge, const BatchFrontier& joinable,
+                      int64_t now, size_t* blocking_row);
+  /// Fills wait_keys_ from the stalled (edge, row) pairs of the check
+  /// that just ended over `joinable`.
+  void CollectWaitKeys(size_t input, uint64_t covered,
+                       const BatchFrontier& joinable);
+  /// Hash a purged tuple of `input` is woken under (its join value).
+  uint64_t PartnerHash(size_t input, const Tuple& tuple) const;
+  /// Hash and equality over a tuple's join attributes — everything a
+  /// removability check reads of it.
+  uint64_t JoinHash(size_t input, const Tuple& tuple) const;
+  bool SameJoinValues(size_t input, const Tuple& a, const Tuple& b) const;
+  /// Queues slots [first, first + count) of `input`, stored without a
+  /// check, for the next purge pass.
+  void QueueUnchecked(size_t input, size_t first, size_t count);
+  /// Files a kept tuple per its check outcome: under wait_keys_
+  /// (kBlocked) or on the re-check-every-pass list (kAborted).
+  void Park(size_t input, size_t slot, Check outcome);
+  /// Whether a wait entry still belongs to a live tuple's current park.
+  bool Current(const Waiter& waiter) const;
+  /// Queues a current waiter for the next pass.
+  void Wake(const Waiter& waiter);
+  /// Moves the current waiters filed under `key` to their pending
+  /// queues and drops the key.
+  void WakeKey(const WaitKey& key);
+  /// Wakes the tuples a punctuation on `input` may unblock; `sig` is
+  /// SignatureOf(input, punctuation).
+  void WakeOnPunctuation(size_t input, const Punctuation& punctuation,
+                         size_t sig);
+  /// Index of the scheme signature `punctuation` instantiates on
+  /// `input`, or npos.
+  size_t SignatureOf(size_t input, const Punctuation& punctuation) const;
+  /// Queues every live tuple of every purgeable input for re-check.
+  void WakeAll();
+  /// Drops stale wait entries once they outnumber the threshold.
+  void MaybeCompactWaits();
+  /// The purge pass behind Sweep; returns the inputs (bitmask) that
+  /// lost tuples and adds the purge count to *purged_total.
+  uint64_t WakePass(int64_t now, uint64_t* purged_total);
+  /// Test-only reference purge (MJoinTestPeer): re-checks every live
+  /// tuple of every input once, in input order.
+  uint64_t FullSweepPass(int64_t now, uint64_t* purged_total);
   void ProduceResults(size_t input, const Tuple& tuple, int64_t ts);
-  /// Re-checks pending propagations for the inputs whose punctuation
-  /// store or join state changed.
-  void TryPropagate(int64_t now, const std::vector<bool>& changed_inputs);
+  /// Re-checks pending propagations for the inputs (bitmask) whose
+  /// punctuation store or join state changed.
+  void TryPropagate(int64_t now, uint64_t changed_inputs);
   /// Section 5.1 punctuation purgeability pass (see MJoinConfig).
   void PurgeObsoletePunctuations(int64_t now);
   Punctuation RebaseToOutput(size_t input, const Punctuation& p) const;
@@ -278,7 +425,15 @@ class MJoinOperator : public JoinOperator {
   // any view points into the vector) wrapped as view tuples.
   std::vector<Value> out_values_;
   TupleBatch out_batch_;
-  std::vector<Tuple> combos_scratch_;
+  // Removability scratch: per joinable row, the edge-source values as
+  // pointers (row-major), their chained hash, and the dedup order; the
+  // stalled (edge, row) pairs seen since the check's last closure; the
+  // blocking keys of the last stalled check.
+  std::vector<const Value*> combo_values_;
+  std::vector<uint64_t> combo_hashes_;
+  std::vector<uint32_t> combo_order_;
+  std::vector<std::pair<size_t, size_t>> stalled_;
+  std::vector<WaitKey> wait_keys_;
   std::vector<size_t> sweep_scratch_;
 
   std::vector<std::unique_ptr<TupleStore>> states_;
@@ -286,10 +441,39 @@ class MJoinOperator : public JoinOperator {
   std::vector<RuntimeEdge> runtime_edges_;
   std::vector<bool> input_purgeable_;
 
-  // Schemes propagatable on the output, per input, as composite
-  // constrained-offset signatures.
-  std::vector<std::vector<std::vector<size_t>>> propagatable_signatures_;
+  // Per input: its punctuation schemes as composite constrained-offset
+  // signatures (sorted). The wait index files punctuation keys under
+  // them; those of purgeable inputs are propagatable on the output.
+  std::vector<std::vector<std::vector<size_t>>> scheme_signatures_;
   std::vector<PendingPropagation> pending_propagations_;
+
+  // Wait index (see the file comment).
+  WaitIndex waits_;
+  // Per input: its join attributes (the offsets its store indexes).
+  // The first one's value keys a purged tuple's partner wake.
+  std::vector<std::vector<size_t>> join_offsets_;
+  struct PurgeQueues {
+    // Per slot: generation of the slot's current park.
+    std::vector<uint32_t> park_gen;
+    // Slots to re-check at the next pass (woken, or never checked).
+    std::vector<size_t> pending;
+    // Slots whose check aborted at kMaxJoinableSet.
+    std::vector<size_t> recheck;
+  };
+  std::vector<PurgeQueues> queues_;  // per input
+  // One purge-pass batch: (join-value hash, slot), sorted.
+  std::vector<std::pair<uint64_t, size_t>> pass_rows_;
+  // Filed wait entries (current or stale) at which the next compaction
+  // runs.
+  static constexpr size_t kWaitCompactMin = 1024;
+  size_t wait_compact_at_ = 0;
+  // Latest `now` any check ran at: with lifespans, a pass at an earlier
+  // time can see punctuations unexpired that a parked check saw
+  // expired, so such a pass re-checks everything.
+  int64_t max_check_ts_ = std::numeric_limits<int64_t>::min();
+  bool warned_joinable_cap_ = false;
+  // Test-only: purge by FullSweepPass instead (MJoinTestPeer).
+  bool full_sweep_reference_ = false;
 
   size_t punctuations_since_sweep_ = 0;
 };

@@ -15,24 +15,46 @@ Tuple ConstantsOf(const Punctuation& p, const std::vector<size_t>& attrs) {
   return Tuple(std::move(values));
 }
 
+// Whether `p` constrains exactly the (sorted) attributes `attrs`.
+bool ConstrainsExactly(const Punctuation& p, const std::vector<size_t>& attrs) {
+  size_t constrained = 0;
+  for (const Pattern& pattern : p.patterns()) {
+    constrained += pattern.is_wildcard() ? 0 : 1;
+  }
+  return constrained == attrs.size() &&
+         std::none_of(attrs.begin(), attrs.end(), [&](size_t a) {
+           return a >= p.arity() || p.pattern(a).is_wildcard();
+         });
+}
+
 }  // namespace
 
+Punctuation PunctuationStore::Materialize(const Group& group,
+                                          const Tuple& key) {
+  std::vector<Pattern> patterns(group.arity);
+  for (size_t i = 0; i < group.attrs.size(); ++i) {
+    patterns[group.attrs[i]] = key.at(i);
+  }
+  return Punctuation(std::move(patterns));
+}
+
 bool PunctuationStore::Add(const Punctuation& punctuation, int64_t now) {
-  std::vector<size_t> attrs = punctuation.ConstrainedAttrs();
   Group* group = nullptr;
   for (auto& g : groups_) {
-    if (g.attrs == attrs) {
+    if (g.arity == punctuation.arity() &&
+        ConstrainsExactly(punctuation, g.attrs)) {
       group = &g;
       break;
     }
   }
   if (group == nullptr) {
-    groups_.push_back({attrs, {}});
+    groups_.push_back(
+        {punctuation.ConstrainedAttrs(), punctuation.arity(), {}});
     group = &groups_.back();
   }
-  Tuple key = ConstantsOf(punctuation, attrs);
-  auto [it, inserted] = group->by_values.try_emplace(
-      std::move(key), Entry{punctuation, now});
+  Tuple key = ConstantsOf(punctuation, group->attrs);
+  auto [it, inserted] =
+      group->by_values.try_emplace(std::move(key), Entry{now});
   if (!inserted) {
     it->second.arrival = now;  // refresh lifespan of a duplicate
     return false;
@@ -45,6 +67,20 @@ bool PunctuationStore::Add(const Punctuation& punctuation, int64_t now) {
 bool PunctuationStore::CoversSubspace(const std::vector<size_t>& attrs,
                                       std::span<const Value> values,
                                       int64_t now) const {
+  return CoversSubspaceImpl(
+      attrs, [&](size_t i) { return &values[i]; }, now);
+}
+
+bool PunctuationStore::CoversSubspace(const std::vector<size_t>& attrs,
+                                      std::span<const Value* const> values,
+                                      int64_t now) const {
+  return CoversSubspaceImpl(
+      attrs, [&](size_t i) { return values[i]; }, now);
+}
+
+template <typename ValueAt>
+bool PunctuationStore::CoversSubspaceImpl(const std::vector<size_t>& attrs,
+                                          ValueAt value, int64_t now) const {
   for (const Group& group : groups_) {
     // Group applies iff its constrained attrs are a subset of `attrs`.
     key_scratch_.clear();
@@ -55,7 +91,7 @@ bool PunctuationStore::CoversSubspace(const std::vector<size_t>& attrs,
         subset = false;
         break;
       }
-      key_scratch_.push_back(&values[it - attrs.begin()]);
+      key_scratch_.push_back(value(it - attrs.begin()));
     }
     if (!subset) continue;
     auto it = group.by_values.find(ProjectedKey{&key_scratch_});
@@ -108,7 +144,7 @@ size_t PunctuationStore::RemoveIf(
   size_t removed = 0;
   for (Group& group : groups_) {
     for (auto it = group.by_values.begin(); it != group.by_values.end();) {
-      if (pred(it->second.punctuation)) {
+      if (pred(Materialize(group, it->first))) {
         it = group.by_values.erase(it);
         ++removed;
       } else {
@@ -123,15 +159,17 @@ size_t PunctuationStore::RemoveIf(
 void PunctuationStore::ForEach(
     const std::function<void(const Punctuation&)>& fn) const {
   for (const Group& group : groups_) {
-    for (const auto& [key, entry] : group.by_values) fn(entry.punctuation);
+    for (const auto& [key, entry] : group.by_values) {
+      fn(Materialize(group, key));
+    }
   }
 }
 
 void PunctuationStore::ForEachEntry(
-    const std::function<void(const Punctuation&, int64_t)>& fn) const {
+    const std::function<void(Punctuation, int64_t)>& fn) const {
   for (const Group& group : groups_) {
     for (const auto& [key, entry] : group.by_values) {
-      fn(entry.punctuation, entry.arrival);
+      fn(Materialize(group, key), entry.arrival);
     }
   }
 }

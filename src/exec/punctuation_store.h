@@ -57,6 +57,13 @@ class PunctuationStore {
         attrs, std::span<const Value>(values.begin(), values.size()), now);
   }
 
+  /// \brief CoversSubspace over values held elsewhere: `values[i]`
+  /// points at the value of attrs[i] (the chained purge's joinable
+  /// rows, probed without copying a Value).
+  bool CoversSubspace(const std::vector<size_t>& attrs,
+                      std::span<const Value* const> values,
+                      int64_t now) const;
+
   /// \brief True iff a stored, unexpired punctuation matches the tuple
   /// (i.e. the tuple was promised never to arrive — contract
   /// violation, or a late arrival the operator may drop).
@@ -80,12 +87,18 @@ class PunctuationStore {
   /// timestamp — the checkpoint capture path (exec/checkpoint.h) needs
   /// it so lifespan expiry keeps working after a restore (re-adding
   /// with the original arrival via Add(p, arrival)).
+  /// The punctuation is rebuilt per entry and handed over by value, so
+  /// the callback can keep it without another copy.
   void ForEachEntry(
-      const std::function<void(const Punctuation&, int64_t)>& fn) const;
+      const std::function<void(Punctuation, int64_t)>& fn) const;
 
  private:
+  // A stored punctuation is its group's signature plus the key's
+  // constants (wildcards elsewhere), so an entry keeps only its
+  // arrival; the punctuation is rebuilt on the cold paths that need it
+  // (ForEach, ForEachEntry, RemoveIf). Stores without a lifespan keep
+  // every punctuation, so the per-entry footprint is what they grow by.
   struct Entry {
-    Punctuation punctuation;
     int64_t arrival = 0;
   };
 
@@ -119,12 +132,22 @@ class PunctuationStore {
     }
   };
 
-  // Signature = sorted constrained-attr offsets; per signature, a map
-  // from the constant projection (as a Tuple) to the entry.
+  // Signature = sorted constrained-attr offsets (and the arity of the
+  // punctuations carrying it); per signature, a map from the constant
+  // projection (as a Tuple) to the entry.
   struct Group {
     std::vector<size_t> attrs;
+    size_t arity = 0;
     std::unordered_map<Tuple, Entry, TupleKeyHash, TupleKeyEq> by_values;
   };
+
+  static Punctuation Materialize(const Group& group, const Tuple& key);
+
+  // Shared body of the CoversSubspace overloads; value(i) yields the
+  // Value of attrs[i].
+  template <typename ValueAt>
+  bool CoversSubspaceImpl(const std::vector<size_t>& attrs, ValueAt value,
+                          int64_t now) const;
 
   bool Expired(const Entry& e, int64_t now) const {
     return lifespan_.has_value() && e.arrival + *lifespan_ <= now;

@@ -109,6 +109,9 @@ class TupleStore {
   const Tuple& At(size_t slot) const { return handles_[slot]; }
 
   size_t live_count() const { return live_count_; }
+  /// \brief Slots ever assigned; the next Insert gets this id (slot
+  /// ids are dense and never reused).
+  size_t num_slots() const { return handles_.size(); }
   const StateMetrics& metrics() const { return metrics_; }
 
   /// \brief Observed same-key run structure of the batched probe path:

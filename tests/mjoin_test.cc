@@ -385,5 +385,79 @@ TEST(MJoinBinaryTest, ConjunctivePredicatesAllMustMatch) {
   EXPECT_EQ(op->state_metrics(0).live, 0u);
 }
 
+// The chain K0(k) - K1(k) - ... - K{m-1}(k), one scheme on k per stream.
+struct KeyChain {
+  StreamCatalog catalog;
+  SchemeSet schemes;
+  ContinuousJoinQuery query;
+
+  explicit KeyChain(size_t m) : query(Make(&catalog, &schemes, m)) {}
+
+  static ContinuousJoinQuery Make(StreamCatalog* catalog, SchemeSet* schemes,
+                                  size_t m) {
+    std::vector<std::string> streams;
+    std::vector<JoinPredicateSpec> predicates;
+    for (size_t i = 0; i < m; ++i) {
+      streams.push_back("K" + std::to_string(i));
+      PUNCTSAFE_CHECK_OK(
+          catalog->Register(streams.back(), Schema::OfInts({"k"})));
+      PUNCTSAFE_CHECK_OK(
+          schemes->Add(SchemeOn(*catalog, streams.back(), {"k"})));
+      if (i > 0) {
+        predicates.push_back(Eq({streams[i - 1], "k"}, {streams[i], "k"}));
+      }
+    }
+    auto q = ContinuousJoinQuery::Create(*catalog, streams, predicates);
+    PUNCTSAFE_CHECK(q.ok()) << q.status().ToString();
+    return std::move(q).ValueOrDie();
+  }
+};
+
+TEST(MJoinTest, CreateRejectsMoreInputsThanTheClosedMaskHolds) {
+  KeyChain chain(MJoinOperator::kMaxInputs + 1);
+  auto op = MJoinOperator::Create(chain.query,
+                                  RawInputs(chain.query, chain.schemes), {});
+  EXPECT_TRUE(op.status().IsInvalidArgument()) << op.status().ToString();
+  KeyChain widest(MJoinOperator::kMaxInputs);
+  EXPECT_TRUE(MJoinOperator::Create(widest.query,
+                                    RawInputs(widest.query, widest.schemes), {})
+                  .ok());
+}
+
+// A tuple whose joinable set outgrows kMaxJoinableSet has no blocking
+// key. It must stay on the re-check list, not fall out of the wait
+// index, and go once purging its partners shrinks the set.
+TEST(MJoinTest, OverCapTupleIsPurgedAfterItsPartners) {
+  KeyChain chain(3);
+  auto op = MakeRawJoin(chain.query, chain.schemes);
+  auto punct = [](int64_t k) {
+    return Punctuation::OfConstants(1, {{0, Value(k)}});
+  };
+  int64_t ts = 0;
+  op->PushTuple(0, Tuple({Value(1)}), ++ts);  // t
+  const size_t partners = MJoinOperator::kMaxJoinableSet + 1;
+  for (size_t i = 0; i < partners; ++i) {
+    op->PushTuple(1, Tuple({Value(1)}), ++ts);
+  }
+  // K1 closes k = 1: t's check now expands through every partner and
+  // aborts; so does every re-check while the partners live.
+  op->PushPunctuation(1, punct(1), ++ts);
+  EXPECT_EQ(op->state_metrics(0).live, 1u);
+  // A pass with nothing woken still re-checks exactly the parked
+  // over-cap tuple.
+  const uint64_t checks = op->metrics().removability_checks;
+  op->Sweep(ts);
+  EXPECT_EQ(op->metrics().removability_checks, checks + 1)
+      << "the aborted tuple is not re-checked on every pass";
+  op->PushPunctuation(0, punct(1), ++ts);
+  EXPECT_EQ(op->state_metrics(0).live, 1u);
+  EXPECT_EQ(op->state_metrics(1).live, partners);
+  // K2 closes k = 1: the partners go, and with them t's joinable set.
+  op->PushPunctuation(2, punct(1), ++ts);
+  EXPECT_EQ(op->state_metrics(1).live, 0u);
+  EXPECT_EQ(op->state_metrics(0).live, 0u) << "over-cap tuple was lost";
+  EXPECT_EQ(op->state_metrics(0).purged, 1u);
+}
+
 }  // namespace
 }  // namespace punctsafe

@@ -78,6 +78,14 @@ run_config() {
      [ "${name}" = "tsan" ]; then
     echo "=== [${name}] batched-expansion differential oracle (explicit) ==="
     run_explicit "${dir}/tests/expansion_differential_test"
+    # The purge wait-index oracle (wake-driven purging vs the
+    # full-sweep reference across trace families, policies, lifespans
+    # and a mid-trace restore, plus the warm removability-check
+    # allocation pin): under ASan it proves parked slots and wait-index
+    # nodes are never read past their tuple's epoch, and on the scalar
+    # leg the same oracle runs over the portable expansion kernels.
+    echo "=== [${name}] purge wait-index differential oracle (explicit) ==="
+    run_explicit "${dir}/tests/purge_wakeup_differential_test"
   fi
   # The server end-to-end test (loopback sockets, background event
   # loop, multi-client fan-out) gets explicit runs on the plain leg
