@@ -1,13 +1,9 @@
-// Experiment E13 (ablation): the DESIGN.md design choices isolated on
-// the auction workload —
-//  * drop-on-arrival (eager removability test before storing a new
-//    tuple, "purging future tuples" §5.1) on/off;
-//  * punctuation purgeability (§5.1 retirement of obsolete
-//    punctuations) on/off;
-//  * punctuation propagation machinery on/off (irrelevant for the
-//    single operator, costed anyway — shows its overhead is the
-//    pending bookkeeping only).
-// Each knob changes memory/throughput, never results.
+// Experiment E13 (ablation): the one remaining MJoinConfig design
+// choice on the auction workload — punctuation purgeability (§5.1
+// retirement of obsolete punctuations) off (the default) and on. It
+// changes memory/throughput, never results. Drop-on-arrival of tuples
+// a stored punctuation excludes is always on, and a single-operator
+// plan's root propagates no punctuations (no parent reads them).
 
 #include "bench_util.h"
 #include "workload/auction.h"
@@ -32,9 +28,7 @@ void BM_Ablation(benchmark::State& state) {
   PUNCTSAFE_CHECK_OK(q.status());
 
   ExecutorConfig exec_config;
-  exec_config.mjoin.drop_excluded_arrivals = state.range(0) != 0;
-  exec_config.mjoin.purge_punctuations = state.range(1) != 0;
-  exec_config.mjoin.propagate_punctuations = state.range(2) != 0;
+  exec_config.mjoin.purge_punctuations = state.range(0) != 0;
   bench::RunTraceAndRecord(*q, reg.schemes(), PlanShape::SingleMJoin(2),
                            trace, exec_config, state);
 
@@ -53,11 +47,9 @@ void BM_Ablation(benchmark::State& state) {
       static_cast<double>(op->TotalLivePunctuations());
 }
 BENCHMARK(BM_Ablation)
-    ->ArgNames({"drop_arrivals", "punct_purge", "propagate"})
-    ->Args({1, 0, 1})   // default configuration
-    ->Args({0, 0, 1})   // no drop-on-arrival
-    ->Args({1, 1, 1})   // + punctuation purgeability
-    ->Args({1, 0, 0});  // no propagation bookkeeping
+    ->ArgNames({"punct_purge"})
+    ->Arg(0)   // default configuration
+    ->Arg(1);  // + punctuation purgeability
 
 }  // namespace
 }  // namespace punctsafe

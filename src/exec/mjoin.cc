@@ -209,8 +209,7 @@ void MJoinOperator::PushTuple(size_t input, const Tuple& tuple, int64_t ts) {
       << widths_[input];
   if (obs::kCompiled && obs_ != nullptr) obs_->NoteTupleTs(ts);
 
-  if (config_.drop_excluded_arrivals &&
-      punct_stores_[input]->ExcludesTuple(tuple, ts)) {
+  if (punct_stores_[input]->ExcludesTuple(tuple, ts)) {
     // Promised never to arrive: late or contract-violating; ignore.
     states_[input]->CountDroppedArrival();
     return;
@@ -264,7 +263,7 @@ void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
   // Punctuation-exclusion filtering over the selection vector,
   // amortized to the batch boundary: the store cannot change
   // mid-batch, so an empty store skips the whole scan.
-  if (config_.drop_excluded_arrivals && punct_stores_[input]->size() > 0) {
+  if (punct_stores_[input]->size() > 0) {
     std::vector<uint32_t>& sel = *batch.mutable_selection();
     size_t keep = 0;
     for (uint32_t row : sel) {
@@ -1001,9 +1000,9 @@ void MJoinOperator::PushPunctuation(size_t input,
   const size_t sig = SignatureOf(input, punctuation);
   if (!full_sweep_reference_) WakeOnPunctuation(input, punctuation, sig);
 
-  // Queue propagation if this instantiates a propagatable scheme.
-  if (config_.propagate_punctuations && input_purgeable_[input] &&
-      sig != static_cast<size_t>(-1)) {
+  // Queue propagation if this instantiates a propagatable scheme and a
+  // parent listens (see the file comment).
+  if (emitter_ && input_purgeable_[input] && sig != static_cast<size_t>(-1)) {
     bool already = std::any_of(
         pending_propagations_.begin(), pending_propagations_.end(),
         [&](const PendingPropagation& p) {
@@ -1202,7 +1201,9 @@ void MJoinOperator::PurgeObsoletePunctuations(int64_t now) {
 }
 
 void MJoinOperator::TryPropagate(int64_t now, uint64_t changed_inputs) {
-  if (!config_.propagate_punctuations) return;
+  // Without an element emitter no parent consumes output punctuations;
+  // restored pending entries stay inert.
+  if (!emitter_) return;
   for (auto it = pending_propagations_.begin();
        it != pending_propagations_.end();) {
     if ((changed_inputs >> it->input & 1) == 0) {

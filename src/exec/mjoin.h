@@ -26,6 +26,16 @@
 //    matching stored tuples are gone (pending until then) — the
 //    propagation rule plan trees rely on.
 //
+// Output channels. Results always leave through EmitBatch (the batch
+// emitter, or per element through the element emitter when no batch
+// emitter is set). Output punctuations exist only for a parent to
+// purge with, so the operator queues and emits them only while an
+// element emitter is attached: executors attach one only to operators
+// that have a parent, and a plan root keeps no pending propagations.
+// A tuple arriving on an input whose own stored punctuations exclude
+// it (late, or violating its stream's contract) is dropped on
+// arrival.
+//
 // Removability of tuple t in input i follows the chained purge plan
 // derived from the operator-local generalized punctuation graph
 // (core/local_graph.h): walk the plan's steps, at each step verify
@@ -74,11 +84,6 @@ struct MJoinConfig {
   /// Lifespan (timestamp units) for stored punctuations; nullopt
   /// keeps them forever (see Section 5.1 on the trade-off).
   std::optional<int64_t> punctuation_lifespan;
-  /// Drop arriving tuples already excluded by a stored punctuation on
-  /// their own input (late/contract-violating arrivals).
-  bool drop_excluded_arrivals = true;
-  /// Emit output punctuations for propagatable schemes.
-  bool propagate_punctuations = true;
   /// Purge stored punctuations once partner punctuations prove them
   /// obsolete (paper Section 5.1, "punctuation purgeability"): a
   /// punctuation can go when, for every join predicate touching one of
@@ -188,7 +193,8 @@ class MJoinOperator : public JoinOperator {
   /// had changed. Restore paths call this after state is rebuilt: a
   /// shard that had already reported a punctuation to the alignment
   /// barrier before the snapshot re-emits it, reconstructing the
-  /// aligner votes a crash discards (docs/RECOVERY.md).
+  /// aligner votes a crash discards (docs/RECOVERY.md). A no-op
+  /// without an element emitter (restored entries stay inert).
   void RecheckPropagations(int64_t now);
 
  protected:

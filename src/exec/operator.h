@@ -43,8 +43,8 @@ class JoinOperator {
   virtual size_t num_inputs() const = 0;
 
   /// \brief Consumes one data tuple on `input` at logical time `ts`.
-  /// Equivalent to a PushBatch of one row — the batch-of-1 shim the
-  /// executors use for unbatched pushes.
+  /// Result-identical to a PushBatch of one row; executors call it for
+  /// unbatched ingest (batch_size 1).
   virtual void PushTuple(size_t input, const Tuple& tuple, int64_t ts) = 0;
 
   /// \brief Consumes a whole batch of tuples on `input`, each row at
@@ -70,11 +70,13 @@ class JoinOperator {
   /// \brief Punctuations currently held across all inputs.
   virtual size_t TotalLivePunctuations() const = 0;
 
+  /// \brief Per-element channel: output punctuations, and results when
+  /// no batch emitter is set. Executors attach it only to operators
+  /// with a parent (an MJoin without one propagates no punctuations).
   void SetEmitter(Emitter emitter) { emitter_ = std::move(emitter); }
-  /// \brief Optional batch-granular emission channel. When unset,
-  /// EmitBatch falls back to per-element Emit in row order, so
-  /// operators call EmitBatch unconditionally and batch_size=1
-  /// executors stay bit-identical to tuple-at-a-time wiring.
+  /// \brief Batch-granular result channel; the executors always set it.
+  /// When unset, EmitBatch falls back to the element emitter in row
+  /// order, so operators call EmitBatch unconditionally.
   void SetBatchEmitter(BatchEmitter emitter) {
     batch_emitter_ = std::move(emitter);
   }

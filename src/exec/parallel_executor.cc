@@ -76,12 +76,11 @@ struct ParallelExecutor::Worker {
   // Owning group index, and the downstream emit staging: result
   // tuples this shard produces are staged into one TupleBatch per
   // *parent* shard and flushed as one queue message per batch once
-  // ExecutorConfig::batch_size rows are staged (the former hard-coded
-  // kEmitFlushBatch = 128). Touched only by this worker's thread
-  // (emits run inside op->Push*, on this thread); root-group workers
-  // keep it empty. Flush-before-punctuation and flush-before-drain-ack
-  // preserve the per-queue FIFO invariant that a punctuation never
-  // overtakes the tuples it covers.
+  // ExecutorConfig::batch_size rows are staged. Touched only by this
+  // worker's thread (emits run inside op->Push*, on this thread);
+  // root-group workers keep it empty. Flush-before-punctuation and
+  // flush-before-drain-ack preserve the per-queue FIFO invariant that
+  // a punctuation never overtakes the tuples it covers.
   size_t group = 0;
   std::vector<TupleBatch> emit_buf;
   size_t emit_buffered = 0;
@@ -165,11 +164,12 @@ Result<std::unique_ptr<ParallelExecutor>> ParallelExecutor::Create(
     exec->groups_.push_back(std::move(group));
   }
 
-  // Wiring: every shard emits through EmitFromShard, which hashes
-  // result tuples into the parent group's shard queues and funnels
-  // output punctuations through the group's aligner. (Executed on the
-  // emitting shard's worker thread; the root's results land in the
-  // executor's sink.)
+  // Wiring: every shard's results go through EmitBatchFromShard, which
+  // hashes them into the parent group's shard queues (the root's land
+  // in the executor's sink). Only shards of non-root groups get the
+  // element channel, EmitFromShard, which funnels their output
+  // punctuations through the group's aligner; a root shard propagates
+  // nothing. (Both run on the emitting shard's worker thread.)
   for (size_t j = 0; j < num_groups; ++j) {
     const OperatorTree::ParentEdge& edge = tree.parents[j];
     if (edge.parent_op != OperatorTree::ParentEdge::kNoParent) {
@@ -179,20 +179,15 @@ Result<std::unique_ptr<ParallelExecutor>> ParallelExecutor::Create(
     OpGroup& group = *exec->groups_[j];
     for (size_t s = 0; s < group.num_shards; ++s) {
       Worker& worker = *exec->workers_[group.first_worker + s];
+      MJoinOperator& op = *exec->operators_[group.first_worker + s];
       worker.group = j;
-      if (group.parent_group != kNone) {
-        worker.emit_buf.assign(exec->groups_[group.parent_group]->num_shards,
-                               TupleBatch(config.batch_size));
-      }
-      exec->operators_[group.first_worker + s]->SetEmitter(
+      op.SetBatchEmitter(
+          [raw, j, s](TupleBatch& b) { raw->EmitBatchFromShard(j, s, b); });
+      if (group.parent_group == kNone) continue;
+      worker.emit_buf.assign(exec->groups_[group.parent_group]->num_shards,
+                             TupleBatch(config.batch_size));
+      op.SetEmitter(
           [raw, j, s](const StreamElement& e) { raw->EmitFromShard(j, s, e); });
-      if (config.batch_size > 1) {
-        // Batch-granular result channel; batch_size == 1 leaves it
-        // unset so EmitBatch falls back per element and the wiring is
-        // bit-identical to tuple-at-a-time delivery.
-        exec->operators_[group.first_worker + s]->SetBatchEmitter(
-            [raw, j, s](TupleBatch& b) { raw->EmitBatchFromShard(j, s, b); });
-      }
     }
   }
 
@@ -228,37 +223,14 @@ ParallelExecutor::~ParallelExecutor() { Stop(); }
 
 void ParallelExecutor::EmitFromShard(size_t group_idx, size_t shard,
                                      const StreamElement& element) {
-  OpGroup& group = *groups_[group_idx];
-  if (group.parent_group == kNone) {
-    // Root: tuples are results; punctuations reach the consumer app.
-    if (!element.is_tuple()) return;
-    num_results_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.keep_results) {
-      std::lock_guard<std::mutex> lock(results_mu_);
-      kept_results_.push_back(element.tuple);
-    }
-    return;
-  }
-  OpGroup& parent = *groups_[group.parent_group];
-  Worker& self = *workers_[group.first_worker + shard];
-  if (element.is_tuple()) {
-    // Stage into the per-parent-shard batch; the flush moves each
-    // staged batch with one queue operation instead of one per tuple.
-    // This re-hash onto the parent's partition key repartitions
-    // between operators: child and parent may shard on different
-    // equivalence classes. A failed flush means Stop() closed the
-    // pipeline; elements are dropped (the non-graceful path).
-    size_t target = RouteShard(parent, group.parent_input, element.tuple);
-    self.emit_buf[target].Append(element.tuple, element.timestamp);
-    if (++self.emit_buffered >= config_.batch_size) FlushEmits(self);
-    return;
-  }
-  // Output punctuation: flush this shard's staged tuples first so the
+  // An output punctuation of a non-root shard (results travel through
+  // EmitBatchFromShard). Flush this shard's staged tuples first so the
   // punctuation cannot overtake them in the parent queues. Every shard
   // flushes before its aligner arrival, and arrivals happen-before the
   // completing shard's broadcast, so all covered tuples of all shards
   // are queued ahead of the forwarded punctuation.
-  FlushEmits(self);
+  OpGroup& group = *groups_[group_idx];
+  FlushEmits(*workers_[group.first_worker + shard]);
   // The punctuation is valid for the merged output only once every
   // shard of this group has emitted it — until then another shard may
   // still hold (and later emit results from) matching tuples.
@@ -268,7 +240,7 @@ void ParallelExecutor::EmitFromShard(size_t group_idx, size_t shard,
                             &forward_ts)) {
     return;
   }
-  Broadcast(parent, group.parent_input,
+  Broadcast(*groups_[group.parent_group], group.parent_input,
             StreamElement::OfPunctuation(element.punctuation, forward_ts));
 }
 
@@ -287,10 +259,13 @@ void ParallelExecutor::EmitBatchFromShard(size_t group_idx, size_t shard,
     }
     return;
   }
-  // Interior: route and stage row by row (rows of one result batch
-  // generally scatter across parent shards), flushing at the same
-  // threshold as the per-element path so queue granularity and
-  // batch-boundary ordering are unchanged.
+  // Interior: route and stage row by row into the per-parent-shard
+  // batches (rows of one result batch generally scatter across parent
+  // shards), flushing every batch_size staged rows. This re-hash onto
+  // the parent's partition key repartitions between operators: child
+  // and parent may shard on different equivalence classes. A failed
+  // flush means Stop() closed the pipeline; rows are dropped (the
+  // non-graceful path).
   OpGroup& parent = *groups_[group.parent_group];
   Worker& self = *workers_[group.first_worker + shard];
   for (size_t i = 0; i < batch.size(); ++i) {

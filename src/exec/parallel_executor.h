@@ -229,13 +229,15 @@ class ParallelExecutor {
   void Deliver(Worker& worker, const OpMessage& message);
   void ProcessPending(Worker& worker);
   void SampleHighWater();
-  /// Child group `group_idx`, shard `shard` emitted `element`.
+  /// Non-root group `group_idx`, shard `shard` emitted the output
+  /// punctuation `element`: flush, align across shards, broadcast to
+  /// the parent group.
   void EmitFromShard(size_t group_idx, size_t shard,
                      const StreamElement& element);
-  /// Batch-granular flavor of EmitFromShard (tuples only — operators
-  /// never batch punctuations): the whole staged result batch is
-  /// routed/staged in one call. Root results take one atomic add and
-  /// one results_mu_ section for the batch; the rows are views over
+  /// Shard `shard` of group `group_idx` emitted a result batch — the
+  /// one result channel. Interior results are routed and staged into
+  /// the parent's shard queues; root results take one atomic add and
+  /// one results_mu_ section for the batch. The rows are views over
   /// operator scratch, so everything kept is copied before return.
   void EmitBatchFromShard(size_t group_idx, size_t shard, TupleBatch& batch);
   /// Pushes the worker's staged result tuples into the parent group's

@@ -32,28 +32,21 @@ Result<std::unique_ptr<PlanExecutor>> PlanExecutor::Create(
       BuildOperatorTree(exec->query_, schemes, shape, config.mjoin));
 
   // Serial wiring: child outputs call straight into the parent input.
-  // Batched executors also wire the batch-granular channel, so a
-  // child's staged result batch becomes one parent PushBatch (the
-  // parent's InsertBatch copies what it stores — the views die with
-  // the call, per the EmitBatch contract). batch_size == 1 leaves the
-  // channel unset: EmitBatch then falls back per element and the
-  // wiring is bit-identical to tuple-at-a-time.
+  // Every result leaves as a batch, so a child's staged result batch
+  // becomes one parent PushBatch (the parent's InsertBatch copies what
+  // it stores — the views die with the call, per the EmitBatch
+  // contract). The element channel carries only the output
+  // punctuations the parent purges with.
   for (size_t j = 0; j < tree.operators.size(); ++j) {
     const OperatorTree::ParentEdge& edge = tree.parents[j];
     if (edge.parent_op == OperatorTree::ParentEdge::kNoParent) continue;
     MJoinOperator* parent = tree.operators[edge.parent_op].get();
     size_t k = edge.parent_input;
     tree.operators[j]->SetEmitter([parent, k](const StreamElement& e) {
-      if (e.is_tuple()) {
-        parent->PushTuple(k, e.tuple, e.timestamp);
-      } else {
-        parent->PushPunctuation(k, e.punctuation, e.timestamp);
-      }
+      parent->PushPunctuation(k, e.punctuation, e.timestamp);
     });
-    if (config.batch_size > 1) {
-      tree.operators[j]->SetBatchEmitter(
-          [parent, k](TupleBatch& b) { parent->PushBatch(k, b); });
-    }
+    tree.operators[j]->SetBatchEmitter(
+        [parent, k](TupleBatch& b) { parent->PushBatch(k, b); });
   }
 
   exec->progress_.resize(query.num_streams());
@@ -65,24 +58,19 @@ Result<std::unique_ptr<PlanExecutor>> PlanExecutor::Create(
     }
   }
 
+  // The root has no parent, so no element emitter: it propagates no
+  // punctuations, and its results land here.
   PlanExecutor* raw = exec.get();
-  tree.root()->SetEmitter([raw](const StreamElement& e) {
-    if (!e.is_tuple()) return;  // root punctuations reach the consumer app
-    ++raw->num_results_;
-    if (raw->config_.keep_results) raw->kept_results_.push_back(e.tuple);
-  });
-  if (config.batch_size > 1) {
-    tree.root()->SetBatchEmitter([raw](TupleBatch& b) {
-      raw->num_results_ += b.size();
-      if (raw->config_.keep_results) {
-        // The rows are views over operator scratch; the push_back copy
-        // re-owns them (same as the per-element path's e.tuple copy).
-        for (size_t i = 0; i < b.size(); ++i) {
-          raw->kept_results_.push_back(b.tuple(i));
-        }
+  tree.root()->SetBatchEmitter([raw](TupleBatch& b) {
+    raw->num_results_ += b.size();
+    if (raw->config_.keep_results) {
+      // The rows are views over operator scratch; the push_back copy
+      // re-owns them.
+      for (size_t i = 0; i < b.size(); ++i) {
+        raw->kept_results_.push_back(b.tuple(i));
       }
-    });
-  }
+    }
+  });
   exec->operators_ = std::move(tree.operators);
 
   if (obs::kCompiled && config.observe.enabled) {

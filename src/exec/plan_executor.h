@@ -42,17 +42,18 @@ struct ExecutorConfig {
   /// message carries a whole batch, so the queue bound scales with
   /// batch_size.
   size_t queue_capacity = 1024;
-  /// The unit of batched execution — one knob across the serial,
+  /// The unit of batched ingest — one knob across the serial,
   /// pipelined, and sharded modes. Consecutive same-stream tuples are
   /// accumulated into a TupleBatch of this capacity and pushed through
   /// the operator tree (and, under kParallel, through the queues) as
   /// one unit; the open batch is flushed before any punctuation is
   /// forwarded, so results from a batch always precede punctuations
   /// that arrived after it. Under kParallel it also sizes the
-  /// per-parent-shard result staging (the former hard-coded emit flush
-  /// batch of 128). 1 (the default) reproduces tuple-at-a-time
-  /// execution exactly; 0 is normalized to 1. Throughput-oriented
-  /// setups use 64-256 (bench/bench_hot_path.cc sweeps the knob).
+  /// per-parent-shard result staging. 1 (the default) ingests tuple at
+  /// a time; 0 is normalized to 1. Results leave every operator as
+  /// batches whatever the setting, and the serial emission order is
+  /// the same at every setting. Throughput-oriented setups use 64-256
+  /// (bench/bench_hot_path.cc sweeps the knob).
   size_t batch_size = 1;
   /// Under kParallel: shard workers per operator (hash-partitioned
   /// intra-operator parallelism). Each operator whose join predicates

@@ -7,10 +7,8 @@
 
 namespace punctsafe {
 
-TupleStore::TupleStore(std::vector<size_t> indexed_offsets,
-                       TupleStoreOptions options)
-    : indexed_offsets_(std::move(indexed_offsets)),
-      arena_(options.arena_block_bytes) {
+TupleStore::TupleStore(std::vector<size_t> indexed_offsets)
+    : indexed_offsets_(std::move(indexed_offsets)) {
   indexes_.resize(indexed_offsets_.size());
   for (size_t i = 0; i < indexed_offsets_.size(); ++i) {
     size_t offset = indexed_offsets_[i];

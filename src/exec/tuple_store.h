@@ -57,10 +57,6 @@
 
 namespace punctsafe {
 
-struct TupleStoreOptions {
-  size_t arena_block_bytes = EpochArena::kDefaultBlockBytes;
-};
-
 class TupleStore {
  public:
   /// Index compaction fires once at least kCompactMinDead tombstones
@@ -78,8 +74,7 @@ class TupleStore {
 
   /// \param indexed_offsets attribute positions to maintain hash
   ///        indexes on (the input's join attributes).
-  explicit TupleStore(std::vector<size_t> indexed_offsets,
-                      TupleStoreOptions options = {});
+  explicit TupleStore(std::vector<size_t> indexed_offsets);
 
   /// \brief Stores an arena-laid-out copy of the tuple; returns its
   /// slot id.

@@ -214,9 +214,7 @@ Result<std::vector<std::string>> Dispatch(
         " ");
     PUNCTSAFE_ASSIGN_OR_RETURN(RegistrationInfo info,
                                registry->RegisterQuery(id, spec, cfg));
-    return One(StrCat("OK query ", info.id, " subjoins ",
-                      info.subjoins.size(), " shared ", info.shared_subjoins,
-                      " plan ", info.plan));
+    return One(StrCat("OK query ", info.id, " plan ", info.plan));
   }
 
   if (cmd == "PUSH" || cmd == "PUNCT") {

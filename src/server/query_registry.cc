@@ -85,34 +85,12 @@ Result<RegistrationInfo> QueryRegistry::RegisterQuery(
       RegisteredQuery rq,
       reg.Register(spec.query_streams, spec.predicates, cfg));
 
-  Entry entry;
-  entry.schemes = spec.schemes;
-  for (const SubjoinSpec& sub :
-       EnumerateSubjoins(rq.query, spec.schemes, rq.shape)) {
-    SubjoinSharing decision;
-    decision.signature = sub.signature;
-    decision.streams = sub.streams;
-    decision.safe = sub.safe;
-    if (sub.safe) {
-      bool was_shared = false;
-      entry.handles.push_back(sharing_.Acquire(sub, &was_shared));
-      decision.shared_at_registration = was_shared;
-    }
-    decision.sharers = sharing_.Sharers(sub.signature);
-    entry.subjoins.push_back(std::move(decision));
-  }
-
   RegistrationInfo info;
   info.id = id;
   info.plan = rq.shape.ToString(rq.query);
   info.safety = rq.safety;
-  info.subjoins = entry.subjoins;
-  for (const SubjoinSharing& d : entry.subjoins) {
-    if (d.safe && d.shared_at_registration) ++info.shared_subjoins;
-  }
 
-  entry.rq = std::move(rq);
-  queries_.emplace(id, std::move(entry));
+  queries_.emplace(id, Entry{std::move(rq)});
   return info;
 }
 
@@ -122,7 +100,7 @@ Status QueryRegistry::UnregisterQuery(const std::string& id) {
   if (it == queries_.end()) {
     return Status::NotFound(StrCat("query '", id, "' is not registered"));
   }
-  queries_.erase(it);  // releases the shared sub-join handles
+  queries_.erase(it);
   return Status::OK();
 }
 
@@ -139,12 +117,21 @@ std::vector<std::string> QueryRegistry::QueryIds() const {
   return out;
 }
 
-int64_t QueryRegistry::ResolveTimestamp(std::optional<int64_t> ts) {
+Result<int64_t> QueryRegistry::ResolveTimestamp(const std::string& stream,
+                                                std::optional<int64_t> ts) {
+  auto [last, inserted] = last_ts_.try_emplace(stream, 0);
   if (ts.has_value()) {
+    if (!inserted && *ts < last->second) {
+      return Status::InvalidArgument(
+          StrCat("timestamp ", *ts, " on stream '", stream,
+                 "' is earlier than its last element's ", last->second));
+    }
     clock_ = std::max(clock_, *ts);
-    return *ts;
+  } else {
+    ++clock_;
   }
-  return ++clock_;
+  last->second = ts.value_or(clock_);
+  return last->second;
 }
 
 Status QueryRegistry::PushTuple(const std::string& stream, const Tuple& tuple,
@@ -152,7 +139,7 @@ Status QueryRegistry::PushTuple(const std::string& stream, const Tuple& tuple,
   std::lock_guard<std::mutex> lock(mu_);
   PUNCTSAFE_ASSIGN_OR_RETURN(const Schema* schema, catalog_.Get(stream));
   PUNCTSAFE_RETURN_IF_ERROR(tuple.MatchesSchema(*schema));
-  int64_t now = ResolveTimestamp(ts);
+  PUNCTSAFE_ASSIGN_OR_RETURN(int64_t now, ResolveTimestamp(stream, ts));
   for (auto& [id, entry] : queries_) {
     auto idx = entry.rq.query.StreamIndex(stream);
     if (!idx.has_value()) continue;
@@ -172,7 +159,7 @@ Status QueryRegistry::PushPunctuation(const std::string& stream,
   std::lock_guard<std::mutex> lock(mu_);
   PUNCTSAFE_ASSIGN_OR_RETURN(const Schema* schema, catalog_.Get(stream));
   PUNCTSAFE_RETURN_IF_ERROR(ValidatePunctuation(stream, *schema, p));
-  int64_t now = ResolveTimestamp(ts);
+  PUNCTSAFE_ASSIGN_OR_RETURN(int64_t now, ResolveTimestamp(stream, ts));
   for (auto& [id, entry] : queries_) {
     auto idx = entry.rq.query.StreamIndex(stream);
     if (!idx.has_value()) continue;
@@ -213,18 +200,6 @@ Result<std::vector<Tuple>> QueryRegistry::TakeResults(const std::string& id) {
   return it->second.rq.executor->TakeResults();
 }
 
-Result<std::vector<SubjoinSharing>> QueryRegistry::SharingFor(
-    const std::string& id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = queries_.find(id);
-  if (it == queries_.end()) {
-    return Status::NotFound(StrCat("query '", id, "' is not registered"));
-  }
-  std::vector<SubjoinSharing> out = it->second.subjoins;
-  for (SubjoinSharing& d : out) d.sharers = sharing_.Sharers(d.signature);
-  return out;
-}
-
 std::vector<std::pair<std::string, std::string>> QueryRegistry::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, std::string>> out;
@@ -245,20 +220,6 @@ std::vector<std::pair<std::string, std::string>> QueryRegistry::Stats() const {
                " tuples_in=", entry.tuples_in,
                " punctuations_in=", entry.punctuations_in,
                " results=", results, " live_tuples=", live));
-  }
-  // Snapshot the signatures, then drop the snapshot's handles before
-  // counting sharers: use_count must see only query-held references,
-  // not our own temporaries.
-  std::vector<std::string> shared;
-  for (const SharedSubjoinHandle& s : sharing_.LiveStates()) {
-    shared.push_back(s->signature);
-  }
-  out.emplace_back("shared_subjoins", StrCat(shared.size()));
-  size_t i = 0;
-  for (const std::string& signature : shared) {
-    out.emplace_back(StrCat("subjoin.", i++),
-                     StrCat("sharers=", sharing_.Sharers(signature), " ",
-                            signature));
   }
   return out;
 }

@@ -6,10 +6,8 @@
 // configuration, and every ingested tuple/punctuation fans out to all
 // queries reading that stream. Registration reuses the full admission
 // pipeline (spec_parser -> SafetyChecker -> plan safety), rejecting
-// unsafe queries with the checker's witness, and detects
-// syntactically identical safe sub-joins across queries, sharing
-// their punctuation stores behind refcounted handles
-// (server/subplan_sharing.h).
+// unsafe queries with the checker's witness. Each query runs its own
+// executor, even when another query registered the identical plan.
 //
 // Thread contract: every public method is safe from any thread (one
 // coarse mutex — the registry is the single driver of each executor,
@@ -26,31 +24,17 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "exec/query_register.h"
-#include "server/subplan_sharing.h"
 #include "stream/catalog.h"
 #include "stream/element.h"
 #include "util/status.h"
 
 namespace punctsafe {
 namespace server {
-
-/// \brief One sub-join sharing decision surfaced at registration.
-struct SubjoinSharing {
-  std::string signature;
-  std::vector<std::string> streams;
-  /// Safety verdict of the restricted sub-join (sharing precondition).
-  bool safe = false;
-  /// True iff another registered query already held this signature's
-  /// shared state when this query acquired it.
-  bool shared_at_registration = false;
-  /// Queries currently holding the handle (>= 1 for safe sub-joins of
-  /// a live query; 0 for unsafe ones, which acquire nothing).
-  size_t sharers = 0;
-};
 
 /// \brief What RegisterQuery reports back to the client.
 struct RegistrationInfo {
@@ -60,11 +44,6 @@ struct RegistrationInfo {
   /// The admission verdict (always safe here — unsafe registrations
   /// return an error instead), with the checker's explanation.
   SafetyReport safety;
-  /// Sub-join sharing decisions, safe and unsafe alike.
-  std::vector<SubjoinSharing> subjoins;
-  /// How many of this query's safe sub-joins were already held by
-  /// other queries (the "state saved" signal).
-  size_t shared_subjoins = 0;
 };
 
 class QueryRegistry {
@@ -89,21 +68,21 @@ class QueryRegistry {
       const std::string& id, const std::string& spec_text,
       std::optional<ExecutorConfig> config = std::nullopt);
 
-  /// \brief Drops a query; its shared sub-join handles are released
-  /// (shared state dies with the last holder).
+  /// \brief Drops a query and its executor.
   Status UnregisterQuery(const std::string& id);
 
   bool HasQuery(const std::string& id) const;
   std::vector<std::string> QueryIds() const;
 
   /// \brief Fans a tuple out to every query reading `stream`. Without
-  /// an explicit timestamp the registry's logical clock stamps it.
+  /// an explicit timestamp the registry's logical clock stamps it. An
+  /// explicit timestamp earlier than the last stamp on `stream` is
+  /// InvalidArgument, and no query receives the tuple.
   Status PushTuple(const std::string& stream, const Tuple& tuple,
                    std::optional<int64_t> ts = std::nullopt);
 
-  /// \brief Fans a punctuation out to every query reading `stream`
-  /// and into the shared sub-join punctuation stores (once per shared
-  /// state, however many queries hold it).
+  /// \brief Fans a punctuation out to every query reading `stream`.
+  /// Timestamps follow PushTuple's rules.
   Status PushPunctuation(const std::string& stream, const Punctuation& p,
                          std::optional<int64_t> ts = std::nullopt);
 
@@ -114,10 +93,6 @@ class QueryRegistry {
   /// \brief Moves out the results `id` emitted since the last take
   /// (subscriber streaming; arrival order preserved per query).
   Result<std::vector<Tuple>> TakeResults(const std::string& id);
-
-  /// \brief Sharing decisions of a registered query, with live
-  /// sharer counts.
-  Result<std::vector<SubjoinSharing>> SharingFor(const std::string& id) const;
 
   /// \brief Registry-wide stats as ordered key/value pairs (protocol
   /// `STATS`).
@@ -141,22 +116,22 @@ class QueryRegistry {
  private:
   struct Entry {
     RegisteredQuery rq;
-    SchemeSet schemes;
-    std::vector<SharedSubjoinHandle> handles;  // safe sub-joins only
-    std::vector<SubjoinSharing> subjoins;      // decisions, all sub-joins
     uint64_t tuples_in = 0;
     uint64_t punctuations_in = 0;
   };
 
-  // Stamps an element: explicit timestamps advance the clock, implicit
-  // ones tick it.
-  int64_t ResolveTimestamp(std::optional<int64_t> ts);
+  // Stamps an element of `stream`: explicit timestamps advance the
+  // clock, implicit ones tick it. An explicit timestamp earlier than
+  // the stream's last stamp is InvalidArgument and changes nothing.
+  Result<int64_t> ResolveTimestamp(const std::string& stream,
+                                   std::optional<int64_t> ts);
 
   mutable std::mutex mu_;
   ExecutorConfig default_config_;
   StreamCatalog catalog_;
   std::map<std::string, Entry> queries_;  // ordered for stable STATS
-  SubjoinSharingTable sharing_;
+  // Per stream: the timestamp of its last element.
+  std::unordered_map<std::string, int64_t> last_ts_;
   int64_t clock_ = 0;
 };
 

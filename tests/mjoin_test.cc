@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <utility>
+
 #include "core/plan_safety.h"
 #include "test_util.h"
 
@@ -341,6 +344,47 @@ TEST(MJoinBinaryTest, Example1PurgeBothDirections) {
   EXPECT_EQ(agg.inserted, 3u);
   EXPECT_EQ(agg.purged, 3u);
   EXPECT_EQ(agg.live, 0u);
+}
+
+// Output punctuations exist for a parent: an MJoin with only the
+// batch (result) channel builds none, one with an element emitter
+// propagates as soon as the matching state is gone.
+TEST(MJoinBinaryTest, PropagatesOnlyWithAnElementEmitter) {
+  AuctionJoin fx;
+  auto run = [&](bool element_emitter, size_t* results,
+                 size_t* punctuations) {
+    auto op = MakeRawJoin(fx.query, fx.schemes);
+    op->SetBatchEmitter([results](TupleBatch& b) { *results += b.size(); });
+    if (element_emitter) {
+      op->SetEmitter([punctuations](const StreamElement& e) {
+        if (!e.is_tuple()) ++*punctuations;
+      });
+    }
+    op->PushTuple(0, Tuple({Value(42), Value(1)}), 1);  // item 1
+    op->PushTuple(1, Tuple({Value(1), Value(5)}), 2);   // bid on 1
+    op->PushTuple(0, Tuple({Value(43), Value(2)}), 3);  // item 2
+    op->PushPunctuation(1, Punctuation::OfConstants(2, {{0, Value(1)}}), 4);
+    op->PushPunctuation(0, Punctuation::OfConstants(2, {{1, Value(1)}}), 5);
+    // Item 2 is still live: its item punctuation stays blocked.
+    op->PushPunctuation(0, Punctuation::OfConstants(2, {{1, Value(2)}}), 6);
+    EXPECT_EQ(op->TotalLiveTuples(), 1u);
+    return std::make_pair(op->metrics().punctuations_propagated.load(),
+                          op->CaptureState().pending.size());
+  };
+
+  size_t results = 0;
+  size_t punctuations = 0;
+  auto [propagated, pending] = run(false, &results, &punctuations);
+  EXPECT_EQ(results, 1u);
+  EXPECT_EQ(propagated, 0u);
+  EXPECT_EQ(pending, 0u);
+
+  results = 0;
+  std::tie(propagated, pending) = run(true, &results, &punctuations);
+  EXPECT_EQ(results, 1u);  // results still take the batch channel
+  EXPECT_EQ(propagated, 2u);
+  EXPECT_EQ(punctuations, 2u);
+  EXPECT_EQ(pending, 1u);
 }
 
 // A scheme on a non-join attribute admits no purge plan for either

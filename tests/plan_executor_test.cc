@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/parallel_executor.h"
 #include "test_util.h"
 
 namespace punctsafe {
@@ -10,6 +11,7 @@ namespace {
 using testing_util::Fig5Schemes;
 using testing_util::Fig8Schemes;
 using testing_util::PaperCatalog;
+using testing_util::SchemeOn;
 using testing_util::TriangleQuery;
 
 TEST(PlanExecutorTest, SingleMJoinEndToEnd) {
@@ -121,14 +123,95 @@ TEST(PlanExecutorTest, SafeTreePlanPropagatesAndDrains) {
       7);  // S3: no more (C=3, A=1)
   EXPECT_EQ(exec->TotalLiveTuples(), 0u)
       << "propagated punctuations should drain both operators";
-  // The lower operator must have propagated punctuations upward.
-  bool propagated = false;
-  for (const auto& op : exec->operators()) {
-    propagated |= op->metrics().punctuations_propagated > 0;
-  }
-  EXPECT_TRUE(propagated);
+  // The lower operator must have propagated punctuations upward; the
+  // root (last in post-order) has no parent to propagate to.
+  ASSERT_EQ(exec->operators().size(), 2u);
+  EXPECT_GT(exec->operators().front()->metrics().punctuations_propagated,
+            0u);
+  EXPECT_EQ(exec->operators().back()->metrics().punctuations_propagated, 0u);
   // No results were lost relative to the single-MJoin plan.
   EXPECT_EQ(exec->num_results(), 1u);
+}
+
+// R(k, a) JOIN S(k, b) ON k, both punctuated on k: one MJoin,
+// shardable on k.
+struct KeyJoin {
+  StreamCatalog catalog;
+  ContinuousJoinQuery query;
+  SchemeSet schemes;
+
+  static KeyJoin Make() {
+    StreamCatalog catalog;
+    PUNCTSAFE_CHECK_OK(catalog.Register("R", Schema::OfInts({"k", "a"})));
+    PUNCTSAFE_CHECK_OK(catalog.Register("S", Schema::OfInts({"k", "b"})));
+    auto q = ContinuousJoinQuery::Create(catalog, {"R", "S"},
+                                         {Eq({"R", "k"}, {"S", "k"})});
+    PUNCTSAFE_CHECK(q.ok()) << q.status().ToString();
+    SchemeSet schemes;
+    PUNCTSAFE_CHECK_OK(schemes.Add(SchemeOn(catalog, "R", {"k"})));
+    PUNCTSAFE_CHECK_OK(schemes.Add(SchemeOn(catalog, "S", {"k"})));
+    return {catalog, *q, schemes};
+  }
+
+  // Joins and closes keys 0..7 on both streams, then leaves key 100
+  // closed on R only while an R tuple still holds it: that
+  // punctuation cannot propagate yet.
+  static Trace Events() {
+    Trace trace;
+    int64_t ts = 0;
+    for (int k = 0; k < 8; ++k) {
+      trace.push_back({"R", StreamElement::OfTuple(
+                                Tuple({Value(k), Value(1)}), ++ts)});
+      trace.push_back({"S", StreamElement::OfTuple(
+                                Tuple({Value(k), Value(2)}), ++ts)});
+      for (const char* stream : {"R", "S"}) {
+        trace.push_back({stream, StreamElement::OfPunctuation(
+                                     Punctuation::OfConstants(
+                                         2, {{0, Value(k)}}),
+                                     ++ts)});
+      }
+    }
+    trace.push_back(
+        {"R", StreamElement::OfTuple(Tuple({Value(100), Value(1)}), ++ts)});
+    trace.push_back({"R", StreamElement::OfPunctuation(
+                              Punctuation::OfConstants(2, {{0, Value(100)}}),
+                              ++ts)});
+    return trace;
+  }
+};
+
+// A plan root has no parent, so it builds no output punctuations: none
+// emitted, none pending, under both executors.
+TEST(PlanExecutorTest, RootPropagatesNothing) {
+  KeyJoin kj = KeyJoin::Make();
+  const Trace trace = KeyJoin::Events();
+
+  auto serial = PlanExecutor::Create(kj.query, kj.schemes,
+                                     PlanShape::SingleMJoin(2));
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(FeedTrace(serial->get(), trace).ok());
+  EXPECT_EQ((*serial)->num_results(), 8u);
+  EXPECT_EQ((*serial)->TotalLiveTuples(), 1u);  // R(100, 1)
+  StateSnapshot serial_snap = (*serial)->Checkpoint();
+  ASSERT_EQ(serial_snap.operators.size(), 1u);
+  EXPECT_EQ(serial_snap.operators[0].op_metrics.punctuations_propagated, 0u);
+  EXPECT_TRUE(serial_snap.operators[0].pending.empty());
+
+  ExecutorConfig config;
+  config.mode = ExecutionMode::kParallel;
+  config.shards = 2;
+  auto parallel = ParallelExecutor::Create(kj.query, kj.schemes,
+                                           PlanShape::SingleMJoin(2), config);
+  ASSERT_TRUE(parallel.ok());
+  ASSERT_EQ((*parallel)->GroupSnapshots().front().num_shards, 2u);
+  ASSERT_TRUE(FeedTraceParallel(parallel->get(), trace).ok());
+  EXPECT_EQ((*parallel)->num_results(), 8u);
+  auto parallel_snap = (*parallel)->Checkpoint(1000);
+  ASSERT_TRUE(parallel_snap.ok());
+  ASSERT_EQ(parallel_snap->operators.size(), 1u);
+  EXPECT_EQ(parallel_snap->operators[0].op_metrics.punctuations_propagated,
+            0u);
+  EXPECT_TRUE(parallel_snap->operators[0].pending.empty());
 }
 
 TEST(PlanExecutorTest, SweepAllFlushesLazyOperators) {

@@ -52,10 +52,6 @@ TEST(QueryRegistryTest, RegistersSafeQuery) {
   EXPECT_EQ(info->id, "q1");
   EXPECT_TRUE(info->safety.safe);
   EXPECT_FALSE(info->plan.empty());
-  ASSERT_EQ(info->subjoins.size(), 1u);  // the whole join
-  EXPECT_TRUE(info->subjoins[0].safe);
-  EXPECT_FALSE(info->subjoins[0].shared_at_registration);
-  EXPECT_EQ(info->subjoins[0].sharers, 1u);
   EXPECT_TRUE(registry.HasQuery("q1"));
 }
 
@@ -163,50 +159,48 @@ TEST(QueryRegistryTest, ValidatesTuplesAndPunctuations) {
                   .ok());
 }
 
-TEST(QueryRegistryTest, SharesIdenticalSafeSubjoins) {
-  QueryRegistry registry;
-  CreateAuctionStreams(&registry);
-  auto info1 = registry.RegisterQuery("q1", kAuctionSpec);
-  ASSERT_TRUE(info1.ok());
-  EXPECT_EQ(info1->shared_subjoins, 0u);
-
-  auto info2 = registry.RegisterQuery("q2", kAuctionSpec);
-  ASSERT_TRUE(info2.ok());
-  EXPECT_EQ(info2->shared_subjoins, 1u);
-  ASSERT_EQ(info2->subjoins.size(), 1u);
-  EXPECT_TRUE(info2->subjoins[0].shared_at_registration);
-  EXPECT_EQ(info2->subjoins[0].sharers, 2u);
-
-  // The first query's view reflects the new sharer.
-  auto sharing1 = registry.SharingFor("q1");
-  ASSERT_TRUE(sharing1.ok());
-  ASSERT_EQ(sharing1->size(), 1u);
-  EXPECT_EQ((*sharing1)[0].sharers, 2u);
-  EXPECT_EQ((*sharing1)[0].signature, info2->subjoins[0].signature);
-
-  // STATS reports each shared signature with its sharer count.
-  bool found_subjoin_stat = false;
-  for (const auto& [key, value] : registry.Stats()) {
-    if (key.rfind("subjoin.", 0) == 0) {
-      found_subjoin_stat = true;
-      EXPECT_NE(value.find("sharers=2"), std::string::npos) << value;
-    }
+// Pushes `n` items and one matching bid each, starting at itemid
+// `first`.
+void PushAuctionRound(QueryRegistry* registry, int first, int n) {
+  for (int i = first; i < first + n; ++i) {
+    ASSERT_TRUE(registry
+                    ->PushTuple("item", Tuple({Value(1), Value(i), Value("n"),
+                                               Value(100 + i)}))
+                    .ok());
+    ASSERT_TRUE(
+        registry->PushTuple("bid", Tuple({Value(i), Value(i), Value(1)}))
+            .ok());
   }
-  EXPECT_TRUE(found_subjoin_stat);
-
-  // Dropping one holder keeps the state alive for the other...
-  ASSERT_TRUE(registry.UnregisterQuery("q2").ok());
-  auto after = registry.SharingFor("q1");
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ((*after)[0].sharers, 1u);
-
-  // ...and a re-registration shares it again.
-  auto info3 = registry.RegisterQuery("q3", kAuctionSpec);
-  ASSERT_TRUE(info3.ok());
-  EXPECT_EQ(info3->shared_subjoins, 1u);
 }
 
-TEST(QueryRegistryTest, DifferentQueriesDoNotShare) {
+TEST(QueryRegistryTest, IdenticalQueriesEachGetFullResults) {
+  QueryRegistry registry;
+  CreateAuctionStreams(&registry);
+  ASSERT_TRUE(registry.RegisterQuery("q1", kAuctionSpec).ok());
+  ASSERT_TRUE(registry.RegisterQuery("q2", kAuctionSpec).ok());
+
+  PushAuctionRound(&registry, 0, 6);
+  ASSERT_TRUE(registry.DrainAll().ok());
+  auto r1 = registry.TakeResults("q1");
+  auto r2 = registry.TakeResults("q2");
+  ASSERT_TRUE(r1.ok());
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(r1->size(), 6u);
+  EXPECT_EQ(*r1, *r2);
+
+  // Unregistering one leaves the other's results intact, before and
+  // after the drop.
+  PushAuctionRound(&registry, 6, 4);
+  ASSERT_TRUE(registry.UnregisterQuery("q2").ok());
+  PushAuctionRound(&registry, 10, 3);
+  ASSERT_TRUE(registry.DrainAll().ok());
+  auto after = registry.TakeResults("q1");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->size(), 7u);
+  EXPECT_TRUE(registry.TakeResults("q2").status().IsNotFound());
+}
+
+TEST(QueryRegistryTest, RegistersDifferentQueriesSideBySide) {
   QueryRegistry registry;
   CreateAuctionStreams(&registry);
   ASSERT_TRUE(registry.CreateStream("S1", Schema::OfInts({"A", "B"})).ok());
@@ -220,10 +214,7 @@ TEST(QueryRegistryTest, DifferentQueriesDoNotShare) {
       "query S1 S2 S3; join S1.B = S2.B; join S2.C = S3.C; "
       "join S3.A = S1.A");
   ASSERT_TRUE(triangle.ok()) << triangle.status().ToString();
-  EXPECT_EQ(triangle->shared_subjoins, 0u);
-  for (const SubjoinSharing& d : triangle->subjoins) {
-    EXPECT_FALSE(d.shared_at_registration);
-  }
+  EXPECT_EQ(registry.QueryIds().size(), 2u);
 }
 
 TEST(QueryRegistryTest, ParallelModeProducesSameJoin) {
@@ -264,6 +255,46 @@ TEST(QueryRegistryTest, ExplicitTimestampsAdvanceClock) {
       registry.PushTuple("bid", Tuple({Value(2), Value(2), Value(2)}))
           .ok());
   EXPECT_EQ(registry.clock(), 101);
+}
+
+TEST(QueryRegistryTest, RejectsExplicitTimestampGoingBackwardsOnAStream) {
+  QueryRegistry registry;
+  CreateAuctionStreams(&registry);
+  ASSERT_TRUE(registry.RegisterQuery("q1", kAuctionSpec).ok());
+  const Tuple item({Value(1), Value(10), Value("widget"), Value(100)});
+  const Tuple bid({Value(7), Value(10), Value(5)});
+
+  ASSERT_TRUE(registry.PushTuple("item", item, 100).ok());
+  // Earlier on the same stream: rejected, and no query receives it.
+  EXPECT_TRUE(registry.PushTuple("item", item, 99).IsInvalidArgument());
+  EXPECT_TRUE(registry
+                  .PushPunctuation(
+                      "item", Punctuation::OfConstants(4, {{1, Value(10)}}), 50)
+                  .IsInvalidArgument());
+  EXPECT_EQ(registry.clock(), 100);
+  // Another stream may still interleave below the clock, and an equal
+  // timestamp is not a step back.
+  ASSERT_TRUE(registry.PushTuple("bid", bid, 60).ok());
+  ASSERT_TRUE(registry.PushTuple("item", item, 100).ok());
+  EXPECT_TRUE(registry.PushTuple("bid", bid, 59).IsInvalidArgument());
+  // Implicit stamps tick past the clock, and an explicit stamp must not
+  // go back before them either.
+  ASSERT_TRUE(registry.PushTuple("bid", bid).ok());
+  EXPECT_EQ(registry.clock(), 101);
+  EXPECT_TRUE(registry.PushTuple("bid", bid, 100).IsInvalidArgument());
+
+  ASSERT_TRUE(registry.DrainAll().ok());
+  auto results = registry.TakeResults("q1");
+  ASSERT_TRUE(results.ok());
+  // Two accepted items times two accepted bids.
+  EXPECT_EQ(results->size(), 4u);
+  for (const auto& [key, value] : registry.Stats()) {
+    if (key == "query.q1") {
+      EXPECT_NE(value.find("tuples_in=4 punctuations_in=0"),
+                std::string::npos)
+          << value;
+    }
+  }
 }
 
 TEST(QueryRegistryTest, UnregisterRemovesQuery) {
@@ -321,6 +352,31 @@ TEST(ProtocolTest, CreateRegisterPushFlow) {
   std::string line = FormatResultLine("q1", (*results)[0]);
   EXPECT_EQ(line.rfind("RESULT q1 ", 0), 0u);
   EXPECT_NE(line.find("\"widget\""), std::string::npos);
+}
+
+TEST(ProtocolTest, BackwardsTimestampIsOneErrorLine) {
+  QueryRegistry registry;
+  Session session;
+  Exec(&registry, &session,
+      "CREATE STREAM item sellerid:int itemid:int name:string "
+      "initialprice:int");
+  Exec(&registry, &session,
+      "CREATE STREAM bid bidderid:int itemid:int increase:int");
+  Exec(&registry, &session,
+      std::string("REGISTER QUERY q1 AS ") + kAuctionSpec);
+
+  EXPECT_EQ(Exec(&registry, &session, "PUSH bid @100 7 10 5")[0], "OK");
+  for (const char* line : {"PUSH bid @99 8 10 5", "PUNCT bid @99 * 10 *"}) {
+    auto err = Exec(&registry, &session, line);
+    ASSERT_EQ(err.size(), 1u) << line;
+    EXPECT_EQ(err[0].rfind("ERR InvalidArgument: ", 0), 0u) << err[0];
+  }
+  EXPECT_EQ(Exec(&registry, &session, "PUSH item @5 1 10 \"widget\" 100")[0],
+            "OK");
+  EXPECT_EQ(Exec(&registry, &session, "DRAIN")[0], "OK drained");
+  auto results = registry.TakeResults("q1");
+  ASSERT_TRUE(results.ok());
+  EXPECT_EQ(results->size(), 1u);  // only the accepted bid joined
 }
 
 TEST(ProtocolTest, ErrorsAreSingleLineWithCode) {
