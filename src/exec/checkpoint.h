@@ -68,6 +68,8 @@ struct CheckpointConfig {
   size_t interval_punctuations = 0;
   /// Snapshot file target for automatic snapshots.
   std::string path;
+
+  bool operator==(const CheckpointConfig&) const = default;
 };
 
 /// \brief One stored punctuation plus its arrival timestamp (needed so

@@ -90,6 +90,8 @@ struct MJoinConfig {
   /// its constrained attributes, the partner input is itself closed on
   /// the corresponding value and holds no matching live tuple.
   bool purge_punctuations = false;
+
+  bool operator==(const MJoinConfig&) const = default;
 };
 
 class MJoinOperator : public JoinOperator {

@@ -76,6 +76,10 @@ struct ExecutorConfig {
   /// kParallel: after a checkpoint barrier drains the pipeline).
   /// Disabled by default; Checkpoint() can always be called manually.
   CheckpointConfig checkpoint;
+
+  /// Field-wise; the server runs registrations whose plans and
+  /// configurations compare equal on one executor.
+  bool operator==(const ExecutorConfig&) const = default;
 };
 
 /// \brief Identity string tying a snapshot to (query, plan shape);

@@ -77,6 +77,8 @@ struct ObserveOptions {
   /// a power of two). The ring is a recent-window buffer — overflow
   /// drops the newest event and counts it, it never blocks.
   size_t ring_capacity = TraceRing::kDefaultCapacity;
+
+  bool operator==(const ObserveOptions&) const = default;
 };
 
 /// \brief One observation point: owned by exactly one shard worker.

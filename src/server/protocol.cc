@@ -226,14 +226,15 @@ Result<std::vector<std::string>> Dispatch(
     size_t pos = 2;
     PUNCTSAFE_ASSIGN_OR_RETURN(std::optional<int64_t> ts,
                                ParseTimestampToken(tokens, &pos));
-    PUNCTSAFE_ASSIGN_OR_RETURN(Schema schema, registry->SchemaFor(stream));
+    PUNCTSAFE_ASSIGN_OR_RETURN(const Schema* schema,
+                               registry->SchemaFor(stream));
     if (cmd == "PUSH") {
       PUNCTSAFE_ASSIGN_OR_RETURN(Tuple tuple,
-                                 ParseTupleTokens(schema, tokens, pos));
+                                 ParseTupleTokens(*schema, tokens, pos));
       PUNCTSAFE_RETURN_IF_ERROR(registry->PushTuple(stream, tuple, ts));
     } else {
       PUNCTSAFE_ASSIGN_OR_RETURN(
-          Punctuation p, ParsePunctuationTokens(schema, tokens, pos));
+          Punctuation p, ParsePunctuationTokens(*schema, tokens, pos));
       PUNCTSAFE_RETURN_IF_ERROR(registry->PushPunctuation(stream, p, ts));
     }
     return One("OK");
@@ -386,17 +387,24 @@ Result<Punctuation> ParsePunctuationTokens(
 }
 
 std::string FormatValue(const Value& v) {
-  // Value::ToString already renders strings double-quoted — the shape
-  // ParseValueToken strips back off — and scalars bare.
+  // Value renders strings double-quoted — the shape ParseValueToken
+  // strips back off — and scalars bare.
   return v.ToString();
 }
 
-std::string FormatResultLine(const std::string& id, const Tuple& t) {
-  std::string out = StrCat("RESULT ", id);
+void AppendResultLine(std::string* out, const std::string& id,
+                      const Tuple& t) {
+  out->append("RESULT ");
+  out->append(id);
   for (const Value& v : t.values()) {
-    out += ' ';
-    out += FormatValue(v);
+    out->push_back(' ');
+    v.AppendTo(out);
   }
+}
+
+std::string FormatResultLine(const std::string& id, const Tuple& t) {
+  std::string out;
+  AppendResultLine(&out, id, t);
   return out;
 }
 

@@ -72,7 +72,13 @@ Result<Punctuation> ParsePunctuationTokens(
 /// shape ParseValueToken accepts back).
 std::string FormatValue(const Value& v);
 
-/// \brief "RESULT <id> <v>..." line for a subscribed result tuple.
+/// \brief Appends the "RESULT <id> <v>..." line of a subscribed result
+/// tuple to `out`, without a newline. This is the server's result
+/// path: values render straight into the caller's reused buffer.
+void AppendResultLine(std::string* out, const std::string& id,
+                      const Tuple& t);
+
+/// \brief AppendResultLine into a fresh string.
 std::string FormatResultLine(const std::string& id, const Tuple& t);
 
 /// \brief "ERR <Code>: <message>" with newlines flattened to "; ".

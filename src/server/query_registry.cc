@@ -1,6 +1,7 @@
 #include "server/query_registry.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "query/spec_parser.h"
 #include "util/string_util.h"
@@ -90,7 +91,25 @@ Result<RegistrationInfo> QueryRegistry::RegisterQuery(
   info.plan = rq.shape.ToString(rq.query);
   info.safety = rq.safety;
 
-  queries_.emplace(id, Entry{std::move(rq)});
+  std::string signature = StrCat(rq.query.ToString(), " | ",
+                                 spec.schemes.ToString(), " | ", info.plan);
+  auto shared = std::find_if(
+      groups_.begin(), groups_.end(), [&](const auto& g) {
+        return g->pristine && g->signature == signature && g->config == cfg;
+      });
+  PlanGroup* group;
+  if (shared != groups_.end()) {
+    // This registration's own executor is dropped unused.
+    group = shared->get();
+  } else {
+    group = groups_.emplace_back(std::make_unique<PlanGroup>()).get();
+    group->signature = std::move(signature);
+    group->config = cfg;
+    group->rq = std::move(rq);
+  }
+  Entry& entry = queries_[id];
+  entry.group = group;
+  group->members.push_back(&entry);
   return info;
 }
 
@@ -99,6 +118,11 @@ Status QueryRegistry::UnregisterQuery(const std::string& id) {
   auto it = queries_.find(id);
   if (it == queries_.end()) {
     return Status::NotFound(StrCat("query '", id, "' is not registered"));
+  }
+  PlanGroup* group = it->second.group;
+  std::erase(group->members, &it->second);
+  if (group->members.empty()) {
+    std::erase_if(groups_, [group](const auto& g) { return g.get() == group; });
   }
   queries_.erase(it);
   return Status::OK();
@@ -134,22 +158,31 @@ Result<int64_t> QueryRegistry::ResolveTimestamp(const std::string& stream,
   return last->second;
 }
 
+template <typename PushFn>
+void QueryRegistry::FanOut(const std::string& stream,
+                           uint64_t Entry::*counter, PushFn push) {
+  for (const auto& group : groups_) {
+    auto idx = group->rq.query.StreamIndex(stream);
+    if (!idx.has_value()) continue;
+    push(group->rq, *idx);
+    group->pristine = false;
+    for (Entry* member : group->members) ++(member->*counter);
+  }
+}
+
 Status QueryRegistry::PushTuple(const std::string& stream, const Tuple& tuple,
                                 std::optional<int64_t> ts) {
   std::lock_guard<std::mutex> lock(mu_);
   PUNCTSAFE_ASSIGN_OR_RETURN(const Schema* schema, catalog_.Get(stream));
   PUNCTSAFE_RETURN_IF_ERROR(tuple.MatchesSchema(*schema));
   PUNCTSAFE_ASSIGN_OR_RETURN(int64_t now, ResolveTimestamp(stream, ts));
-  for (auto& [id, entry] : queries_) {
-    auto idx = entry.rq.query.StreamIndex(stream);
-    if (!idx.has_value()) continue;
-    if (entry.rq.is_parallel()) {
-      entry.rq.parallel_executor->PushTuple(*idx, tuple, now);
+  FanOut(stream, &Entry::tuples_in, [&](RegisteredQuery& rq, size_t input) {
+    if (rq.is_parallel()) {
+      rq.parallel_executor->PushTuple(input, tuple, now);
     } else {
-      entry.rq.executor->PushTuple(*idx, tuple, now);
+      rq.executor->PushTuple(input, tuple, now);
     }
-    ++entry.tuples_in;
-  }
+  });
   return Status::OK();
 }
 
@@ -160,16 +193,14 @@ Status QueryRegistry::PushPunctuation(const std::string& stream,
   PUNCTSAFE_ASSIGN_OR_RETURN(const Schema* schema, catalog_.Get(stream));
   PUNCTSAFE_RETURN_IF_ERROR(ValidatePunctuation(stream, *schema, p));
   PUNCTSAFE_ASSIGN_OR_RETURN(int64_t now, ResolveTimestamp(stream, ts));
-  for (auto& [id, entry] : queries_) {
-    auto idx = entry.rq.query.StreamIndex(stream);
-    if (!idx.has_value()) continue;
-    if (entry.rq.is_parallel()) {
-      entry.rq.parallel_executor->PushPunctuation(*idx, p, now);
-    } else {
-      entry.rq.executor->PushPunctuation(*idx, p, now);
-    }
-    ++entry.punctuations_in;
-  }
+  FanOut(stream, &Entry::punctuations_in,
+         [&](RegisteredQuery& rq, size_t input) {
+           if (rq.is_parallel()) {
+             rq.parallel_executor->PushPunctuation(input, p, now);
+           } else {
+             rq.executor->PushPunctuation(input, p, now);
+           }
+         });
   return Status::OK();
 }
 
@@ -177,12 +208,13 @@ Status QueryRegistry::DrainAll(std::optional<int64_t> ts) {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t now = ts.value_or(clock_);
   clock_ = std::max(clock_, now);
-  for (auto& [id, entry] : queries_) {
-    if (entry.rq.is_parallel()) {
-      PUNCTSAFE_RETURN_IF_ERROR(entry.rq.parallel_executor->Drain(now));
+  for (const auto& group : groups_) {
+    RegisteredQuery& rq = group->rq;
+    if (rq.is_parallel()) {
+      PUNCTSAFE_RETURN_IF_ERROR(rq.parallel_executor->Drain(now));
     } else {
-      entry.rq.executor->FlushIngest();
-      entry.rq.executor->SweepAll(now);
+      rq.executor->FlushIngest();
+      rq.executor->SweepAll(now);
     }
   }
   return Status::OK();
@@ -194,10 +226,28 @@ Result<std::vector<Tuple>> QueryRegistry::TakeResults(const std::string& id) {
   if (it == queries_.end()) {
     return Status::NotFound(StrCat("query '", id, "' is not registered"));
   }
-  if (it->second.rq.is_parallel()) {
-    return it->second.rq.parallel_executor->TakeResults();
+  Entry& entry = it->second;
+  RegisteredQuery& rq = entry.group->rq;
+  std::vector<Tuple> fresh = rq.is_parallel()
+                                 ? rq.parallel_executor->TakeResults()
+                                 : rq.executor->TakeResults();
+  if (!fresh.empty()) {
+    // Copies for the other members, the originals for the caller: a
+    // singleton group copies nothing.
+    for (Entry* member : entry.group->members) {
+      if (member == &entry) continue;
+      member->pending.insert(member->pending.end(), fresh.begin(),
+                             fresh.end());
+    }
+    if (entry.pending.empty()) {
+      entry.pending = std::move(fresh);
+    } else {
+      entry.pending.insert(entry.pending.end(),
+                           std::make_move_iterator(fresh.begin()),
+                           std::make_move_iterator(fresh.end()));
+    }
   }
-  return it->second.rq.executor->TakeResults();
+  return std::exchange(entry.pending, {});
 }
 
 std::vector<std::pair<std::string, std::string>> QueryRegistry::Stats() const {
@@ -207,16 +257,19 @@ std::vector<std::pair<std::string, std::string>> QueryRegistry::Stats() const {
   out.emplace_back("streams", StrCat(catalog_.size()));
   if (catalog_.size() > 0) out.emplace_back("catalog", catalog_.ToString());
   out.emplace_back("queries", StrCat(queries_.size()));
+  out.emplace_back("plans", StrCat(groups_.size()));
   for (const auto& [id, entry] : queries_) {
-    uint64_t results = entry.rq.is_parallel()
-                           ? entry.rq.parallel_executor->num_results()
-                           : entry.rq.executor->num_results();
-    size_t live = entry.rq.is_parallel()
-                      ? entry.rq.parallel_executor->TotalLiveTuples()
-                      : entry.rq.executor->TotalLiveTuples();
+    const RegisteredQuery& rq = entry.group->rq;
+    // Every member joined its group before the first element, so each
+    // is handed every result the group executor emits.
+    uint64_t results = rq.is_parallel() ? rq.parallel_executor->num_results()
+                                        : rq.executor->num_results();
+    size_t live = rq.is_parallel() ? rq.parallel_executor->TotalLiveTuples()
+                                   : rq.executor->TotalLiveTuples();
     out.emplace_back(
         StrCat("query.", id),
-        StrCat("mode=", entry.rq.is_parallel() ? "parallel" : "serial",
+        StrCat("mode=", rq.is_parallel() ? "parallel" : "serial",
+               " plan_members=", entry.group->members.size(),
                " tuples_in=", entry.tuples_in,
                " punctuations_in=", entry.punctuations_in,
                " results=", results, " live_tuples=", live));
@@ -224,15 +277,10 @@ std::vector<std::pair<std::string, std::string>> QueryRegistry::Stats() const {
   return out;
 }
 
-StreamCatalog QueryRegistry::CatalogSnapshot() const {
+Result<const Schema*> QueryRegistry::SchemaFor(
+    const std::string& stream) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return catalog_;
-}
-
-Result<Schema> QueryRegistry::SchemaFor(const std::string& stream) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  PUNCTSAFE_ASSIGN_OR_RETURN(const Schema* schema, catalog_.Get(stream));
-  return *schema;
+  return catalog_.Get(stream);
 }
 
 int64_t QueryRegistry::clock() const {

@@ -3,11 +3,22 @@
 // from C++ call sites, the registry serves many concurrent queries
 // over shared streams: streams are created once, each registered
 // query brings its own punctuation schemes and executor
-// configuration, and every ingested tuple/punctuation fans out to all
-// queries reading that stream. Registration reuses the full admission
-// pipeline (spec_parser -> SafetyChecker -> plan safety), rejecting
-// unsafe queries with the checker's witness. Each query runs its own
-// executor, even when another query registered the identical plan.
+// configuration, and every ingested tuple/punctuation fans out once
+// to each executor reading that stream. Registration reuses the full
+// admission pipeline (spec_parser -> SafetyChecker -> plan safety),
+// rejecting unsafe queries with the checker's witness.
+//
+// Registrations with an identical plan share one executor (a *plan
+// group*). Two plans are identical when their rendered query (streams
+// and predicates), rendered scheme set, plan shape and whole
+// ExecutorConfig are equal: both were then admitted as safe under the
+// same schemes, which is the whole-plan case of the sharing
+// precondition in "Safe Subjoins in Acyclic Joins". A registration
+// joins a group only while the group's executor has received no
+// element (the *pristine* rule), so every member sees exactly the
+// results a fresh executor of its own would produce. Each member keeps
+// its own pending results: TakeResults hands a member every result
+// the group emitted since its last take.
 //
 // Thread contract: every public method is safe from any thread (one
 // coarse mutex — the registry is the single driver of each executor,
@@ -68,7 +79,8 @@ class QueryRegistry {
       const std::string& id, const std::string& spec_text,
       std::optional<ExecutorConfig> config = std::nullopt);
 
-  /// \brief Drops a query and its executor.
+  /// \brief Drops a query. Its plan group's executor goes with the
+  /// group's last member.
   Status UnregisterQuery(const std::string& id);
 
   bool HasQuery(const std::string& id) const;
@@ -91,20 +103,23 @@ class QueryRegistry {
   Status DrainAll(std::optional<int64_t> ts = std::nullopt);
 
   /// \brief Moves out the results `id` emitted since the last take
-  /// (subscriber streaming; arrival order preserved per query).
+  /// (subscriber streaming; arrival order preserved per query). The
+  /// group executor's new results are first handed to every member,
+  /// so each member of a shared plan receives the full result
+  /// sequence.
   Result<std::vector<Tuple>> TakeResults(const std::string& id);
 
   /// \brief Registry-wide stats as ordered key/value pairs (protocol
-  /// `STATS`).
+  /// `STATS`): `plans` counts executors, and each `query.<id>` line
+  /// carries `plan_members=<n>`, the registrations sharing its
+  /// executor.
   std::vector<std::pair<std::string, std::string>> Stats() const;
 
-  /// \brief Copy of the stream catalog (schema lookups for protocol
-  /// parsing).
-  StreamCatalog CatalogSnapshot() const;
-
   /// \brief Schema of one stream (what protocol value parsing needs
-  /// per PUSH/PUNCT, without copying the whole catalog).
-  Result<Schema> SchemaFor(const std::string& stream) const;
+  /// per PUSH/PUNCT). The pointer stays valid for the registry's
+  /// lifetime: streams are never dropped, and the catalog's index is a
+  /// node-based map, so later CreateStream calls do not move it.
+  Result<const Schema*> SchemaFor(const std::string& stream) const;
 
   /// \brief The configuration registrations start from (immutable
   /// after construction).
@@ -114,11 +129,36 @@ class QueryRegistry {
   int64_t clock() const;
 
  private:
-  struct Entry {
+  struct Entry;
+
+  // One executor and the registrations reading its results. Every
+  // registration belongs to exactly one group; most groups have one
+  // member.
+  struct PlanGroup {
+    // Rendered query, scheme set and plan shape; with `config` the
+    // identity a newcomer must match to join.
+    std::string signature;
+    ExecutorConfig config;
     RegisteredQuery rq;
+    // No element pushed yet: a newcomer may still join.
+    bool pristine = true;
+    std::vector<Entry*> members;  // registration order
+  };
+
+  struct Entry {
+    PlanGroup* group = nullptr;
+    // Results taken from the group executor, not yet taken by this
+    // member.
+    std::vector<Tuple> pending;
     uint64_t tuples_in = 0;
     uint64_t punctuations_in = 0;
   };
+
+  // Runs `push(rq, input)` once for every group whose query reads
+  // `stream`, and counts the element in `counter` of each member.
+  template <typename PushFn>
+  void FanOut(const std::string& stream, uint64_t Entry::*counter,
+              PushFn push);
 
   // Stamps an element of `stream`: explicit timestamps advance the
   // clock, implicit ones tick it. An explicit timestamp earlier than
@@ -130,6 +170,7 @@ class QueryRegistry {
   ExecutorConfig default_config_;
   StreamCatalog catalog_;
   std::map<std::string, Entry> queries_;  // ordered for stable STATS
+  std::vector<std::unique_ptr<PlanGroup>> groups_;  // creation order
   // Per stream: the timestamp of its last element.
   std::unordered_map<std::string, int64_t> last_ts_;
   int64_t clock_ = 0;

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <set>
@@ -137,7 +138,7 @@ void IngestServer::AcceptNew() {
 }
 
 bool IngestServer::Enqueue(Connection* conn, const std::string& line) {
-  if (conn->out.size() + line.size() + 1 > config_.max_output_buffer) {
+  if (conn->unsent() + line.size() + 1 > config_.max_output_buffer) {
     // Slow consumer: drop rather than buffer without bound.
     return false;
   }
@@ -180,6 +181,7 @@ bool IngestServer::HandleReadable(Connection* conn) {
     // Eager results: lines a command just produced reach subscribers
     // in the same wakeup.
     PumpResults();
+    if (conn->dropped) return false;
     if (conn->session.quit) {
       conn->closing = true;
       break;
@@ -193,8 +195,9 @@ bool IngestServer::HandleReadable(Connection* conn) {
 }
 
 bool IngestServer::FlushOutput(Connection* conn) {
-  while (!conn->out.empty()) {
-    ssize_t n = send(conn->fd, conn->out.data(), conn->out.size(),
+  while (conn->unsent() > 0) {
+    ssize_t n = send(conn->fd, conn->out.data() + conn->out_sent,
+                     conn->unsent(),
 #ifdef MSG_NOSIGNAL
                      MSG_NOSIGNAL
 #else
@@ -202,24 +205,36 @@ bool IngestServer::FlushOutput(Connection* conn) {
 #endif
     );
     if (n > 0) {
-      conn->out.erase(0, static_cast<size_t>(n));
+      conn->out_sent += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
     return false;  // peer is gone
+  }
+  if (conn->unsent() == 0) {
+    conn->out.clear();
+    conn->out_sent = 0;
+  } else if (conn->out_sent > conn->out.size() / 2) {
+    // Compact only past half: fewer bytes move than were sent since
+    // the last compaction, so each byte moves at most once.
+    conn->out.erase(0, conn->out_sent);
+    conn->out_sent = 0;
   }
   return true;
 }
 
 void IngestServer::PumpResults() {
-  // One take per subscribed query, fanned to every subscriber.
-  std::set<std::string> subscribed;
+  // One take per subscribed query, however many connections follow it.
+  pump_ids_.clear();
   for (const auto& [fd, conn] : connections_) {
-    subscribed.insert(conn.session.subscriptions.begin(),
-                      conn.session.subscriptions.end());
+    pump_ids_.insert(pump_ids_.end(), conn.session.subscriptions.begin(),
+                     conn.session.subscriptions.end());
   }
-  for (const std::string& id : subscribed) {
+  std::sort(pump_ids_.begin(), pump_ids_.end());
+  pump_ids_.erase(std::unique(pump_ids_.begin(), pump_ids_.end()),
+                  pump_ids_.end());
+  for (const std::string& id : pump_ids_) {
     Result<std::vector<Tuple>> taken = registry_->TakeResults(id);
     if (!taken.ok()) {
       // The query vanished (unregistered elsewhere): silently drop the
@@ -230,21 +245,21 @@ void IngestServer::PumpResults() {
       continue;
     }
     if (taken->empty()) continue;
-    std::vector<std::string> lines;
-    lines.reserve(taken->size());
+    // Format the take once; every subscriber gets the same bytes.
+    chunk_.clear();
     for (const Tuple& t : *taken) {
-      lines.push_back(FormatResultLine(id, t));
+      AppendResultLine(&chunk_, id, t);
+      chunk_.push_back('\n');
     }
     for (auto& [fd, conn] : connections_) {
       if (conn.session.subscriptions.count(id) == 0) continue;
-      for (const std::string& line : lines) {
-        if (!Enqueue(&conn, line)) {
-          // Slow consumer: stop feeding it; the event loop reaps it.
-          conn.closing = true;
-          conn.session.subscriptions.clear();
-          break;
-        }
+      if (conn.unsent() + chunk_.size() > config_.max_output_buffer) {
+        // Slow consumer: stop feeding it; the event loop drops it.
+        conn.dropped = true;
+        conn.session.subscriptions.clear();
+        continue;
       }
+      conn.out.append(chunk_);
     }
   }
 }
@@ -307,8 +322,8 @@ void IngestServer::Run() {
       auto it = connections_.find(fd);
       if (it == connections_.end()) continue;
       Connection* conn = &it->second;
-      bool alive = true;
-      if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
+      bool alive = !conn->dropped;
+      if (alive && (events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
         // Flush what we can (the peer may have half-closed), then
         // drop.
         FlushOutput(conn);
@@ -334,16 +349,16 @@ void IngestServer::Run() {
     // Opportunistic flush + interest update for every connection.
     std::vector<int> doomed;
     for (auto& [fd, conn] : connections_) {
-      if (!FlushOutput(&conn)) {
+      if (conn.dropped || !FlushOutput(&conn)) {
         doomed.push_back(fd);
         continue;
       }
-      if (conn.closing && conn.out.empty()) {
+      if (conn.closing && conn.unsent() == 0) {
         doomed.push_back(fd);
         continue;
       }
       uint32_t want =
-          conn.out.empty() ? EPOLLIN : (EPOLLIN | EPOLLOUT);
+          conn.unsent() == 0 ? EPOLLIN : (EPOLLIN | EPOLLOUT);
       if (registered.insert(fd).second) {
         add(fd, want);
       } else {
@@ -367,7 +382,7 @@ void IngestServer::Run() {
     fds.push_back({wake_read_fd_, POLLIN, 0});
     for (const auto& [fd, conn] : connections_) {
       short events = POLLIN;
-      if (!conn.out.empty()) events |= POLLOUT;
+      if (conn.unsent() > 0) events |= POLLOUT;
       fds.push_back({fd, events, 0});
     }
     int n = poll(fds.data(), fds.size(), 500);
@@ -383,8 +398,8 @@ void IngestServer::Run() {
       auto it = connections_.find(fds[i].fd);
       if (it == connections_.end()) continue;
       Connection* conn = &it->second;
-      bool alive = true;
-      if ((fds[i].revents & (POLLERR | POLLHUP)) != 0) {
+      bool alive = !conn->dropped;
+      if (alive && (fds[i].revents & (POLLERR | POLLHUP)) != 0) {
         FlushOutput(conn);
         alive = false;
       }
@@ -401,11 +416,11 @@ void IngestServer::Run() {
 
     std::vector<int> doomed;
     for (auto& [fd, conn] : connections_) {
-      if (!FlushOutput(&conn)) {
+      if (conn.dropped || !FlushOutput(&conn)) {
         doomed.push_back(fd);
         continue;
       }
-      if (conn.closing && conn.out.empty()) doomed.push_back(fd);
+      if (conn.closing && conn.unsent() == 0) doomed.push_back(fd);
     }
     for (int fd : doomed) CloseConnection(fd);
   }

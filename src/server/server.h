@@ -8,9 +8,15 @@
 // driver here (embedders may still call the registry concurrently —
 // it locks internally). A self-pipe wakes the loop for Stop().
 //
+// Result path: after every input line the loop takes each subscribed
+// query's new results once, formats the whole take once into a reused
+// byte buffer (Value::AppendTo, no streams), and appends those bytes
+// to every subscriber's output.
+//
 // Backpressure: every connection has a bounded output buffer
-// (ServerConfig::max_output_buffer). A subscriber that reads slower
-// than its queries produce is disconnected rather than letting its
+// (ServerConfig::max_output_buffer, counted in unsent bytes). A
+// subscriber that reads slower than its queries produce is
+// disconnected, its unsent output discarded, rather than letting its
 // buffer grow without bound — results are lost for that subscriber
 // only (the paper's safety guarantee bounds *operator* state; output
 // buffering is the server's own resource to bound). Input lines are
@@ -89,9 +95,16 @@ class IngestServer {
   struct Connection {
     int fd = -1;
     std::string in;    // unframed bytes awaiting a newline
-    std::string out;   // bytes awaiting the socket
+    // Output; out[0, out_sent) already went to the socket. A read
+    // offset instead of erasing the front keeps a partial send from
+    // moving the rest of the buffer.
+    std::string out;
+    size_t out_sent = 0;
     Session session;   // protocol state (subscriptions, quit)
     bool closing = false;  // flush `out`, then close
+    bool dropped = false;  // slow consumer: close now, discard `out`
+
+    size_t unsent() const { return out.size() - out_sent; }
   };
 
   IngestServer(QueryRegistry* registry, ServerConfig config);
@@ -101,13 +114,15 @@ class IngestServer {
   // Reads available bytes; executes complete lines. False = drop the
   // connection.
   bool HandleReadable(Connection* conn);
-  // Flushes as much of `out` as the socket takes. False = drop.
+  // Sends as much unsent output as the socket takes. False = drop.
   bool FlushOutput(Connection* conn);
   // Appends response/result lines, enforcing the output bound. False =
   // drop (slow consumer).
   bool Enqueue(Connection* conn, const std::string& line);
   // Moves freshly produced results of all subscribed queries into the
-  // subscribers' output buffers.
+  // subscribers' output buffers, formatting each query's take once.
+  // A subscriber the bytes would push past max_output_buffer is marked
+  // dropped.
   void PumpResults();
   void CloseConnection(int fd);
   void CloseAll();
@@ -119,6 +134,10 @@ class IngestServer {
   int wake_write_fd_ = -1;
   uint16_t port_ = 0;
   std::map<int, Connection> connections_;  // by fd
+  // PumpResults scratch, reused across calls: the subscribed query
+  // ids, deduplicated, and one query's formatted RESULT lines.
+  std::vector<std::string> pump_ids_;
+  std::string chunk_;
   std::atomic<bool> running_{false};  // double-Start guard
   std::atomic<bool> stop_{false};     // loop exit signal
   std::atomic<size_t> num_connections_{0};

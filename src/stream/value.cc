@@ -1,6 +1,6 @@
 #include "stream/value.h"
 
-#include <sstream>
+#include <charconv>
 
 #include "util/logging.h"
 
@@ -67,23 +67,39 @@ std::string_view Value::AsString() const {
   return string_view();
 }
 
-std::string Value::ToString() const {
-  std::ostringstream out;
+void Value::AppendTo(std::string* out) const {
+  // Room for any int64 (20 chars) and any %g-style double with six
+  // significant digits ("-1.23457e-308" is 13).
+  char buf[32];
+  char* end = buf;
   switch (type()) {
     case ValueType::kNull:
-      out << "null";
-      break;
+      out->append("null");
+      return;
     case ValueType::kInt64:
-      out << payload_.i;
+      end = std::to_chars(buf, buf + sizeof(buf), payload_.i).ptr;
       break;
     case ValueType::kDouble:
-      out << payload_.d;
+      // Precision 6 in general format is exactly what a default
+      // std::ostream renders (%g), including "inf", "-inf", "nan"
+      // and "-0".
+      end = std::to_chars(buf, buf + sizeof(buf), payload_.d,
+                          std::chars_format::general, 6)
+                .ptr;
       break;
     case ValueType::kString:
-      out << '"' << string_view() << '"';
-      break;
+      out->push_back('"');
+      out->append(string_view());
+      out->push_back('"');
+      return;
   }
-  return out.str();
+  out->append(buf, end);
+}
+
+std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 }  // namespace punctsafe

@@ -165,6 +165,12 @@ class Value {
   /// \brief The cached hash (computed at construction, O(1) here).
   size_t Hash() const { return hash_; }
 
+  /// \brief Appends the rendering ToString() returns: int64 and
+  /// double as an ostream prints them by default (doubles as %g with
+  /// six significant digits), strings double-quoted with their raw
+  /// bytes, null as `null`. Allocation-free apart from growing `out`
+  /// (the server formats every RESULT value through here).
+  void AppendTo(std::string* out) const;
   std::string ToString() const;
 
  private:

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "server/protocol.h"
 
@@ -198,6 +201,149 @@ TEST(QueryRegistryTest, IdenticalQueriesEachGetFullResults) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->size(), 7u);
   EXPECT_TRUE(registry.TakeResults("q2").status().IsNotFound());
+}
+
+// The value of STATS key `key` ("" when absent).
+std::string StatOf(const QueryRegistry& registry, const std::string& key) {
+  for (const auto& [k, value] : registry.Stats()) {
+    if (k == key) return value;
+  }
+  return "";
+}
+
+bool HasField(const std::string& stat, const std::string& field) {
+  return (" " + stat + " ").find(" " + field + " ") != std::string::npos;
+}
+
+std::vector<Tuple> Sorted(std::vector<Tuple> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(QueryRegistryTest, IdenticalRegistrationsBeforeAnyElementShare) {
+  QueryRegistry registry;
+  CreateAuctionStreams(&registry);
+  ASSERT_TRUE(registry.RegisterQuery("q1", kAuctionSpec).ok());
+  ASSERT_TRUE(registry.RegisterQuery("q2", kAuctionSpec).ok());
+  EXPECT_EQ(StatOf(registry, "queries"), "2");
+  EXPECT_EQ(StatOf(registry, "plans"), "1");
+  EXPECT_TRUE(HasField(StatOf(registry, "query.q1"), "plan_members=2"));
+  EXPECT_TRUE(HasField(StatOf(registry, "query.q2"), "plan_members=2"));
+
+  // A member that has not taken yet keeps its copy while the other
+  // takes, and each member's counters are its own.
+  PushAuctionRound(&registry, 0, 3);
+  auto first = registry.TakeResults("q1");
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->size(), 3u);
+  PushAuctionRound(&registry, 3, 2);
+  auto second = registry.TakeResults("q2");
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->size(), 5u);
+  EXPECT_TRUE(HasField(StatOf(registry, "query.q1"), "tuples_in=10"));
+  EXPECT_TRUE(HasField(StatOf(registry, "query.q2"), "results=5"));
+
+  // The executor goes with the last member.
+  ASSERT_TRUE(registry.UnregisterQuery("q1").ok());
+  EXPECT_EQ(StatOf(registry, "plans"), "1");
+  EXPECT_TRUE(HasField(StatOf(registry, "query.q2"), "plan_members=1"));
+  ASSERT_TRUE(registry.UnregisterQuery("q2").ok());
+  EXPECT_EQ(StatOf(registry, "plans"), "0");
+}
+
+TEST(QueryRegistryTest, RegistrationAfterAnElementGetsItsOwnExecutor) {
+  QueryRegistry registry;
+  CreateAuctionStreams(&registry);
+  ASSERT_TRUE(registry.RegisterQuery("early", kAuctionSpec).ok());
+  PushAuctionRound(&registry, 0, 3);
+  ASSERT_TRUE(registry.RegisterQuery("late", kAuctionSpec).ok());
+  EXPECT_EQ(StatOf(registry, "plans"), "2");
+  EXPECT_TRUE(HasField(StatOf(registry, "query.early"), "plan_members=1"));
+  EXPECT_TRUE(HasField(StatOf(registry, "query.late"), "plan_members=1"));
+
+  // A fresh executor started at the late registration, fed the same
+  // suffix.
+  QueryRegistry fresh;
+  CreateAuctionStreams(&fresh);
+  ASSERT_TRUE(fresh.RegisterQuery("late", kAuctionSpec).ok());
+  auto suffix = [](QueryRegistry* r) {
+    // Bids on items pushed before the late registration, then a new
+    // round.
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(
+          r->PushTuple("bid", Tuple({Value(i), Value(i), Value(2)})).ok());
+    }
+    PushAuctionRound(r, 3, 4);
+    ASSERT_TRUE(r->DrainAll().ok());
+  };
+  suffix(&registry);
+  suffix(&fresh);
+
+  auto early = registry.TakeResults("early");
+  auto late = registry.TakeResults("late");
+  auto want = fresh.TakeResults("late");
+  ASSERT_TRUE(early.ok());
+  ASSERT_TRUE(late.ok());
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(early->size(), 10u);  // 3 + 3 late bids + 4
+  EXPECT_EQ(want->size(), 4u);
+  EXPECT_EQ(Sorted(*late), Sorted(*want));
+}
+
+TEST(QueryRegistryTest, DifferentExecutorOptionsDoNotShare) {
+  QueryRegistry registry;
+  Session session;
+  ProcessLine(&registry, &session,
+              "CREATE STREAM item sellerid:int itemid:int name:string "
+              "initialprice:int");
+  ProcessLine(&registry, &session,
+              "CREATE STREAM bid bidderid:int itemid:int increase:int");
+  for (const std::string& line :
+       {std::string("REGISTER QUERY plain AS ") + kAuctionSpec,
+        std::string("REGISTER QUERY b4 WITH batch=4 AS ") + kAuctionSpec,
+        std::string("REGISTER QUERY b8 WITH batch=8 AS ") + kAuctionSpec,
+        std::string("REGISTER QUERY b4too WITH batch=4 AS ") +
+            kAuctionSpec}) {
+    auto out = ProcessLine(&registry, &session, line);
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_EQ(out[0].rfind("OK query ", 0), 0u) << out[0];
+  }
+  EXPECT_EQ(StatOf(registry, "plans"), "3");
+  EXPECT_TRUE(HasField(StatOf(registry, "query.plain"), "plan_members=1"));
+  EXPECT_TRUE(HasField(StatOf(registry, "query.b8"), "plan_members=1"));
+  EXPECT_TRUE(HasField(StatOf(registry, "query.b4"), "plan_members=2"));
+  EXPECT_TRUE(HasField(StatOf(registry, "query.b4too"), "plan_members=2"));
+}
+
+TEST(QueryRegistryTest, ParallelTwinsShareAndEachGetFullResults) {
+  QueryRegistry registry;
+  CreateAuctionStreams(&registry);
+  ExecutorConfig cfg;
+  cfg.mode = ExecutionMode::kParallel;
+  cfg.shards = 2;
+  ASSERT_TRUE(registry.RegisterQuery("pa", kAuctionSpec, cfg).ok());
+  ASSERT_TRUE(registry.RegisterQuery("pb", kAuctionSpec, cfg).ok());
+  EXPECT_EQ(StatOf(registry, "plans"), "1");
+  EXPECT_TRUE(HasField(StatOf(registry, "query.pa"), "mode=parallel"));
+  EXPECT_TRUE(HasField(StatOf(registry, "query.pb"), "plan_members=2"));
+
+  // Takes race the shard workers: each take hands out whatever has
+  // arrived so far, to both members.
+  std::map<std::string, std::vector<Tuple>> got;
+  auto take = [&](const std::string& id) {
+    auto taken = registry.TakeResults(id);
+    ASSERT_TRUE(taken.ok());
+    got[id].insert(got[id].end(), taken->begin(), taken->end());
+  };
+  for (int round = 0; round < 8; ++round) {
+    PushAuctionRound(&registry, round * 4, 4);
+    take(round % 2 == 0 ? "pa" : "pb");
+  }
+  ASSERT_TRUE(registry.DrainAll().ok());
+  take("pa");
+  take("pb");
+  EXPECT_EQ(got["pa"].size(), 32u);
+  EXPECT_EQ(Sorted(got["pa"]), Sorted(got["pb"]));
 }
 
 TEST(QueryRegistryTest, RegistersDifferentQueriesSideBySide) {

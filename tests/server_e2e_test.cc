@@ -32,7 +32,7 @@ class LineClient {
   }
 
   bool Connect(uint16_t port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    if (fd_ < 0) fd_ = socket(AF_INET, SOCK_STREAM, 0);
     if (fd_ < 0) return false;
     timeval tv{10, 0};  // reads fail after 10s: tests end, not hang
     setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
@@ -56,15 +56,34 @@ class LineClient {
     return true;
   }
 
+  // Shrinks the receive buffer; call before Connect.
+  bool Open(int rcvbuf) {
+    fd_ = socket(AF_INET, SOCK_STREAM, 0);
+    return fd_ >= 0 && setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                                  sizeof(rcvbuf)) == 0;
+  }
+
+  // Buffers whatever has arrived, without waiting.
+  void ReadAvailable() {
+    char chunk[65536];
+    for (;;) {
+      ssize_t n = recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT);
+      if (n <= 0) return;
+      buf_.append(chunk, static_cast<size_t>(n));
+    }
+  }
+
   bool ReadLine(std::string* line) {
     for (;;) {
-      size_t nl = buf_.find('\n');
+      size_t nl = buf_.find('\n', pos_);
       if (nl != std::string::npos) {
-        *line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
+        *line = buf_.substr(pos_, nl - pos_);
+        pos_ = nl + 1;
         if (!line->empty() && line->back() == '\r') line->pop_back();
         return true;
       }
+      buf_.erase(0, pos_);
+      pos_ = 0;
       char chunk[4096];
       ssize_t n = read(fd_, chunk, sizeof(chunk));
       if (n <= 0) return false;  // timeout or EOF
@@ -85,6 +104,7 @@ class LineClient {
  private:
   int fd_ = -1;
   std::string buf_;
+  size_t pos_ = 0;  // buf_[0, pos_) has been returned already
 };
 
 constexpr const char* kTriangleSpec =
@@ -298,6 +318,109 @@ TEST(ServerE2ETest, TwoSubscribersBothReceiveResults) {
   EXPECT_EQ(line1, line2);
   EXPECT_EQ(line1, "RESULT q 1 7 7 3");
 
+  (*server)->Stop();
+}
+
+// A subscriber that never reads is disconnected once its unsent
+// output would pass max_output_buffer. A second subscriber of the same
+// query still receives every result, and the event loop keeps
+// answering other connections.
+TEST(ServerE2ETest, StalledSubscriberIsDroppedOthersKeepTheirResults) {
+  QueryRegistry registry;
+  ServerConfig config;
+  config.max_output_buffer = 8u << 10;
+  auto server = IngestServer::Listen(&registry, config);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE((*server)->Start().ok());
+  const uint16_t port = (*server)->port();
+
+  constexpr const char* kSpec =
+      "scheme S1 B; scheme S2 B; query S1 S2; join S1.B = S2.B";
+  LineClient producer;
+  ASSERT_TRUE(producer.Connect(port));
+  producer.Expect("CREATE STREAM S1 A:string B:int", "OK stream S1");
+  producer.Expect("CREATE STREAM S2 B:int C:int", "OK stream S2");
+  producer.Expect(std::string("REGISTER QUERY q AS ") + kSpec, "OK query q");
+
+  LineClient stalled;
+  ASSERT_TRUE(stalled.Open(4096));
+  ASSERT_TRUE(stalled.Connect(port));
+  stalled.Expect("SUBSCRIBE q", "OK subscribed q");
+  LineClient reader;
+  ASSERT_TRUE(reader.Connect(port));
+  reader.Expect("SUBSCRIBE q", "OK subscribed q");
+  LineClient pinger;
+  ASSERT_TRUE(pinger.Connect(port));
+  pinger.Expect("PING", "OK pong");
+  ASSERT_EQ((*server)->num_connections(), 4u);
+
+  // Round r: kWidth S1 rows with a ~100-byte payload, then kWidth S2
+  // rows, all on join value r (kWidth^2 results, under 4 KiB per
+  // PUSH), then punctuations that close r on both sides. The reader
+  // takes what has arrived after every command. Rounds go on until
+  // the stalled subscriber's kernel buffers are full and the server
+  // drops it.
+  constexpr int kWidth = 32;
+  constexpr int kMaxRounds = 512;  // ~64 MiB of output to the stalled one
+  const std::string payload(96, 'p');
+  std::vector<std::string> commands;
+  int rounds = 0;
+  while ((*server)->num_connections() == 4) {
+    ASSERT_LT(rounds, kMaxRounds) << "the stalled subscriber was never dropped";
+    std::vector<std::string> round;
+    for (int i = 0; i < kWidth; ++i) {
+      round.push_back("PUSH S1 " + payload + std::to_string(i) + " " +
+                      std::to_string(rounds));
+    }
+    for (int i = 0; i < kWidth; ++i) {
+      round.push_back("PUSH S2 " + std::to_string(rounds) + " " +
+                      std::to_string(i));
+    }
+    round.push_back("PUNCT S1 * " + std::to_string(rounds));
+    round.push_back("PUNCT S2 " + std::to_string(rounds) + " *");
+    for (const std::string& command : round) {
+      producer.Expect(command, "OK");
+      reader.ReadAvailable();
+      commands.push_back(command);
+    }
+    ++rounds;
+  }
+  RecordProperty("rounds_until_drop", rounds);
+  pinger.Expect("PING", "OK pong");
+  producer.Expect("DRAIN", "OK drained");
+
+  // Reference: the same lines through a socket-free registry.
+  QueryRegistry reference;
+  Session session;
+  for (const std::string& line :
+       {std::string("CREATE STREAM S1 A:string B:int"),
+        std::string("CREATE STREAM S2 B:int C:int"),
+        std::string("REGISTER QUERY q AS ") + kSpec}) {
+    ASSERT_EQ(ProcessLine(&reference, &session, line)[0].rfind("OK", 0), 0u);
+  }
+  for (const std::string& command : commands) {
+    ASSERT_EQ(ProcessLine(&reference, &session, command)[0], "OK");
+  }
+  auto rows = reference.TakeResults("q");
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), static_cast<size_t>(rounds * kWidth * kWidth));
+  std::vector<std::string> expected;
+  for (const Tuple& t : *rows) expected.push_back(FormatResultLine("q", t));
+
+  std::vector<std::string> received;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    std::string line;
+    ASSERT_TRUE(reader.ReadLine(&line))
+        << "got " << received.size() << " of " << expected.size()
+        << " results";
+    received.push_back(line);
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(received.begin(), received.end());
+  EXPECT_EQ(received, expected);
+
+  pinger.Expect("PING", "OK pong");
+  EXPECT_EQ((*server)->num_connections(), 3u);
   (*server)->Stop();
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <unordered_set>
 
 namespace punctsafe {
@@ -74,6 +77,39 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value(7).ToString(), "7");
   EXPECT_EQ(Value("hi").ToString(), "\"hi\"");
   EXPECT_EQ(Value::Null().ToString(), "null");
+}
+
+// The literals are what the earlier std::ostringstream rendering
+// produced (default stream flags: %g, six significant digits); the
+// server's RESULT bytes must not change.
+TEST(ValueTest, AppendToMatchesStreamRendering) {
+  using Limits = std::numeric_limits<double>;
+  const std::pair<Value, const char*> cases[] = {
+      {Value(std::numeric_limits<int64_t>::min()), "-9223372036854775808"},
+      {Value(std::numeric_limits<int64_t>::max()), "9223372036854775807"},
+      {Value(0.0), "0"},
+      {Value(-0.0), "-0"},
+      {Value(0.1), "0.1"},
+      {Value(1e-5), "1e-05"},
+      {Value(1e16), "1e+16"},
+      {Value(1e20), "1e+20"},
+      {Value(123456789.0), "1.23457e+08"},
+      {Value(Limits::infinity()), "inf"},
+      {Value(-Limits::infinity()), "-inf"},
+      {Value(Limits::quiet_NaN()), "nan"},
+      {Value(Limits::denorm_min()), "4.94066e-324"},
+      {Value(Limits::max()), "1.79769e+308"},
+      {Value(""), "\"\""},
+      {Value("sixteen-byte-str"), "\"sixteen-byte-str\""},  // inline
+      {Value("seventeen-byte-st"), "\"seventeen-byte-st\""},  // owned
+      {Value::Null(), "null"},
+  };
+  for (const auto& [value, want] : cases) {
+    EXPECT_EQ(value.ToString(), want);
+    std::string appended = "x ";
+    value.AppendTo(&appended);
+    EXPECT_EQ(appended, std::string("x ") + want);
+  }
 }
 
 TEST(ValueTest, TypeNames) {

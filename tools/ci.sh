@@ -88,14 +88,18 @@ run_config() {
     run_explicit "${dir}/tests/purge_wakeup_differential_test"
   fi
   # The server end-to-end test (loopback sockets, background event
-  # loop, multi-client fan-out) gets explicit runs on the plain leg
-  # and under both sanitizers: ASan covers connection/result buffer
-  # lifetimes, TSan the event-loop thread against client threads and
-  # the registry's coarse lock.
+  # loop, multi-client fan-out, slow-consumer drop) and the registry
+  # test (shared plan groups) get explicit runs on the plain leg and
+  # under both sanitizers: ASan covers connection/result buffer
+  # lifetimes and group teardown, TSan the event-loop thread against
+  # client threads, the registry's coarse lock, and a shared group's
+  # TakeResults against parallel-executor worker threads.
   if [ "${name}" = "plain" ] || [ "${name}" = "asan" ] || \
      [ "${name}" = "tsan" ]; then
     echo "=== [${name}] server end-to-end (explicit) ==="
     run_explicit "${dir}/tests/server_e2e_test"
+    echo "=== [${name}] query registry plan sharing (explicit) ==="
+    run_explicit "${dir}/tests/query_registry_test"
   fi
   if [ "${name}" = "scalar" ]; then
     echo "=== [${name}] simd branch compile cross-check ==="
