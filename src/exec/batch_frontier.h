@@ -64,7 +64,7 @@ class BatchFrontier {
   }
 
   /// \brief Seeds one row from a single tuple on `input` (the
-  /// tuple-at-a-time entry; provenance row 0).
+  /// removability check's joinable set; provenance row 0).
   void SeedSingle(const Tuple* tuple, size_t input) {
     for (size_t c = 0; c < cols_.size(); ++c) {
       cols_[c].push_back(c == input ? tuple : nullptr);

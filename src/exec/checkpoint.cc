@@ -746,6 +746,59 @@ StateSnapshot MergeSnapshots(const StateSnapshot& a, const StateSnapshot& b) {
   return out;
 }
 
+std::vector<OperatorStateSnapshot> SplitOperatorSnapshot(
+    const OperatorStateSnapshot& op, size_t pieces,
+    const OperatorShardFn& shard_of) {
+  PUNCTSAFE_CHECK(pieces > 0) << "cannot split a snapshot into 0 pieces";
+  std::vector<OperatorStateSnapshot> out(pieces);
+  for (size_t s = 0; s < pieces; ++s) {
+    // Replicated / max-semantics state goes into every piece; summed
+    // counters stay on piece 0 so the fold restores them exactly.
+    OperatorStateSnapshot& piece = out[s];
+    piece.inputs.resize(op.inputs.size());
+    piece.pending = op.pending;
+    piece.punctuations_purged = op.punctuations_purged;
+    piece.punctuations_since_sweep = op.punctuations_since_sweep;
+    piece.op_metrics = op.op_metrics;
+    if (s != 0) {
+      piece.op_metrics.results_emitted = 0;
+      piece.op_metrics.removability_checks = 0;
+    }
+    for (size_t k = 0; k < op.inputs.size(); ++k) {
+      piece.inputs[k].punctuations = op.inputs[k].punctuations;
+      if (s == 0) {
+        piece.inputs[k].state_metrics = op.inputs[k].state_metrics;
+        // `live` is recomputed from the tuple partition below so each
+        // piece's gauge matches its own contents.
+        piece.inputs[k].state_metrics.live = 0;
+      }
+    }
+  }
+  for (size_t k = 0; k < op.inputs.size(); ++k) {
+    for (const Tuple& t : op.inputs[k].tuples) {
+      const size_t target = shard_of(k, t, pieces);
+      PUNCTSAFE_CHECK(target < pieces)
+          << "shard_of returned " << target << " for " << pieces
+          << " pieces";
+      out[target].inputs[k].tuples.push_back(t);
+      out[target].inputs[k].state_metrics.live += 1;
+    }
+    // Any drift between the live gauge and the stored tuple count
+    // (impossible for executor-captured snapshots, possible for
+    // hand-built ones) lands on piece 0 so the fold still restores
+    // the original gauge.
+    const size_t listed = op.inputs[k].tuples.size();
+    if (op.inputs[k].state_metrics.live > listed) {
+      out[0].inputs[k].state_metrics.live +=
+          op.inputs[k].state_metrics.live - listed;
+    }
+    for (OperatorStateSnapshot& piece : out) {
+      std::sort(piece.inputs[k].tuples.begin(), piece.inputs[k].tuples.end());
+    }
+  }
+  return out;
+}
+
 std::vector<StateSnapshot> SplitSnapshot(const StateSnapshot& snapshot,
                                          size_t pieces,
                                          SnapshotShardFn shard_of) {
@@ -757,8 +810,6 @@ std::vector<StateSnapshot> SplitSnapshot(const StateSnapshot& snapshot,
   std::vector<StateSnapshot> out(pieces);
   for (size_t s = 0; s < pieces; ++s) {
     StateSnapshot& piece = out[s];
-    // Replicated / max-semantics state goes into every piece; summed
-    // counters stay on piece 0 so the fold restores them exactly.
     piece.fingerprint = snapshot.fingerprint;
     piece.progress = snapshot.progress;
     piece.punct_high_water = snapshot.punct_high_water;
@@ -767,57 +818,15 @@ std::vector<StateSnapshot> SplitSnapshot(const StateSnapshot& snapshot,
       piece.results = snapshot.results;
       piece.tuple_high_water = snapshot.tuple_high_water;
     }
-    piece.operators.resize(snapshot.operators.size());
-    for (size_t i = 0; i < snapshot.operators.size(); ++i) {
-      const OperatorStateSnapshot& op = snapshot.operators[i];
-      OperatorStateSnapshot& pop = piece.operators[i];
-      pop.inputs.resize(op.inputs.size());
-      pop.pending = op.pending;
-      pop.punctuations_purged = op.punctuations_purged;
-      pop.punctuations_since_sweep = op.punctuations_since_sweep;
-      pop.op_metrics = op.op_metrics;
-      if (s != 0) {
-        pop.op_metrics.results_emitted = 0;
-        pop.op_metrics.removability_checks = 0;
-      }
-      for (size_t k = 0; k < op.inputs.size(); ++k) {
-        pop.inputs[k].punctuations = op.inputs[k].punctuations;
-        if (s == 0) {
-          pop.inputs[k].state_metrics = op.inputs[k].state_metrics;
-          // `live` is recomputed from the tuple partition below so each
-          // piece's gauge matches its own contents.
-          pop.inputs[k].state_metrics.live = 0;
-        }
-      }
-    }
   }
   for (size_t i = 0; i < snapshot.operators.size(); ++i) {
-    const OperatorStateSnapshot& op = snapshot.operators[i];
-    for (size_t k = 0; k < op.inputs.size(); ++k) {
-      size_t assigned = 0;
-      for (const Tuple& t : op.inputs[k].tuples) {
-        size_t target = shard_of(i, k, t, pieces);
-        PUNCTSAFE_CHECK(target < pieces)
-            << "shard_of returned " << target << " for " << pieces
-            << " pieces";
-        out[target].operators[i].inputs[k].tuples.push_back(t);
-        out[target].operators[i].inputs[k].state_metrics.live += 1;
-        ++assigned;
-      }
-      // Any drift between the live gauge and the stored tuple count
-      // (impossible for executor-captured snapshots, possible for
-      // hand-built ones) lands on piece 0 so the fold still restores
-      // the original gauge.
-      const size_t orig = op.inputs[k].state_metrics.live;
-      if (orig > assigned) {
-        out[0].operators[i].inputs[k].state_metrics.live += orig - assigned;
-      }
-      std::sort(out[0].operators[i].inputs[k].tuples.begin(),
-                out[0].operators[i].inputs[k].tuples.end());
-      for (size_t s = 1; s < pieces; ++s) {
-        std::sort(out[s].operators[i].inputs[k].tuples.begin(),
-                  out[s].operators[i].inputs[k].tuples.end());
-      }
+    std::vector<OperatorStateSnapshot> parts = SplitOperatorSnapshot(
+        snapshot.operators[i], pieces,
+        [&](size_t input, const Tuple& t, size_t n) {
+          return shard_of(i, input, t, n);
+        });
+    for (size_t s = 0; s < pieces; ++s) {
+      out[s].operators.push_back(std::move(parts[s]));
     }
   }
   return out;

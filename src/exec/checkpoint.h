@@ -28,8 +28,9 @@
 // tuples over K pieces (by ShardOf-style hashing or a caller-supplied
 // assignment), replicates the broadcast/max state into every piece,
 // and leaves the summed counters on piece 0, so
-// Merge(Split(s, K)) == s exactly. The executors' restore paths use
-// the same construction to load one snapshot into K shard workers.
+// Merge(Split(s, K)) == s exactly. The parallel executor's restore
+// path loads one snapshot into K shard workers through the same
+// per-operator split (SplitOperatorSnapshot).
 //
 // The byte format is versioned and length-prefixed with a per-section
 // CRC32 so truncated or bit-flipped files are rejected with a clean
@@ -167,6 +168,21 @@ StateSnapshot MergeSnapshots(const StateSnapshot& a, const StateSnapshot& b);
 /// shard captures into one logical snapshot).
 OperatorStateSnapshot MergeOperatorSnapshots(const OperatorStateSnapshot& a,
                                              const OperatorStateSnapshot& b);
+
+/// \brief Assigns a tuple of one operator's `input` to one of
+/// `pieces` split targets.
+using OperatorShardFn =
+    std::function<size_t(size_t input, const Tuple& tuple, size_t pieces)>;
+
+/// \brief Splits one operator's snapshot into `pieces` shard states
+/// such that folding them back with MergeOperatorSnapshots reproduces
+/// it exactly (the per-operator core of SplitSnapshot): tuples are
+/// partitioned by `shard_of`, broadcast/max state is replicated into
+/// every piece, summed counters stay on piece 0. The parallel
+/// executor's restore path calls it with PartitionSpec::ShardOf.
+std::vector<OperatorStateSnapshot> SplitOperatorSnapshot(
+    const OperatorStateSnapshot& snapshot, size_t pieces,
+    const OperatorShardFn& shard_of);
 
 /// \brief Assigns a tuple of (operator, input) to one of `pieces`
 /// split targets. The default hashes the whole tuple.

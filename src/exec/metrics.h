@@ -70,6 +70,7 @@ struct StateMetricsSnapshot {
     high_water += other.high_water;
     return *this;
   }
+  bool operator==(const StateMetricsSnapshot&) const = default;
 };
 
 /// \brief Per-input join-state accounting (atomic; see file comment).
@@ -215,6 +216,7 @@ struct OperatorMetricsSnapshot {
   uint64_t removability_checks = 0;
   size_t punctuations_live = 0;
   size_t punctuations_high_water = 0;
+  bool operator==(const OperatorMetricsSnapshot&) const = default;
 };
 
 /// \brief Per-operator accounting (atomic; see file comment).

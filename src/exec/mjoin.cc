@@ -203,46 +203,12 @@ size_t MJoinOperator::OffsetOf(size_t input, size_t stream,
 }
 
 void MJoinOperator::PushTuple(size_t input, const Tuple& tuple, int64_t ts) {
-  PUNCTSAFE_CHECK(input < num_inputs());
-  PUNCTSAFE_CHECK(tuple.size() == widths_[input])
-      << "tuple arity " << tuple.size() << " != input width "
-      << widths_[input];
-  if (obs::kCompiled && obs_ != nullptr) obs_->NoteTupleTs(ts);
-
-  if (punct_stores_[input]->ExcludesTuple(tuple, ts)) {
-    // Promised never to arrive: late or contract-violating; ignore.
-    states_[input]->CountDroppedArrival();
-    return;
-  }
-
-  // The kTupleIn ring event is recorded by the executors (serial leaf
-  // push / parallel Deliver), which already hold a fresh NowNs for the
-  // latency sample — keeping this path down to one clock-free hook.
-  const size_t scratch_before = ExpandScratchCapacity();
-  ProduceResults(input, tuple, ts);
-
-  // Under the eager policy, test the chained purge plan before
-  // storing: if the stores already close every continuation, the
-  // tuple never occupies state; otherwise it is parked on its blocking
-  // keys.
-  const bool eager = config_.purge_policy == PurgePolicy::kEager &&
-                     input_purgeable_[input];
-  const Check outcome = eager ? Removable(input, tuple, ts) : Check::kBlocked;
-  // Any scratch-capacity growth across this push is one expansion
-  // allocation event; steady state stays pinned at zero.
-  if (ExpandScratchCapacity() > scratch_before) {
-    states_[input]->CountExpandAllocs(1);
-  }
-  if (outcome == Check::kRemovable) {
-    states_[input]->CountDroppedArrival();
-    return;
-  }
-  const size_t slot = states_[input]->Insert(tuple);
-  if (eager) {
-    Park(input, slot, outcome);
-  } else {
-    QueueUnchecked(input, slot, 1);
-  }
+  // One arrival path: the tuple enters as a one-row view batch (no
+  // copy; the store copies what it keeps). The view is read only
+  // during this call; the next PushTuple rebinds the slot.
+  arrival_batch_.Clear();
+  arrival_batch_.AppendView(tuple.begin(), tuple.size(), ts);
+  PushBatch(input, arrival_batch_);
 }
 
 void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
@@ -284,7 +250,7 @@ void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
   // equal-hash prefilter on the verification predicates, one staged
   // output batch per push (docs/PERF.md, "Batched expansion").
   // Frontier rows stay source-row-major through every hop, so the
-  // emission sequence matches a per-row ProduceResults loop exactly.
+  // emission sequence equals pushing the rows one at a time.
   const size_t scratch_before = ExpandScratchCapacity();
   const std::vector<size_t>& order = expand_orders_[input];
   BatchFrontier* cur = &expand_bufs_[0];
@@ -295,7 +261,7 @@ void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
     Expand(order[idx], *cur, nxt);
     std::swap(cur, nxt);
   }
-  EmitFrontier(*cur, &batch, 0);
+  EmitFrontier(*cur, batch);
 
   // Eager removability amortized the same way: with no punctuation
   // stored anywhere the chained purge plan cannot close any input
@@ -325,22 +291,6 @@ void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
   if (ExpandScratchCapacity() > scratch_before) {
     states_[input]->CountExpandAllocs(1);
   }
-}
-
-void MJoinOperator::ProduceResults(size_t input, const Tuple& tuple,
-                                   int64_t ts) {
-  const std::vector<size_t>& order = expand_orders_[input];
-
-  BatchFrontier* cur = &expand_bufs_[0];
-  BatchFrontier* nxt = &expand_bufs_[1];
-  cur->Reset(num_inputs());
-  cur->SeedSingle(&tuple, input);
-
-  for (size_t idx = 1; idx < order.size() && !cur->empty(); ++idx) {
-    Expand(order[idx], *cur, nxt);
-    std::swap(cur, nxt);
-  }
-  EmitFrontier(*cur, nullptr, ts);
 }
 
 void MJoinOperator::Expand(size_t v, const BatchFrontier& in,
@@ -431,7 +381,7 @@ void MJoinOperator::Expand(size_t v, const BatchFrontier& in,
   } else {
     // No predicate to covered inputs: cross product of the whole
     // frontier with v's live state (one state walk, not per row). No
-    // index probe is counted, matching the per-row ForEachLive path.
+    // index probe is counted: nothing is probed.
     run_cands_.clear();
     states_[v]->ForEachLive([&](size_t, const Tuple& candidate) {
       run_cands_.push_back(&candidate);
@@ -502,7 +452,7 @@ void MJoinOperator::VerifyPairs(size_t v, const BatchFrontier& in) const {
 }
 
 void MJoinOperator::EmitFrontier(const BatchFrontier& frontier,
-                                 const TupleBatch* src, int64_t single_ts) {
+                                 const TupleBatch& src) {
   const size_t n = frontier.size();
   if (n == 0) return;
   // Stage every output row into one flat Value area via the copy plan.
@@ -533,9 +483,9 @@ void MJoinOperator::EmitFrontier(const BatchFrontier& frontier,
   // (EmitBatch contract).
   out_batch_.Clear();
   for (size_t r = 0; r < n; ++r) {
-    out_batch_.AppendView(
-        out_values_.data() + r * output_width_, output_width_,
-        src != nullptr ? src->timestamp(frontier.src_row(r)) : single_ts);
+    out_batch_.AppendView(out_values_.data() + r * output_width_,
+                          output_width_,
+                          src.timestamp(frontier.src_row(r)));
   }
   EmitBatch(out_batch_);
   out_batch_.Clear();

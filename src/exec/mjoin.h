@@ -119,9 +119,10 @@ class MJoinOperator : public JoinOperator {
       MJoinConfig config);
 
   size_t num_inputs() const override { return inputs_.size(); }
+  /// A one-row view batch over `tuple` handed to PushBatch.
   void PushTuple(size_t input, const Tuple& tuple, int64_t ts) override;
-  /// Batch arrival path: result-identical to per-row PushTuple, with
-  /// the per-tuple overheads amortized to the batch boundary — the
+  /// The one arrival path (PushTuple is a one-row batch of it). The
+  /// per-tuple overheads are amortized to the batch boundary: the
   /// punctuation-exclusion scan and the eager removability check are
   /// skipped wholesale when no punctuation can affect them (stores
   /// cannot change mid-batch), and the whole selection is seeded as
@@ -321,10 +322,9 @@ class MJoinOperator : public JoinOperator {
   /// Assembles one output row per frontier row via copy_plan_ into the
   /// flat out_values_ staging area, wraps them as view tuples in
   /// out_batch_, and emits the whole batch (EmitBatch). Timestamps come
-  /// from `src` through the frontier's provenance column, or from
-  /// `single_ts` for tuple-at-a-time pushes (src == nullptr).
-  void EmitFrontier(const BatchFrontier& frontier, const TupleBatch* src,
-                    int64_t single_ts);
+  /// from the arrival batch `src` through the frontier's provenance
+  /// column.
+  void EmitFrontier(const BatchFrontier& frontier, const TupleBatch& src);
   /// Summed capacities of every expansion scratch structure; growth
   /// across a push/sweep is charged to StateMetrics::expand_allocs.
   size_t ExpandScratchCapacity() const;
@@ -377,7 +377,6 @@ class MJoinOperator : public JoinOperator {
   /// Test-only reference purge (MJoinTestPeer): re-checks every live
   /// tuple of every input once, in input order.
   uint64_t FullSweepPass(int64_t now, uint64_t* purged_total);
-  void ProduceResults(size_t input, const Tuple& tuple, int64_t ts);
   /// Re-checks pending propagations for the inputs (bitmask) whose
   /// punctuation store or join state changed.
   void TryPropagate(int64_t now, uint64_t changed_inputs);
@@ -406,7 +405,7 @@ class MJoinOperator : public JoinOperator {
   // predicate indices touching each input.
   std::vector<std::vector<size_t>> predicates_of_input_;
   // Per start input: the BFS expansion order over the predicate graph
-  // (precomputed at Create so ProduceResults allocates nothing).
+  // (precomputed at Create so PushBatch allocates nothing).
   std::vector<std::vector<size_t>> expand_orders_;
   uint64_t punctuations_purged_ = 0;
 
@@ -433,6 +432,8 @@ class MJoinOperator : public JoinOperator {
   // any view points into the vector) wrapped as view tuples.
   std::vector<Value> out_values_;
   TupleBatch out_batch_;
+  // PushTuple's one-row arrival batch (a view over the caller's tuple).
+  TupleBatch arrival_batch_{1};
   // Removability scratch: per joinable row, the edge-source values as
   // pointers (row-major), their chained hash, and the dedup order; the
   // stalled (edge, row) pairs seen since the check's last closure; the

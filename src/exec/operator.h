@@ -43,8 +43,9 @@ class JoinOperator {
   virtual size_t num_inputs() const = 0;
 
   /// \brief Consumes one data tuple on `input` at logical time `ts`.
-  /// Result-identical to a PushBatch of one row; executors call it for
-  /// unbatched ingest (batch_size 1).
+  /// Result-identical to a PushBatch of one row (the MJoin implements
+  /// it as exactly that). The executors ingest through PushBatch; the
+  /// parallel executor's single-row queue messages arrive here.
   virtual void PushTuple(size_t input, const Tuple& tuple, int64_t ts) = 0;
 
   /// \brief Consumes a whole batch of tuples on `input`, each row at

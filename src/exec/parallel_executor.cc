@@ -26,8 +26,9 @@ constexpr size_t kNone = static_cast<size_t>(-1);
 // everything queued before it; the pushing thread guarantees all
 // producers are quiescent first). Batches are the first-class hand-off
 // unit (ExecutorConfig::batch_size): one queue operation moves the
-// whole batch, and batches of one travel as plain elements so
-// batch_size == 1 reproduces per-tuple execution exactly.
+// whole batch. A batch that holds one row travels as a plain element
+// instead, which spares the producer the batch allocation; the worker
+// pushes it as a one-row batch all the same (MJoinOperator::PushTuple).
 struct OpMessage {
   PipelineMarker marker = PipelineMarker::kNone;
   size_t input = 0;
@@ -269,7 +270,8 @@ void ParallelExecutor::EmitBatchFromShard(size_t group_idx, size_t shard,
   OpGroup& parent = *groups_[group.parent_group];
   Worker& self = *workers_[group.first_worker + shard];
   for (size_t i = 0; i < batch.size(); ++i) {
-    size_t target = RouteShard(parent, group.parent_input, batch.tuple(i));
+    const size_t target = parent.spec.ShardOf(
+        group.parent_input, batch.tuple(i), parent.num_shards);
     self.emit_buf[target].Append(batch.tuple(i), batch.timestamp(i));
     if (++self.emit_buffered >= config_.batch_size) FlushEmits(self);
   }
@@ -294,8 +296,7 @@ void ParallelExecutor::FlushEmits(Worker& worker) {
     message.input = input;
     message.enqueue_ns = now;
     if (staged.size() == 1) {
-      // Batches of one travel as plain elements: batch_size == 1
-      // reproduces the per-tuple delivery path exactly.
+      // A single row travels as a plain element (no batch allocation).
       message.element =
           StreamElement::OfTuple(staged.tuple(0), staged.timestamp(0));
     } else {
@@ -305,29 +306,6 @@ void ParallelExecutor::FlushEmits(Worker& worker) {
     target.queue.Push(std::move(message));
   }
   worker.emit_buffered = 0;
-}
-
-size_t ParallelExecutor::RouteShard(const OpGroup& group, size_t input,
-                                    const Tuple& tuple) const {
-  return group.spec.ShardOf(input, tuple, group.num_shards);
-}
-
-bool ParallelExecutor::RouteTuple(OpGroup& group, size_t input,
-                                  const StreamElement& element) {
-  size_t shard = RouteShard(group, input, element.tuple);
-  Worker& target = *workers_[group.first_worker + shard];
-  OpMessage message{PipelineMarker::kNone, input, element, 0};
-  if (obs::kCompiled && obs_ != nullptr) {
-    message.enqueue_ns = obs::NowNs();
-    target.obs->IncRouted();
-    // Stall heuristic: the size check is racy against the consumer,
-    // but a full reading here means the blocking Push below almost
-    // certainly waited — good enough for a backpressure counter.
-    if (target.queue.size() >= target.queue.capacity()) {
-      target.obs->IncStall();
-    }
-  }
-  return target.queue.Push(std::move(message));
 }
 
 bool ParallelExecutor::Broadcast(OpGroup& group, size_t input,
@@ -446,56 +424,44 @@ void ParallelExecutor::ProcessPending(Worker& worker) {
 }
 
 void ParallelExecutor::Deliver(Worker& worker, const OpMessage& message) {
-  if (message.batch != nullptr) {
-    // Whole-batch delivery: one PushBatch call, and per-batch
-    // observation sampling — a single clock read closes the latency
-    // sample for every row (recorded as the per-tuple mean) and one
-    // ring event carries the batch's result count.
-    TupleBatch& batch = *message.batch;
-    if (obs::kCompiled && worker.obs != nullptr) {
-      const uint64_t results_before =
-          worker.op->metrics().results_emitted.load(std::memory_order_relaxed);
-      worker.op->PushBatch(message.input, batch);
-      const int64_t now = obs::NowNs();
-      if (message.enqueue_ns != 0 && !batch.empty()) {
-        worker.obs->RecordLatencyNs((now - message.enqueue_ns) /
-                                    static_cast<int64_t>(batch.size()));
-      }
-      worker.obs->NoteAt(
-          now, obs::TraceKind::kTupleIn, message.input,
-          worker.op->metrics().results_emitted.load(
-              std::memory_order_relaxed) -
-              results_before);
-    } else {
-      worker.op->PushBatch(message.input, batch);
-    }
+  const StreamElement& element = message.element;
+  if (message.batch == nullptr && !element.is_tuple()) {
+    worker.op->PushPunctuation(message.input, element.punctuation,
+                               element.timestamp);
     SampleHighWater();
     return;
   }
-  const StreamElement& element = message.element;
-  if (element.is_tuple()) {
-    if (obs::kCompiled && worker.obs != nullptr) {
-      const uint64_t results_before =
-          worker.op->metrics().results_emitted.load(std::memory_order_relaxed);
-      worker.op->PushTuple(message.input, element.tuple, element.timestamp);
-      // Latency sample: pipeline-edge enqueue -> processed by this
-      // shard (queue wait + reorder buffering + the operator's own
-      // work). One clock read covers both the sample and the trace.
-      const int64_t now = obs::NowNs();
-      if (message.enqueue_ns != 0) {
-        worker.obs->RecordLatencyNs(now - message.enqueue_ns);
-      }
-      worker.obs->NoteAt(
-          now, obs::TraceKind::kTupleIn, message.input,
-          worker.op->metrics().results_emitted.load(
-              std::memory_order_relaxed) -
-              results_before);
+  // Tuples: a whole batch, or a single-row element message.
+  auto push = [&] {
+    if (message.batch != nullptr) {
+      worker.op->PushBatch(message.input, *message.batch);
     } else {
       worker.op->PushTuple(message.input, element.tuple, element.timestamp);
     }
+  };
+  if (obs::kCompiled && worker.obs != nullptr) {
+    // Per-message observation sampling: the latency sample covers
+    // pipeline-edge enqueue -> processed by this shard (queue wait +
+    // reorder buffering + the operator's own work), recorded as the
+    // per-row mean; one clock read closes it and stamps one ring event
+    // carrying the message's result count.
+    const int64_t rows =
+        message.batch != nullptr
+            ? static_cast<int64_t>(message.batch->size())
+            : 1;
+    const uint64_t results_before =
+        worker.op->metrics().results_emitted.load(std::memory_order_relaxed);
+    push();
+    const int64_t now = obs::NowNs();
+    if (message.enqueue_ns != 0 && rows > 0) {
+      worker.obs->RecordLatencyNs((now - message.enqueue_ns) / rows);
+    }
+    worker.obs->NoteAt(
+        now, obs::TraceKind::kTupleIn, message.input,
+        worker.op->metrics().results_emitted.load(std::memory_order_relaxed) -
+            results_before);
   } else {
-    worker.op->PushPunctuation(message.input, element.punctuation,
-                               element.timestamp);
+    push();
   }
   SampleHighWater();
 }
@@ -528,41 +494,16 @@ Status ParallelExecutor::Push(const TraceEvent& event) {
     return Status::NotFound(
         StrCat("stream '", event.stream, "' not part of ", query_.ToString()));
   }
-  auto [group_idx, input] = leaf_route_[*idx];
-  if (group_idx == kNone) {
-    return Status::Internal(
-        StrCat("stream '", event.stream, "' has no leaf route"));
-  }
-  OpGroup& group = *groups_[group_idx];
-  if (event.element.is_tuple() && config_.batch_size > 1) {
-    // Batched ingestion: accumulate the run, flush on stream change /
-    // full batch. The tuple is accepted into the buffer now; a flush
-    // that fails later means Stop() closed the pipeline.
-    if (!ingest_batch_.empty() && ingest_stream_ != *idx) {
-      if (!FlushIngest()) {
-        return Status::FailedPrecondition("parallel executor is stopped");
-      }
-    }
-    ingest_stream_ = *idx;
-    ingest_batch_.Append(event.element.tuple, event.element.timestamp);
-    NoteProgress(*idx, event.element.timestamp);
-    if (ingest_batch_.full() && !FlushIngest()) {
-      return Status::FailedPrecondition("parallel executor is stopped");
-    }
-    return Status::OK();
-  }
-  if (!event.element.is_tuple() && !FlushIngest()) {
+  // Only Stop() closes the queues, and it runs on this (the driver)
+  // thread, so checking first is exact.
+  if (stopped_.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("parallel executor is stopped");
   }
-  bool ok = event.element.is_tuple()
-                ? RouteTuple(group, input, event.element)
-                : Broadcast(group, input, event.element);
-  if (!ok) {
-    return Status::FailedPrecondition("parallel executor is stopped");
-  }
-  NoteProgress(*idx, event.element.timestamp);
-  if (!event.element.is_tuple()) {
-    MaybeAutoCheckpoint(event.element.timestamp);
+  if (event.element.is_tuple()) {
+    PushTuple(*idx, event.element.tuple, event.element.timestamp);
+  } else {
+    PushPunctuation(*idx, event.element.punctuation,
+                    event.element.timestamp);
   }
   return Status::OK();
 }
@@ -601,8 +542,8 @@ bool ParallelExecutor::PushIngestBatch(OpGroup& group, size_t shard,
     }
   }
   if (batch->size() == 1) {
-    // Scatter can strand a single row on a shard; it rides as a plain
-    // element message (same delivery path as batch_size == 1).
+    // A single row (every row at batch_size 1, or one stranded on a
+    // shard by the scatter) rides as a plain element message.
     message.element =
         StreamElement::OfTuple(batch->tuple(0), batch->timestamp(0));
   } else {
@@ -614,21 +555,16 @@ bool ParallelExecutor::PushIngestBatch(OpGroup& group, size_t shard,
 
 void ParallelExecutor::PushTuple(size_t stream, const Tuple& tuple,
                                  int64_t ts) {
-  if (config_.batch_size > 1) {
-    if (!ingest_batch_.empty() && ingest_stream_ != stream) {
-      if (!FlushIngest()) return;
-    }
-    ingest_stream_ = stream;
-    ingest_batch_.Append(tuple, ts);
-    NoteProgress(stream, ts);
-    if (ingest_batch_.full()) FlushIngest();
+  // Accumulate the run, flush on stream change / full batch (at once
+  // under batch_size 1). The tuple is accepted into the buffer now; a
+  // flush that fails later means Stop() closed the pipeline.
+  if (!ingest_batch_.empty() && ingest_stream_ != stream && !FlushIngest()) {
     return;
   }
-  auto [group_idx, input] = leaf_route_[stream];
-  if (RouteTuple(*groups_[group_idx], input,
-                 StreamElement::OfTuple(tuple, ts))) {
-    NoteProgress(stream, ts);
-  }
+  ingest_stream_ = stream;
+  ingest_batch_.Append(tuple, ts);
+  NoteProgress(stream, ts);
+  if (ingest_batch_.full()) FlushIngest();
 }
 
 void ParallelExecutor::PushPunctuation(size_t stream,
@@ -806,46 +742,13 @@ Status ParallelExecutor::RestoreGroupFromLogical(
         StrCat("snapshot operator has ", logical.inputs.size(),
                " inputs but the operator has ", num_inputs));
   }
-  // Split the logical snapshot across the group's shards: tuples by
-  // PartitionSpec::ShardOf (the same route live tuples take, so
-  // restored and replayed tuples agree on their shard), punctuations /
-  // pending / sweep counters replicated (broadcast state — every shard
-  // holds the full set), summed counters and result credits on shard 0
-  // only.
-  std::vector<OperatorStateSnapshot> pieces(group.num_shards);
-  for (size_t s = 0; s < group.num_shards; ++s) {
-    OperatorStateSnapshot& piece = pieces[s];
-    piece.inputs.resize(num_inputs);
-    piece.pending = logical.pending;
-    piece.punctuations_purged = logical.punctuations_purged;
-    piece.punctuations_since_sweep = logical.punctuations_since_sweep;
-    piece.op_metrics = logical.op_metrics;
-    if (s != 0) {
-      piece.op_metrics.results_emitted = 0;
-      piece.op_metrics.removability_checks = 0;
-    }
-    for (size_t k = 0; k < num_inputs; ++k) {
-      piece.inputs[k].punctuations = logical.inputs[k].punctuations;
-      if (s == 0) {
-        piece.inputs[k].state_metrics = logical.inputs[k].state_metrics;
-        piece.inputs[k].state_metrics.live = 0;  // recomputed below
-      }
-    }
-  }
-  for (size_t k = 0; k < num_inputs; ++k) {
-    for (const Tuple& tuple : logical.inputs[k].tuples) {
-      const size_t target = RouteShard(group, k, tuple);
-      pieces[target].inputs[k].tuples.push_back(tuple);
-      pieces[target].inputs[k].state_metrics.live += 1;
-    }
-    // Gauge drift (a hand-edited snapshot whose live gauge disagrees
-    // with its tuple list) lands on shard 0, mirroring SplitSnapshot.
-    const uint64_t listed = logical.inputs[k].tuples.size();
-    if (logical.inputs[k].state_metrics.live > listed) {
-      pieces[0].inputs[k].state_metrics.live +=
-          logical.inputs[k].state_metrics.live - listed;
-    }
-  }
+  // Tuples go by PartitionSpec::ShardOf, the same route live tuples
+  // take, so restored and replayed tuples agree on their shard.
+  std::vector<OperatorStateSnapshot> pieces = SplitOperatorSnapshot(
+      logical, group.num_shards,
+      [&group](size_t input, const Tuple& tuple, size_t n) {
+        return group.spec.ShardOf(input, tuple, n);
+      });
   for (size_t s = 0; s < group.num_shards; ++s) {
     PUNCTSAFE_RETURN_IF_ERROR(
         operators_[group.first_worker + s]->RestoreState(pieces[s]));

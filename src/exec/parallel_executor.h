@@ -117,15 +117,17 @@ class ParallelExecutor {
   ParallelExecutor(const ParallelExecutor&) = delete;
   ParallelExecutor& operator=(const ParallelExecutor&) = delete;
 
-  /// \brief Routes one trace event by stream name (blocks on a full
-  /// leaf queue — backpressure to the source). With batch_size > 1,
-  /// consecutive same-stream tuples are accumulated driver-side into a
-  /// TupleBatch that is scattered into per-shard sub-batches in a
-  /// single pass and enqueued as one message per shard; the open batch
-  /// is flushed before any punctuation or barrier goes in.
+  /// \brief Resolves the stream by name and hands the event to
+  /// PushTuple or PushPunctuation. NotFound for a stream outside the
+  /// query; FailedPrecondition once the executor is stopped.
   Status Push(const TraceEvent& event);
 
-  /// \brief Routes by query stream index.
+  /// \brief Routes by query stream index (blocks on a full leaf queue
+  /// — backpressure to the source). Consecutive same-stream tuples are
+  /// accumulated driver-side into a TupleBatch of batch_size rows that
+  /// is scattered into per-shard sub-batches in a single pass and
+  /// enqueued as one message per shard; the open batch is flushed
+  /// before any punctuation or barrier goes in.
   void PushTuple(size_t stream, const Tuple& tuple, int64_t ts);
   void PushPunctuation(size_t stream, const Punctuation& punctuation,
                        int64_t ts);
@@ -244,8 +246,6 @@ class ParallelExecutor {
   /// shard queues (one batched PushAll per non-empty buffer). Runs on
   /// the worker's own thread; no-op when nothing is staged.
   void FlushEmits(Worker& worker);
-  /// Tuple -> one shard by hash. Returns false iff stopped.
-  bool RouteTuple(OpGroup& group, size_t input, const StreamElement& element);
   /// Punctuation/drain -> every shard, serialized per group so all
   /// shards observe the same punctuation order. False iff stopped.
   bool Broadcast(OpGroup& group, size_t input, const StreamElement& element);
@@ -255,22 +255,18 @@ class ParallelExecutor {
   Status BarrierAll(PipelineMarker marker, int64_t now);
   void NoteProgress(size_t stream, int64_t ts);
   void MaybeAutoCheckpoint(int64_t ts);
-  /// Splits `logical` across the group's shards by
-  /// PartitionSpec::ShardOf and restores each piece into the group's
-  /// (freshly created) shard operators.
+  /// Splits `logical` across the group's shards (SplitOperatorSnapshot
+  /// by PartitionSpec::ShardOf) and restores each piece into the
+  /// group's (freshly created) shard operators.
   Status RestoreGroupFromLogical(OpGroup& group,
                                  const OperatorStateSnapshot& logical);
-  /// Tuple -> shard by the group's PartitionSpec::ShardOf (0 for an
-  /// unpartitioned group).
-  size_t RouteShard(const OpGroup& group, size_t input,
-                    const Tuple& tuple) const;
   /// Delivers the driver-side ingest batch: scatter into per-shard
   /// sub-batches (one pass), one queue message per non-empty shard.
   /// False iff stopped. No-op (true) when empty.
   bool FlushIngest();
-  /// One scattered sub-batch -> one message on `shard`'s queue
-  /// (batches of one ride as legacy per-tuple messages, so
-  /// batch_size == 1 reproduces tuple-at-a-time execution exactly).
+  /// One scattered sub-batch -> one message on `shard`'s queue (a
+  /// single row rides as a plain element message, sparing the batch
+  /// allocation).
   bool PushIngestBatch(OpGroup& group, size_t shard, size_t input,
                        TupleBatch* batch);
 
@@ -297,10 +293,9 @@ class ParallelExecutor {
   // punctuation counter.
   std::vector<InputProgress> progress_;
   size_t punctuations_since_checkpoint_ = 0;
-  // Driver-side ingest batching (batch_size > 1 only): the open batch
-  // of consecutive ingest_stream_ tuples, plus the recycled per-shard
-  // scatter buffers FlushIngest fills (see partition_router.h,
-  // ScatterBatch).
+  // Driver-side ingest batching: the open batch of consecutive
+  // ingest_stream_ tuples, plus the recycled per-shard scatter buffers
+  // FlushIngest fills (see partition_router.h, ScatterBatch).
   TupleBatch ingest_batch_{1};
   size_t ingest_stream_ = 0;
   std::vector<TupleBatch> scatter_scratch_;

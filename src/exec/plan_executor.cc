@@ -100,36 +100,14 @@ Status PlanExecutor::Push(const TraceEvent& event) {
 
 void PlanExecutor::PushTuple(size_t stream, const Tuple& tuple, int64_t ts) {
   NoteProgress(stream, ts);
-  if (config_.batch_size > 1) {
-    // Batched ingestion: accumulate consecutive same-stream tuples
-    // and deliver them as one PushBatch. A stream change flushes —
-    // batches never mix inputs — so per-stream runs in the trace
-    // become whole batches.
-    if (!pending_batch_.empty() && pending_stream_ != stream) FlushIngest();
-    pending_stream_ = stream;
-    pending_batch_.Append(tuple, ts);
-    if (pending_batch_.full()) FlushIngest();
-    return;
-  }
-  auto [op, input] = leaf_route_[stream];
-  // Under serial execution the push runs the whole synchronous
-  // cascade (probes, result emission, parent pushes), so the latency
-  // recorded at the leaf covers arrival -> last emit.
-  if (obs::kCompiled && op->observer() != nullptr) {
-    const uint64_t results_before =
-        op->metrics().results_emitted.load(std::memory_order_relaxed);
-    const int64_t start = obs::NowNs();
-    op->PushTuple(input, tuple, ts);
-    const int64_t end = obs::NowNs();
-    op->observer()->RecordLatencyNs(end - start);
-    op->observer()->NoteAt(
-        end, obs::TraceKind::kTupleIn, input,
-        op->metrics().results_emitted.load(std::memory_order_relaxed) -
-            results_before);
-  } else {
-    op->PushTuple(input, tuple, ts);
-  }
-  RecordHighWater();
+  // Accumulate consecutive same-stream tuples and deliver them as one
+  // PushBatch. A stream change flushes — batches never mix inputs —
+  // so per-stream runs in the trace become whole batches; at
+  // batch_size 1 every tuple flushes at once.
+  if (!pending_batch_.empty() && pending_stream_ != stream) FlushIngest();
+  pending_stream_ = stream;
+  pending_batch_.Append(tuple, ts);
+  if (pending_batch_.full()) FlushIngest();
 }
 
 void PlanExecutor::FlushIngest() {
@@ -138,7 +116,9 @@ void PlanExecutor::FlushIngest() {
   const int64_t n = static_cast<int64_t>(pending_batch_.size());
   // Per-batch observation sampling: two clock reads for the whole
   // batch, a mean per-tuple latency sample, and one kTupleIn ring
-  // event carrying the batch's result count.
+  // event carrying the batch's result count. Serial execution runs the
+  // whole synchronous cascade (probes, result emission, parent pushes)
+  // inside the push, so the sample covers arrival -> last emit.
   if (obs::kCompiled && op->observer() != nullptr) {
     const uint64_t results_before =
         op->metrics().results_emitted.load(std::memory_order_relaxed);

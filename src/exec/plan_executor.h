@@ -43,17 +43,17 @@ struct ExecutorConfig {
   /// batch_size.
   size_t queue_capacity = 1024;
   /// The unit of batched ingest — one knob across the serial,
-  /// pipelined, and sharded modes. Consecutive same-stream tuples are
-  /// accumulated into a TupleBatch of this capacity and pushed through
-  /// the operator tree (and, under kParallel, through the queues) as
-  /// one unit; the open batch is flushed before any punctuation is
-  /// forwarded, so results from a batch always precede punctuations
-  /// that arrived after it. Under kParallel it also sizes the
-  /// per-parent-shard result staging. 1 (the default) ingests tuple at
-  /// a time; 0 is normalized to 1. Results leave every operator as
-  /// batches whatever the setting, and the serial emission order is
-  /// the same at every setting. Throughput-oriented setups use 64-256
-  /// (bench/bench_hot_path.cc sweeps the knob).
+  /// pipelined, and sharded modes. Every tuple enters the operator tree
+  /// through one path: consecutive same-stream tuples are accumulated
+  /// into a TupleBatch of this capacity and pushed through the operator
+  /// tree (and, under kParallel, through the queues) as one unit; the
+  /// open batch is flushed before any punctuation is forwarded, so
+  /// results from a batch always precede punctuations that arrived
+  /// after it. Under kParallel it also sizes the per-parent-shard
+  /// result staging. 1 (the default) flushes every tuple at once; 0 is
+  /// normalized to 1. The setting changes granularity only: the serial
+  /// emission order is the same at every setting. Throughput-oriented
+  /// setups use 64-256 (bench/bench_hot_path.cc sweeps the knob).
   size_t batch_size = 1;
   /// Under kParallel: shard workers per operator (hash-partitioned
   /// intra-operator parallelism). Each operator whose join predicates
@@ -99,10 +99,10 @@ class PlanExecutor {
   /// \brief Routes one trace event by stream name.
   Status Push(const TraceEvent& event);
 
-  /// \brief Routes by query stream index. With batch_size > 1 the
-  /// tuple may be buffered in the open ingest batch; it is delivered
-  /// at the next flush point (batch full, stream change, punctuation,
-  /// SweepAll, or an explicit FlushIngest).
+  /// \brief Routes by query stream index. The tuple joins the open
+  /// ingest batch and is delivered at the next flush point: batch full
+  /// (at once under batch_size 1), stream change, punctuation,
+  /// SweepAll, or an explicit FlushIngest.
   void PushTuple(size_t stream, const Tuple& tuple, int64_t ts);
   void PushPunctuation(size_t stream, const Punctuation& punctuation,
                        int64_t ts);
@@ -190,9 +190,9 @@ class PlanExecutor {
   size_t punct_high_water_ = 0;
   std::vector<InputProgress> progress_;  // per query stream
   size_t punctuations_since_checkpoint_ = 0;
-  // Open ingest batch (batch_size > 1 only): consecutive tuples of
-  // pending_stream_, delivered as one PushBatch at the next flush
-  // point. Storage is recycled across flushes.
+  // Open ingest batch: consecutive tuples of pending_stream_,
+  // delivered as one PushBatch at the next flush point. Storage is
+  // recycled across flushes.
   TupleBatch pending_batch_{1};
   size_t pending_stream_ = 0;
   // One OperatorObs per operator (shard 0: serial execution), indexed

@@ -23,8 +23,9 @@
 // which is the batch-boundary ordering guarantee (results produced
 // from a batch are emitted before any punctuation that arrived after
 // it). Timestamps stay per-row — batching changes granularity, not
-// semantics, and a batch of capacity 1 reproduces tuple-at-a-time
-// execution exactly.
+// semantics. Every tuple enters an operator as a batch: a single
+// arrival is a batch of one row (MJoinOperator::PushTuple wraps the
+// caller's tuple in a one-row view batch).
 //
 // Not thread-safe; a batch has exactly one consumer at a time.
 

@@ -121,9 +121,12 @@ Status ApplyExecutorOption(const std::string& token, ExecutorConfig* cfg) {
   }
   if (key == "shards" || key == "batch" || key == "queue") {
     PUNCTSAFE_ASSIGN_OR_RETURN(int64_t n, ParseInt64Token(value));
-    if (n <= 0) {
+    const int64_t max = key == "shards"  ? kMaxShards
+                        : key == "batch" ? kMaxBatch
+                                         : kMaxQueue;
+    if (n <= 0 || n > max) {
       return Status::InvalidArgument(
-          StrCat(key, " must be positive, got ", value));
+          StrCat(key, " must be in [1, ", max, "], got ", value));
     }
     if (key == "shards") {
       cfg->shards = static_cast<size_t>(n);

@@ -26,6 +26,7 @@
 #ifndef PUNCTSAFE_SERVER_PROTOCOL_H_
 #define PUNCTSAFE_SERVER_PROTOCOL_H_
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -38,6 +39,14 @@
 
 namespace punctsafe {
 namespace server {
+
+/// \brief Upper limits on the REGISTER ... WITH executor options
+/// (shards=, batch=, queue=), shared with punctsafe_serve's flags. A
+/// larger value is one `ERR InvalidArgument:` line, returned before any
+/// executor is built. Limits, not knobs.
+inline constexpr int64_t kMaxShards = 64;
+inline constexpr int64_t kMaxBatch = 65536;
+inline constexpr int64_t kMaxQueue = 1048576;
 
 /// \brief Per-connection protocol state.
 struct Session {

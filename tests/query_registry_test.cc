@@ -606,6 +606,34 @@ TEST(ProtocolTest, RegisterWithExecutorOptions) {
   EXPECT_EQ(unknown_key[0].rfind("ERR InvalidArgument", 0), 0u);
 }
 
+// Executor options past their limits fail closed with one ERR line
+// before any executor is built, so a huge batch= never reaches the
+// batch allocation. Limit values themselves are accepted; serial mode
+// keeps shards=64 from starting threads.
+TEST(ProtocolTest, OutOfRangeExecutorOptionsRegisterNothing) {
+  QueryRegistry registry;
+  Session session;
+  Exec(&registry, &session,
+      "CREATE STREAM item sellerid:int itemid:int name:string "
+      "initialprice:int");
+  Exec(&registry, &session,
+      "CREATE STREAM bid bidderid:int itemid:int increase:int");
+  for (const char* option : {"shards=65", "batch=65537", "queue=1048577"}) {
+    auto err = Exec(&registry, &session,
+                    std::string("REGISTER QUERY q WITH ") + option + " AS " +
+                        kAuctionSpec);
+    ASSERT_EQ(err.size(), 1u) << option;
+    EXPECT_EQ(err[0].rfind("ERR InvalidArgument: ", 0), 0u) << err[0];
+    EXPECT_TRUE(registry.QueryIds().empty()) << option;
+  }
+  auto ok = Exec(&registry, &session,
+                 std::string("REGISTER QUERY q WITH mode=serial shards=64 "
+                             "batch=65536 queue=1048576 AS ") +
+                     kAuctionSpec);
+  ASSERT_EQ(ok.size(), 1u);
+  EXPECT_EQ(ok[0].rfind("OK query q", 0), 0u) << ok[0];
+}
+
 TEST(ProtocolTest, SessionCommands) {
   QueryRegistry registry;
   Session session;

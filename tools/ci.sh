@@ -61,15 +61,16 @@ run_config() {
   (cd "${dir}" && ctest --output-on-failure --timeout "${CTEST_TIMEOUT}" \
     -j "${JOBS}")
   # The parallel differential sweep (parallel_differential_test runs
-  # shards {1,2,3,4} against a tuple-at-a-time serial reference, itself
+  # shards {1,2,3,4} against a batch_size-1 serial reference, itself
   # checked against the never-purging reference join) runs as part of
   # ctest above; under ASan it is the lifetime proof for epoch-deferred
   # arena reclamation and under TSan the publication-order proof for
   # cross-shard hand-off, so make its presence explicit in both rather
   # than relying on the suite listing.
   # The batched-expansion differential oracle (batch_size sweep vs the
-  # tuple-at-a-time reference, exact emission order, cross-product /
-  # verify-heavy / sparse-selection shapes, expand_allocs pin) also
+  # batch_size-1 run, exact emission order, every run's sorted results
+  # vs the never-purging reference join, cross-product / verify-heavy /
+  # sparse-selection shapes, expand_allocs pin) also
   # runs on the scalar leg: with PUNCTSAFE_NO_SIMD the identical
   # frontier pipeline executes over the portable FilterEqualHashes /
   # HashRunLength fallbacks, which is the behavioral SIMD-vs-scalar

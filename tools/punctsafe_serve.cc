@@ -3,6 +3,10 @@
 //
 //   punctsafe_serve [--port N] [--shards N] [--batch N] [--parallel]
 //
+// Numeric flags take whole integers: --port in [0, 65535], --shards
+// and --batch in [1, the protocol's kMaxShards / kMaxBatch]. Anything
+// else exits 1 with the usage text.
+//
 // Binds 127.0.0.1 (port 0 = ephemeral; the bound port is printed
 // either way, so scripts can parse `listening on 127.0.0.1:<port>`),
 // then runs the event loop until SIGINT/SIGTERM. Talk to it with any
@@ -14,11 +18,14 @@
 //   SUBSCRIBE q
 //   PUSH item 1 9.99
 
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
+#include <system_error>
 
+#include "server/protocol.h"
 #include "server/query_registry.h"
 #include "server/server.h"
 
@@ -41,6 +48,17 @@ int Usage(int code) {
   return code;
 }
 
+// Parses all of `text` as an integer in [lo, hi].
+bool ParseBounded(const std::string& text, int64_t lo, int64_t hi,
+                  int64_t* out) {
+  int64_t v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) return false;
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -48,18 +66,28 @@ int main(int argc, char** argv) {
   ExecutorConfig exec_config;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next_int = [&](long* out) {
-      if (i + 1 >= argc) return false;
-      *out = std::strtol(argv[++i], nullptr, 10);
-      return true;
-    };
-    long v = 0;
-    if (arg == "--port" && next_int(&v)) {
-      server_config.port = static_cast<uint16_t>(v);
-    } else if (arg == "--shards" && next_int(&v) && v > 0) {
-      exec_config.shards = static_cast<size_t>(v);
-    } else if (arg == "--batch" && next_int(&v) && v > 0) {
-      exec_config.batch_size = static_cast<size_t>(v);
+    if (arg == "--port" || arg == "--shards" || arg == "--batch") {
+      const int64_t lo = arg == "--port" ? 0 : 1;
+      const int64_t hi = arg == "--port"     ? 65535
+                         : arg == "--shards" ? server::kMaxShards
+                                             : server::kMaxBatch;
+      int64_t v = 0;
+      if (i + 1 >= argc || !ParseBounded(argv[i + 1], lo, hi, &v)) {
+        std::fprintf(stderr,
+                     "punctsafe_serve: %s takes a whole number in "
+                     "[%lld, %lld]\n",
+                     arg.c_str(), static_cast<long long>(lo),
+                     static_cast<long long>(hi));
+        return Usage(1);
+      }
+      ++i;
+      if (arg == "--port") {
+        server_config.port = static_cast<uint16_t>(v);
+      } else if (arg == "--shards") {
+        exec_config.shards = static_cast<size_t>(v);
+      } else {
+        exec_config.batch_size = static_cast<size_t>(v);
+      }
     } else if (arg == "--parallel") {
       exec_config.mode = ExecutionMode::kParallel;
     } else if (arg == "--help" || arg == "-h") {
