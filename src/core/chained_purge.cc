@@ -1,7 +1,6 @@
 #include "core/chained_purge.h"
 
-#include <algorithm>
-
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace punctsafe {
@@ -12,9 +11,9 @@ std::string ChainedPurgePlan::ToString(
   out << "purge chain for " << query.stream(root_stream) << ":";
   for (const PurgeStep& step : steps) {
     out << "\n  close " << query.stream(step.target_stream) << " via "
-        << step.scheme.ToString() << " with values from ";
+        << step.scheme.ToString(query) << " with values from ";
     out << JoinMapped(step.bindings, ", ",
-                      [&query](const GpgEdge::Binding& b) {
+                      [&query](const LocalGpgEdge::Binding& b) {
                         return StrCat(
                             query.stream(b.source_stream), ".",
                             query.schema(b.source_stream)
@@ -23,6 +22,24 @@ std::string ChainedPurgePlan::ToString(
                       });
   }
   return out.str();
+}
+
+PurgeTrace TracePurgeChain(const GeneralizedPunctuationGraph& gpg,
+                           size_t root_stream) {
+  PUNCTSAFE_CHECK(root_stream < gpg.num_streams());
+  PurgeTrace trace;
+  trace.plan.root_stream = root_stream;
+  std::vector<size_t> fired;
+  std::vector<bool> reached = LocalReachableFrom(
+      root_stream, gpg.num_streams(), gpg.edges(), &fired);
+  for (size_t i : fired) {
+    const LocalGpgEdge& e = gpg.edges()[i];
+    trace.plan.steps.push_back({e.target_input, e.scheme, e.bindings});
+  }
+  for (size_t s = 0; s < reached.size(); ++s) {
+    if (!reached[s]) trace.unreachable.push_back(s);
+  }
+  return trace;
 }
 
 Result<ChainedPurgePlan> DeriveChainedPurgePlan(
@@ -39,39 +56,16 @@ Result<ChainedPurgePlan> DeriveChainedPurgePlan(
     return Status::InvalidArgument(
         StrCat("stream index ", root_stream, " out of range"));
   }
-  ChainedPurgePlan plan;
-  plan.root_stream = root_stream;
-
-  std::vector<bool> covered(query.num_streams(), false);
-  covered[root_stream] = true;
-  size_t covered_count = 1;
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const GpgEdge& e : gpg.edges()) {
-      if (covered[e.target]) continue;
-      bool all_sources = std::all_of(e.sources.begin(), e.sources.end(),
-                                     [&](size_t s) { return covered[s]; });
-      if (!all_sources) continue;
-      covered[e.target] = true;
-      ++covered_count;
-      plan.steps.push_back({e.target, e.scheme, e.bindings});
-      changed = true;
-    }
-  }
-
-  if (covered_count != query.num_streams()) {
-    std::vector<std::string> missing;
-    for (size_t i = 0; i < covered.size(); ++i) {
-      if (!covered[i]) missing.push_back(query.stream(i));
-    }
+  PurgeTrace trace = TracePurgeChain(gpg, root_stream);
+  if (!trace.unreachable.empty()) {
     return Status::FailedPrecondition(
         StrCat("state of ", query.stream(root_stream),
                " is not purgeable: no purge chain reaches {",
-               Join(missing, ","), "} (Theorem 3)"));
+               JoinMapped(trace.unreachable, ",",
+                          [&query](size_t s) { return query.stream(s); }),
+               "} (Theorem 3)"));
   }
-  return plan;
+  return std::move(trace.plan);
 }
 
 }  // namespace punctsafe

@@ -6,9 +6,11 @@
 // punctuation scheme whose instantiations close one more stream and
 // how its punctuatable attributes are supplied: either by t itself or
 // by the joinable tuples T_t[Υ] accumulated at already-covered
-// streams. The runtime MJoin evaluates these plans against its
-// punctuation stores to decide removability; the safety checker also
-// surfaces them as human-readable purge explanations.
+// streams. The steps are the edges LocalReachableFrom (local_graph.h)
+// records as firing on the query-level GPG, so the plan, the Theorem 3
+// verdict and its unreachable witness come from one fixpoint run. The
+// safety checker surfaces the plans as human-readable purge
+// explanations.
 
 #ifndef PUNCTSAFE_CORE_CHAINED_PURGE_H_
 #define PUNCTSAFE_CORE_CHAINED_PURGE_H_
@@ -27,15 +29,15 @@ namespace punctsafe {
 /// closed, with which scheme, fed by which covered streams.
 struct PurgeStep {
   size_t target_stream = 0;
-  PunctuationScheme scheme;
+  AvailableScheme scheme;
   /// One binding per punctuatable attribute of the scheme; the source
   /// streams are guaranteed to be covered by earlier steps (or be the
   /// root itself).
-  std::vector<GpgEdge::Binding> bindings;
+  std::vector<LocalGpgEdge::Binding> bindings;
 };
 
-/// \brief The full plan for purging tuples of `root_stream`: steps in
-/// dependency order covering every other stream of the query.
+/// \brief The plan for purging tuples of `root_stream`: steps in
+/// dependency order covering every stream the fixpoint reaches.
 struct ChainedPurgePlan {
   size_t root_stream = 0;
   std::vector<PurgeStep> steps;
@@ -43,9 +45,20 @@ struct ChainedPurgePlan {
   std::string ToString(const ContinuousJoinQuery& query) const;
 };
 
-/// \brief Derives the chained purge plan for `root_stream` by running
-/// the Definition 9 fixpoint and recording, for each newly covered
-/// stream, the generalized edge that covered it.
+/// \brief One Definition 9 fixpoint run from `root_stream` (which must
+/// be a stream of the graph).
+struct PurgeTrace {
+  /// Steps for every stream reached, in firing order.
+  ChainedPurgePlan plan;
+  /// Streams the chain never reaches: the Theorem 3 witness, empty iff
+  /// the state of `root_stream` is purgeable (then `plan` covers every
+  /// other stream).
+  std::vector<size_t> unreachable;
+};
+PurgeTrace TracePurgeChain(const GeneralizedPunctuationGraph& gpg,
+                           size_t root_stream);
+
+/// \brief Derives the chained purge plan for `root_stream`.
 ///
 /// Returns FailedPrecondition with the unreachable streams when the
 /// state is not purgeable (Theorem 3 negative case).

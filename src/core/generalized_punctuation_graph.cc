@@ -1,116 +1,24 @@
 #include "core/generalized_punctuation_graph.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace punctsafe {
 
-namespace {
-
-// One candidate supplier of a punctuatable attribute's values.
-struct Partner {
-  size_t source_stream;
-  size_t source_attr;
-  size_t predicate;
-};
-
-}  // namespace
-
 GeneralizedPunctuationGraph GeneralizedPunctuationGraph::Build(
     const ContinuousJoinQuery& query, const SchemeSet& schemes) {
   GeneralizedPunctuationGraph gpg;
   gpg.num_streams_ = query.num_streams();
-
-  for (size_t target = 0; target < query.num_streams(); ++target) {
-    for (const PunctuationScheme* scheme :
-         schemes.SchemesFor(query.stream(target))) {
-      std::vector<size_t> pa = scheme->PunctuatableAttrs();
-      if (scheme->arity() != query.schema(target).num_attributes()) {
-        // Scheme declared against a different schema version; ignore.
-        continue;
-      }
-      // Collect partner choices per punctuatable attribute.
-      std::vector<std::vector<Partner>> choices;
-      bool usable = true;
-      for (size_t attr : pa) {
-        std::vector<Partner> partners;
-        for (size_t k = 0; k < query.predicates().size(); ++k) {
-          const ResolvedPredicate& p = query.predicates()[k];
-          if (!p.Involves(target) || p.AttrOn(target) != attr) continue;
-          size_t other = p.OtherStream(target);
-          partners.push_back({other, p.AttrOn(other), k});
-        }
-        if (partners.empty()) {
-          // This punctuatable attribute is not a join attribute of the
-          // target: no finite instantiation set can close the join
-          // values, so the scheme yields no edge (see header).
-          usable = false;
-          break;
-        }
-        choices.push_back(std::move(partners));
-      }
-      if (!usable) continue;
-
-      // Cartesian product over per-attribute partner choices.
-      size_t total = 1;
-      for (const auto& c : choices) {
-        if (total > kMaxCombinationsPerScheme / c.size() + 1) {
-          total = kMaxCombinationsPerScheme + 1;
-          break;
-        }
-        total *= c.size();
-      }
-      if (total > kMaxCombinationsPerScheme) {
-        gpg.truncated_ = true;
-        PUNCTSAFE_LOG(Warning)
-            << "GPG: scheme " << scheme->ToString() << " expands to > "
-            << kMaxCombinationsPerScheme
-            << " partner combinations; truncating (verdict may be "
-               "conservative)";
-      }
-
-      std::vector<size_t> cursor(choices.size(), 0);
-      size_t emitted = 0;
-      for (;;) {
-        if (emitted++ >= kMaxCombinationsPerScheme) break;
-        GpgEdge edge;
-        edge.target = target;
-        edge.scheme = *scheme;
-        for (size_t i = 0; i < choices.size(); ++i) {
-          const Partner& partner = choices[i][cursor[i]];
-          edge.bindings.push_back({pa[i], partner.source_stream,
-                                   partner.source_attr, partner.predicate});
-          edge.sources.push_back(partner.source_stream);
-        }
-        std::sort(edge.sources.begin(), edge.sources.end());
-        edge.sources.erase(
-            std::unique(edge.sources.begin(), edge.sources.end()),
-            edge.sources.end());
-        // Deduplicate by (target, scheme attrs, source set): an edge
-        // whose source set we already have for this scheme adds no
-        // reachability power.
-        bool duplicate = false;
-        for (auto it = gpg.edges_.rbegin(); it != gpg.edges_.rend(); ++it) {
-          if (it->target != edge.target) break;  // edges grouped by target
-          if (it->scheme == edge.scheme && it->sources == edge.sources) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (!duplicate) gpg.edges_.push_back(std::move(edge));
-
-        // Advance the mixed-radix cursor.
-        size_t i = 0;
-        while (i < cursor.size()) {
-          if (++cursor[i] < choices[i].size()) break;
-          cursor[i] = 0;
-          ++i;
-        }
-        if (i == cursor.size()) break;
-      }
-    }
+  std::vector<LocalInput> inputs;
+  for (size_t s = 0; s < query.num_streams(); ++s) {
+    inputs.push_back(LocalInput::Leaf(query, schemes, s));
+  }
+  gpg.edges_ = BuildLocalEdges(query, inputs, &gpg.truncated_);
+  if (gpg.truncated_) {
+    PUNCTSAFE_LOG(Warning)
+        << "GPG: a scheme expands to > " << kMaxCombinationsPerScheme
+        << " partner combinations; truncating (verdict may be "
+           "conservative)";
   }
   return gpg;
 }
@@ -118,27 +26,12 @@ GeneralizedPunctuationGraph GeneralizedPunctuationGraph::Build(
 std::vector<bool> GeneralizedPunctuationGraph::ReachableFrom(
     size_t start) const {
   PUNCTSAFE_CHECK(start < num_streams_);
-  std::vector<bool> reached(num_streams_, false);
-  reached[start] = true;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const GpgEdge& e : edges_) {
-      if (reached[e.target]) continue;
-      bool all_sources = std::all_of(e.sources.begin(), e.sources.end(),
-                                     [&](size_t s) { return reached[s]; });
-      if (all_sources) {
-        reached[e.target] = true;
-        changed = true;
-      }
-    }
-  }
-  return reached;
+  return LocalReachableFrom(start, num_streams_, edges_);
 }
 
 bool GeneralizedPunctuationGraph::StatePurgeable(size_t stream) const {
-  auto reached = ReachableFrom(stream);
-  return std::all_of(reached.begin(), reached.end(), [](bool b) { return b; });
+  PUNCTSAFE_CHECK(stream < num_streams_);
+  return LocalInputPurgeable(stream, num_streams_, edges_);
 }
 
 std::vector<size_t> GeneralizedPunctuationGraph::UnreachableFrom(
@@ -166,21 +59,22 @@ std::string GeneralizedPunctuationGraph::ToDot(
     out << "  \"" << query.stream(s) << "\";\n";
   }
   size_t junction = 0;
-  for (const GpgEdge& e : edges_) {
-    if (e.sources.size() == 1) {
-      out << "  \"" << query.stream(e.sources[0]) << "\" -> \""
-          << query.stream(e.target) << "\" [label=\""
-          << e.scheme.ToString() << "\"];\n";
+  for (const LocalGpgEdge& e : edges_) {
+    const std::string label = e.scheme.ToString(query);
+    if (e.source_inputs.size() == 1) {
+      out << "  \"" << query.stream(e.source_inputs[0]) << "\" -> \""
+          << query.stream(e.target_input) << "\" [label=\"" << label
+          << "\"];\n";
       continue;
     }
     std::string j = "g" + std::to_string(junction++);
     out << "  " << j << " [shape=point, label=\"\"];\n";
-    for (size_t s : e.sources) {
+    for (size_t s : e.source_inputs) {
       out << "  \"" << query.stream(s) << "\" -> " << j
           << " [dir=none];\n";
     }
-    out << "  " << j << " -> \"" << query.stream(e.target)
-        << "\" [label=\"" << e.scheme.ToString() << "\"];\n";
+    out << "  " << j << " -> \"" << query.stream(e.target_input)
+        << "\" [label=\"" << label << "\"];\n";
   }
   out << "}\n";
   return out.str();
@@ -188,12 +82,13 @@ std::string GeneralizedPunctuationGraph::ToDot(
 
 std::string GeneralizedPunctuationGraph::ToString(
     const ContinuousJoinQuery& query) const {
-  return JoinMapped(edges_, ", ", [&query](const GpgEdge& e) {
+  return JoinMapped(edges_, ", ", [&query](const LocalGpgEdge& e) {
     return StrCat(
         "{",
-        JoinMapped(e.sources, ",",
+        JoinMapped(e.source_inputs, ",",
                    [&query](size_t s) { return query.stream(s); }),
-        "}->", query.stream(e.target), " via ", e.scheme.ToString());
+        "}->", query.stream(e.target_input), " via ",
+        e.scheme.ToString(query));
   });
 }
 

@@ -15,14 +15,11 @@
 //  - Corollary 2 / Theorem 4: operator / CJQ safe iff strongly
 //    connected under Definition 10.
 //
-// Edge generation notes (documented in DESIGN.md):
-//  * a scheme only yields edges when every punctuatable attribute is a
-//    join attribute of its stream within the query — a punctuation
-//    constraining a non-join attribute can never close a join value
-//    with finitely many instantiations;
-//  * when one punctuatable attribute joins several partner streams,
-//    any partner can supply the values, so one edge is emitted per
-//    combination of partner choices (deduplicated by source set).
+// The graph is the operator-local graph of local_graph.h over
+// singleton inputs (input k = query stream k): the edge builder, its
+// per-scheme combination cap and the fixpoint are the ones every plan
+// operator and the runtime MJoin use, so edge indices, source inputs
+// and target inputs here are stream indices.
 
 #ifndef PUNCTSAFE_CORE_GENERALIZED_PUNCTUATION_GRAPH_H_
 #define PUNCTSAFE_CORE_GENERALIZED_PUNCTUATION_GRAPH_H_
@@ -31,43 +28,20 @@
 #include <string>
 #include <vector>
 
+#include "core/local_graph.h"
 #include "query/cjq.h"
 #include "stream/scheme.h"
 
 namespace punctsafe {
 
-/// \brief One generalized edge {sources} -> target with full
-/// provenance: which scheme, and for each punctuatable attribute,
-/// which predicate binds it to which source stream attribute.
-struct GpgEdge {
-  /// \brief How one punctuatable attribute of the target's scheme is
-  /// supplied by a source stream.
-  struct Binding {
-    size_t target_attr = 0;    ///< punctuatable attribute on `target`
-    size_t source_stream = 0;  ///< query stream supplying the values
-    size_t source_attr = 0;    ///< attribute on the source side
-    size_t predicate = 0;      ///< index into query.predicates()
-  };
-
-  std::vector<size_t> sources;  ///< sorted, deduplicated stream indices
-  size_t target = 0;
-  PunctuationScheme scheme;
-  std::vector<Binding> bindings;  ///< one per punctuatable attribute
-};
-
 class GeneralizedPunctuationGraph {
  public:
-  /// \brief Upper bound on partner-choice combinations expanded per
-  /// scheme; beyond it the remaining combinations are dropped (makes
-  /// the check conservative, never unsound). Generously above anything
-  /// a real query produces.
-  static constexpr size_t kMaxCombinationsPerScheme = 4096;
-
+  /// \brief Logs one warning when the build is truncated().
   static GeneralizedPunctuationGraph Build(const ContinuousJoinQuery& query,
                                            const SchemeSet& schemes);
 
   size_t num_streams() const { return num_streams_; }
-  const std::vector<GpgEdge>& edges() const { return edges_; }
+  const std::vector<LocalGpgEdge>& edges() const { return edges_; }
 
   /// \brief Definition 9 fixpoint: nodes reachable from `start`
   /// (start included).
@@ -95,7 +69,7 @@ class GeneralizedPunctuationGraph {
 
  private:
   size_t num_streams_ = 0;
-  std::vector<GpgEdge> edges_;
+  std::vector<LocalGpgEdge> edges_;
   bool truncated_ = false;
 };
 

@@ -1,13 +1,41 @@
 #include "core/local_graph.h"
 
 #include <algorithm>
-
-#include "util/string_util.h"
+#include <utility>
 
 namespace punctsafe {
 
+std::string AvailableScheme::ToString(
+    const ContinuousJoinQuery& query) const {
+  std::vector<bool> punctuatable(
+      query.schema(origin_stream).num_attributes(), false);
+  for (size_t attr : attrs) punctuatable[attr] = true;
+  return PunctuationScheme(query.stream(origin_stream),
+                           std::move(punctuatable))
+      .ToString();
+}
+
+std::vector<AvailableScheme> RawAvailableSchemes(
+    const ContinuousJoinQuery& query, const SchemeSet& schemes,
+    size_t stream) {
+  std::vector<AvailableScheme> out;
+  for (const PunctuationScheme* s :
+       schemes.SchemesFor(query.stream(stream))) {
+    // A scheme declared against a different schema version is ignored.
+    if (s->arity() != query.schema(stream).num_attributes()) continue;
+    out.push_back({stream, s->PunctuatableAttrs()});
+  }
+  return out;
+}
+
+LocalInput LocalInput::Leaf(const ContinuousJoinQuery& query,
+                            const SchemeSet& schemes, size_t stream) {
+  return {{stream}, RawAvailableSchemes(query, schemes, stream)};
+}
+
 std::vector<LocalGpgEdge> BuildLocalEdges(
-    const ContinuousJoinQuery& query, const std::vector<LocalInput>& inputs) {
+    const ContinuousJoinQuery& query, const std::vector<LocalInput>& inputs,
+    bool* truncated) {
   constexpr size_t kOutside = static_cast<size_t>(-1);
   std::vector<size_t> input_of(query.num_streams(), kOutside);
   for (size_t c = 0; c < inputs.size(); ++c) {
@@ -41,8 +69,16 @@ std::vector<LocalGpgEdge> BuildLocalEdges(
       }
       if (!usable) continue;
 
+      // Cartesian product over per-attribute partner choices, capped;
+      // an edge whose source set this scheme already has adds no
+      // reachability power.
+      const size_t group_begin = edges.size();
       std::vector<size_t> cursor(choices.size(), 0);
-      for (;;) {
+      for (size_t emitted = 0;; ++emitted) {
+        if (emitted == kMaxCombinationsPerScheme) {
+          if (truncated != nullptr) *truncated = true;
+          break;
+        }
         LocalGpgEdge edge;
         edge.target_input = target;
         edge.scheme = scheme;
@@ -51,15 +87,13 @@ std::vector<LocalGpgEdge> BuildLocalEdges(
           edge.bindings.push_back(binding);
           edge.source_inputs.push_back(binding.source_input);
         }
-        std::sort(edge.source_inputs.begin(), edge.source_inputs.end());
-        edge.source_inputs.erase(
-            std::unique(edge.source_inputs.begin(), edge.source_inputs.end()),
-            edge.source_inputs.end());
-        if (std::none_of(edges.begin(), edges.end(),
+        auto& sources = edge.source_inputs;
+        std::sort(sources.begin(), sources.end());
+        sources.erase(std::unique(sources.begin(), sources.end()),
+                      sources.end());
+        if (std::none_of(edges.begin() + group_begin, edges.end(),
                          [&](const LocalGpgEdge& e) {
-                           return e.target_input == edge.target_input &&
-                                  e.scheme == edge.scheme &&
-                                  e.source_inputs == edge.source_inputs;
+                           return e.source_inputs == sources;
                          })) {
           edges.push_back(std::move(edge));
         }
@@ -77,18 +111,21 @@ std::vector<LocalGpgEdge> BuildLocalEdges(
 }
 
 std::vector<bool> LocalReachableFrom(size_t start, size_t num_inputs,
-                                     const std::vector<LocalGpgEdge>& edges) {
+                                     const std::vector<LocalGpgEdge>& edges,
+                                     std::vector<size_t>* fired) {
   std::vector<bool> reached(num_inputs, false);
   reached[start] = true;
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const LocalGpgEdge& e : edges) {
+    for (size_t i = 0; i < edges.size(); ++i) {
+      const LocalGpgEdge& e = edges[i];
       if (reached[e.target_input]) continue;
       bool all = std::all_of(e.source_inputs.begin(), e.source_inputs.end(),
                              [&](size_t c) { return reached[c]; });
       if (all) {
         reached[e.target_input] = true;
+        if (fired != nullptr) fired->push_back(i);
         changed = true;
       }
     }
@@ -103,33 +140,29 @@ bool LocalInputPurgeable(size_t start, size_t num_inputs,
                      [](bool b) { return b; });
 }
 
-Result<std::vector<LocalGpgEdge>> DeriveLocalPurgeSteps(
-    size_t start, size_t num_inputs, const std::vector<LocalGpgEdge>& edges) {
-  std::vector<bool> covered(num_inputs, false);
-  covered[start] = true;
-  size_t count = 1;
-  std::vector<LocalGpgEdge> steps;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const LocalGpgEdge& e : edges) {
-      if (covered[e.target_input]) continue;
-      bool all = std::all_of(e.source_inputs.begin(), e.source_inputs.end(),
-                             [&](size_t c) { return covered[c]; });
-      if (!all) continue;
-      covered[e.target_input] = true;
-      ++count;
-      steps.push_back(e);
-      changed = true;
+bool OperatorCheck::purgeable() const {
+  return std::all_of(input_purgeable.begin(), input_purgeable.end(),
+                     [](bool b) { return b; });
+}
+
+OperatorCheck CheckOperator(const ContinuousJoinQuery& query,
+                            const std::vector<LocalInput>& inputs) {
+  OperatorCheck check;
+  check.edges = BuildLocalEdges(query, inputs);
+  for (size_t k = 0; k < inputs.size(); ++k) {
+    bool purgeable = LocalInputPurgeable(k, inputs.size(), check.edges);
+    check.input_purgeable.push_back(purgeable);
+    check.output.streams.insert(check.output.streams.end(),
+                                inputs[k].streams.begin(),
+                                inputs[k].streams.end());
+    if (purgeable) {
+      check.output.schemes.insert(check.output.schemes.end(),
+                                  inputs[k].schemes.begin(),
+                                  inputs[k].schemes.end());
     }
   }
-  if (count != num_inputs) {
-    return Status::FailedPrecondition(
-        StrCat("operator input ", start,
-               " is not purgeable: purge chain covers only ", count, " of ",
-               num_inputs, " inputs"));
-  }
-  return steps;
+  std::sort(check.output.streams.begin(), check.output.streams.end());
+  return check;
 }
 
 }  // namespace punctsafe

@@ -11,12 +11,7 @@ namespace {
 LocalInput CheckNode(const ContinuousJoinQuery& query,
                      const SchemeSet& schemes, const PlanShape& shape,
                      PlanSafetyReport* report) {
-  if (shape.IsLeaf()) {
-    LocalInput info;
-    info.streams = {shape.stream()};
-    info.schemes = RawAvailableSchemes(query, schemes, shape.stream());
-    return info;
-  }
+  if (shape.IsLeaf()) return LocalInput::Leaf(query, schemes, shape.stream());
 
   std::vector<LocalInput> children;
   children.reserve(shape.children().size());
@@ -24,44 +19,18 @@ LocalInput CheckNode(const ContinuousJoinQuery& query,
     children.push_back(CheckNode(query, schemes, child, report));
   }
 
-  std::vector<LocalGpgEdge> edges = BuildLocalEdges(query, children);
-
+  OperatorCheck check = CheckOperator(query, children);
   OperatorVerdict verdict;
-  verdict.purgeable = true;
-  LocalInput info;
-  for (size_t c = 0; c < children.size(); ++c) {
-    verdict.child_streams.push_back(children[c].streams);
-    bool purgeable = LocalInputPurgeable(c, children.size(), edges);
-    verdict.child_purgeable.push_back(purgeable);
-    verdict.purgeable = verdict.purgeable && purgeable;
-    info.streams.insert(info.streams.end(), children[c].streams.begin(),
-                        children[c].streams.end());
-    if (purgeable) {
-      // A purgeable input's punctuations can be regenerated on the
-      // operator output once the matching stored tuples are gone, so
-      // its schemes propagate upward.
-      info.schemes.insert(info.schemes.end(), children[c].schemes.begin(),
-                          children[c].schemes.end());
-    }
+  for (LocalInput& child : children) {
+    verdict.child_streams.push_back(std::move(child.streams));
   }
-  std::sort(info.streams.begin(), info.streams.end());
+  verdict.purgeable = check.purgeable();
+  verdict.child_purgeable = std::move(check.input_purgeable);
   report->operators.push_back(std::move(verdict));
-  return info;
+  return std::move(check.output);
 }
 
 }  // namespace
-
-std::vector<AvailableScheme> RawAvailableSchemes(
-    const ContinuousJoinQuery& query, const SchemeSet& schemes,
-    size_t stream) {
-  std::vector<AvailableScheme> out;
-  for (const PunctuationScheme* s :
-       schemes.SchemesFor(query.stream(stream))) {
-    if (s->arity() != query.schema(stream).num_attributes()) continue;
-    out.push_back({stream, s->PunctuatableAttrs()});
-  }
-  return out;
-}
 
 std::string PlanSafetyReport::ToString(
     const ContinuousJoinQuery& query) const {

@@ -8,18 +8,16 @@
 //  - the runtime, to refuse executing unsafe shapes.
 //
 // Semantics: a plan is safe iff every operator is purgeable
-// (Definition 2). An operator's purgeability is judged on the
-// generalized punctuation graph over its *direct inputs*
-// (core/local_graph.h), where an input's available punctuation schemes
-// are
-//  - for a leaf: the raw schemes of that stream, and
+// (Definition 2). Each operator is judged by CheckOperator
+// (core/local_graph.h) on the generalized punctuation graph over its
+// *direct inputs*, where an input's available punctuation schemes are
+//  - for a leaf: the raw schemes of that stream (LocalInput::Leaf), and
 //  - for a join output: the schemes of any input whose join state in
-//    that operator is purgeable (an output punctuation on attribute A
-//    originating from input k can be emitted once k's own punctuation
-//    arrives and k's stored A-matches have all been purged — which
-//    requires k's state to be purgeable). This propagation rule is
-//    the operational reading of the paper's Lemma 1/2 induction and is
-//    validated against Theorems 2/4 by the property-test suite.
+//    that operator is purgeable (CheckOperator's `output`). This
+//    propagation rule is the operational reading of the paper's Lemma
+//    1/2 induction and is validated against Theorems 2/4 by the
+//    property-test suite; the operator tree, the cost model, the
+//    enumerator and the runtime MJoin apply the same function.
 
 #ifndef PUNCTSAFE_CORE_PLAN_SAFETY_H_
 #define PUNCTSAFE_CORE_PLAN_SAFETY_H_
@@ -52,12 +50,6 @@ struct PlanSafetyReport {
 
   std::string ToString(const ContinuousJoinQuery& query) const;
 };
-
-/// \brief The punctuation schemes of `stream` usable within `query`,
-/// as AvailableSchemes (arity-mismatched schemes are ignored).
-std::vector<AvailableScheme> RawAvailableSchemes(
-    const ContinuousJoinQuery& query, const SchemeSet& schemes,
-    size_t stream);
 
 /// \brief Checks the safety of one execution plan shape.
 ///

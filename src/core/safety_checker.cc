@@ -1,7 +1,5 @@
 #include "core/safety_checker.h"
 
-#include <algorithm>
-
 #include "core/generalized_punctuation_graph.h"
 #include "core/punctuation_graph.h"
 #include "util/string_util.h"
@@ -10,17 +8,15 @@ namespace punctsafe {
 
 namespace {
 
-StreamPurgeability MakeVerdict(const ContinuousJoinQuery& query,
-                               const GeneralizedPunctuationGraph& gpg,
+// One fixpoint run yields both the witness and the purge plan.
+StreamPurgeability MakeVerdict(const GeneralizedPunctuationGraph& gpg,
                                size_t stream) {
+  PurgeTrace trace = TracePurgeChain(gpg, stream);
   StreamPurgeability verdict;
   verdict.stream = stream;
-  verdict.unreachable = gpg.UnreachableFrom(stream);
+  verdict.unreachable = std::move(trace.unreachable);
   verdict.purgeable = verdict.unreachable.empty();
-  if (verdict.purgeable) {
-    auto plan = DeriveChainedPurgePlan(query, gpg, stream);
-    if (plan.ok()) verdict.purge_plan = std::move(plan).ValueOrDie();
-  }
+  if (verdict.purgeable) verdict.purge_plan = std::move(trace.plan);
   return verdict;
 }
 
@@ -39,7 +35,7 @@ Result<SafetyReport> SafetyChecker::CheckQuery(
   GeneralizedPunctuationGraph gpg =
       GeneralizedPunctuationGraph::Build(query, relevant);
   for (size_t i = 0; i < query.num_streams(); ++i) {
-    report.per_stream.push_back(MakeVerdict(query, gpg, i));
+    report.per_stream.push_back(MakeVerdict(gpg, i));
   }
 
   if (report.used_simple_path) {
@@ -85,7 +81,7 @@ Result<StreamPurgeability> SafetyChecker::CheckState(
   SchemeSet relevant = schemes_.Restrict(query.streams());
   GeneralizedPunctuationGraph gpg =
       GeneralizedPunctuationGraph::Build(query, relevant);
-  return MakeVerdict(query, gpg, *idx);
+  return MakeVerdict(gpg, *idx);
 }
 
 Result<ChainedPurgePlan> SafetyChecker::DerivePurgePlan(

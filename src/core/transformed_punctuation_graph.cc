@@ -18,7 +18,7 @@ namespace {
 // set is the union of covers of nodes reachable from N_i, computed as
 // an inner fixpoint (adding an edge can enlarge reachability, which
 // can enable further edges).
-Digraph ComputeNodeEdges(const std::vector<GpgEdge>& gpg_edges,
+Digraph ComputeNodeEdges(const std::vector<LocalGpgEdge>& gpg_edges,
                          const std::vector<std::vector<size_t>>& covers,
                          const std::vector<size_t>& node_of_stream,
                          TransformedPunctuationGraph::Mode mode) {
@@ -44,10 +44,10 @@ Digraph ComputeNodeEdges(const std::vector<GpgEdge>& gpg_edges,
     changed = false;
     for (size_t ni = 0; ni < m; ++ni) {
       std::vector<bool> allowed = allowed_streams(ni);
-      for (const GpgEdge& e : gpg_edges) {
-        size_t nj = node_of_stream[e.target];
+      for (const LocalGpgEdge& e : gpg_edges) {
+        size_t nj = node_of_stream[e.target_input];
         if (nj == ni || edges.HasEdge(ni, nj)) continue;
-        bool ok = std::all_of(e.sources.begin(), e.sources.end(),
+        bool ok = std::all_of(e.source_inputs.begin(), e.source_inputs.end(),
                               [&](size_t s) { return allowed[s]; });
         if (ok) {
           edges.AddEdge(ni, nj);

@@ -39,9 +39,15 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
     }
   }
 
+  // Operator-local edges, per-input purgeability and the input this
+  // operator exposes to a parent (covered streams ascending).
+  OperatorCheck check = CheckOperator(query, inputs);
+
   auto op = std::unique_ptr<MJoinOperator>(new MJoinOperator());
   op->config_ = config;
   op->inputs_ = std::move(inputs);
+  op->output_ = std::move(check.output);
+  op->input_purgeable_ = std::move(check.input_purgeable);
   const size_t m = op->inputs_.size();
 
   // Composite layouts: per input, (stream, attr) -> offset.
@@ -61,11 +67,8 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
   }
 
   // Output layout: covered streams ascending; copy plan per stream.
-  for (size_t s = 0; s < query.num_streams(); ++s) {
-    if (covered[s]) op->output_streams_.push_back(s);
-  }
   size_t out = 0;
-  for (size_t s : op->output_streams_) {
+  for (size_t s : op->output_.streams) {
     // Locate the input covering s and the segment start within it.
     for (size_t k = 0; k < m; ++k) {
       size_t from = 0;
@@ -166,8 +169,7 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
 
   // All generalized edges from the operator-local graph, localized to
   // composite offsets; removability checks run a fixpoint over them.
-  std::vector<LocalGpgEdge> edges = BuildLocalEdges(query, op->inputs_);
-  for (const LocalGpgEdge& e : edges) {
+  for (const LocalGpgEdge& e : check.edges) {
     RuntimeEdge edge;
     edge.target_input = e.target_input;
     edge.source_inputs = e.source_inputs;
@@ -180,10 +182,6 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
     }
     for (size_t s : edge.source_inputs) edge.source_mask |= uint64_t{1} << s;
     op->runtime_edges_.push_back(std::move(edge));
-  }
-  op->input_purgeable_.resize(m);
-  for (size_t k = 0; k < m; ++k) {
-    op->input_purgeable_[k] = LocalInputPurgeable(k, m, edges);
   }
 
   op->queues_.resize(m);

@@ -108,7 +108,7 @@ class MJoinOperator : public JoinOperator {
   ///
   /// `inputs[k].streams` are the query streams covered by input k;
   /// `inputs[k].schemes` the punctuation schemes deliverable on it
-  /// (for raw-stream inputs, RawAvailableSchemes). Covers must be
+  /// (for raw-stream inputs, LocalInput::Leaf). Covers must be
   /// disjoint. Inputs whose operator-local state is not purgeable get
   /// no purge plan: the operator still runs, its state just grows —
   /// exactly the unsafe behavior the safety checker exists to reject,
@@ -160,8 +160,11 @@ class MJoinOperator : public JoinOperator {
   }
   /// \brief Streams covered by the operator output (sorted).
   const std::vector<size_t>& output_streams() const {
-    return output_streams_;
+    return output_.streams;
   }
+  /// \brief The input this operator exposes to a parent: its output
+  /// streams and the schemes of its purgeable inputs (CheckOperator).
+  const LocalInput& output() const { return output_; }
   /// \brief Output composite width (attribute count).
   size_t output_width() const { return output_width_; }
 
@@ -386,7 +389,7 @@ class MJoinOperator : public JoinOperator {
 
   std::vector<LocalInput> inputs_;
   MJoinConfig config_;
-  std::vector<size_t> output_streams_;
+  LocalInput output_;
   size_t output_width_ = 0;
 
   // Per input: composite width and (stream, attr) -> offset map.

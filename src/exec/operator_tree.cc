@@ -1,9 +1,5 @@
 #include "exec/operator_tree.h"
 
-#include <algorithm>
-
-#include "core/plan_safety.h"
-
 namespace punctsafe {
 
 namespace {
@@ -21,8 +17,7 @@ BuiltNode BuildNode(const ContinuousJoinQuery& query,
   if (!status->ok()) return {};
   if (shape.IsLeaf()) {
     BuiltNode node;
-    node.info.streams = {shape.stream()};
-    node.info.schemes = RawAvailableSchemes(query, schemes, shape.stream());
+    node.info = LocalInput::Leaf(query, schemes, shape.stream());
     return node;
   }
 
@@ -60,21 +55,7 @@ BuiltNode BuildNode(const ContinuousJoinQuery& query,
 
   BuiltNode node;
   node.op = op_index;
-  node.info.streams.clear();
-  for (const BuiltNode& c : children) {
-    node.info.streams.insert(node.info.streams.end(), c.info.streams.begin(),
-                             c.info.streams.end());
-  }
-  std::sort(node.info.streams.begin(), node.info.streams.end());
-  // Propagate schemes of purgeable inputs (matches plan_safety.cc and
-  // the operator's own propagatable signatures).
-  for (size_t k = 0; k < children.size(); ++k) {
-    if (op->InputPurgeable(k)) {
-      node.info.schemes.insert(node.info.schemes.end(),
-                               children[k].info.schemes.begin(),
-                               children[k].info.schemes.end());
-    }
-  }
+  node.info = op->output();
   return node;
 }
 

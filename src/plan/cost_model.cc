@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "core/local_graph.h"
-#include "core/plan_safety.h"
 #include "util/string_util.h"
 
 namespace punctsafe {
@@ -54,8 +53,7 @@ NodeEstimate EstimateNode(const ContinuousJoinQuery& query,
   if (shape.IsLeaf()) {
     NodeEstimate est;
     size_t s = shape.stream();
-    est.info.streams = {s};
-    est.info.schemes = RawAvailableSchemes(query, schemes, s);
+    est.info = LocalInput::Leaf(query, schemes, s);
     est.rate = stats.arrival_rate[s];
     est.punct_rate =
         est.info.schemes.empty() ? 0.0 : stats.punctuation_rate[s];
@@ -72,7 +70,7 @@ NodeEstimate EstimateNode(const ContinuousJoinQuery& query,
   std::vector<LocalInput> inputs;
   inputs.reserve(children.size());
   for (const NodeEstimate& c : children) inputs.push_back(c.info);
-  std::vector<LocalGpgEdge> edges = BuildLocalEdges(query, inputs);
+  OperatorCheck check = CheckOperator(query, inputs);
 
   // Per-input purge delay: the chained purge waits for punctuations
   // from the other inputs, so the slowest punctuator dominates.
@@ -83,11 +81,10 @@ NodeEstimate EstimateNode(const ContinuousJoinQuery& query,
   const size_t m = children.size();
   std::vector<double> joinable_state(m, 0);
   std::vector<double> resident_state(m, 0);
-  std::vector<bool> purgeable(m, false);
+  const std::vector<bool>& purgeable = check.input_purgeable;
   double punct_rate_total = 0;
   for (size_t k = 0; k < m; ++k) punct_rate_total += children[k].punct_rate;
   for (size_t k = 0; k < m; ++k) {
-    purgeable[k] = LocalInputPurgeable(k, m, edges);
     double joinable_delay = stats.horizon;
     double resident_delay = stats.horizon;
     if (purgeable[k]) {
@@ -157,19 +154,10 @@ NodeEstimate EstimateNode(const ContinuousJoinQuery& query,
 
   // The edge this operator exposes upward.
   NodeEstimate est;
-  for (const NodeEstimate& c : children) {
-    est.info.streams.insert(est.info.streams.end(), c.info.streams.begin(),
-                            c.info.streams.end());
-  }
-  std::sort(est.info.streams.begin(), est.info.streams.end());
+  est.info = std::move(check.output);
   est.rate = out_rate;
   for (size_t k = 0; k < m; ++k) {
-    if (purgeable[k]) {
-      est.info.schemes.insert(est.info.schemes.end(),
-                              children[k].info.schemes.begin(),
-                              children[k].info.schemes.end());
-      est.punct_rate += children[k].punct_rate;
-    }
+    if (purgeable[k]) est.punct_rate += children[k].punct_rate;
   }
   return est;
 }

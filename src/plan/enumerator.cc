@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <functional>
 
-#include "core/plan_safety.h"
+#include "core/local_graph.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -64,7 +64,7 @@ SafePlanEnumerator::SafePlansFor(uint32_t mask, size_t limit) {
     size_t stream = static_cast<size_t>(__builtin_ctz(mask));
     Entry leaf;
     leaf.shape = PlanShape::Leaf(stream);
-    leaf.schemes = RawAvailableSchemes(query_, schemes_, stream);
+    leaf.schemes = LocalInput::Leaf(query_, schemes_, stream).schemes;
     out.push_back(std::move(leaf));
     return out;
   }
@@ -103,21 +103,10 @@ SafePlanEnumerator::SafePlansFor(uint32_t mask, size_t limit) {
             inputs.push_back(std::move(input));
             children.push_back(e.shape);
           }
-          std::vector<LocalGpgEdge> edges = BuildLocalEdges(query_, inputs);
-          bool purgeable = true;
-          Entry candidate;
-          for (size_t k = 0; k < inputs.size() && purgeable; ++k) {
-            if (!LocalInputPurgeable(k, inputs.size(), edges)) {
-              purgeable = false;
-              break;
-            }
-            candidate.schemes.insert(candidate.schemes.end(),
-                                     inputs[k].schemes.begin(),
-                                     inputs[k].schemes.end());
-          }
-          if (purgeable) {
-            candidate.shape = PlanShape::Join(std::move(children));
-            out.push_back(std::move(candidate));
+          OperatorCheck check = CheckOperator(query_, inputs);
+          if (check.purgeable()) {
+            out.push_back({PlanShape::Join(std::move(children)),
+                           std::move(check.output.schemes)});
           }
           // Advance cursor.
           size_t b = 0;

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <set>
 #include <utility>
 
 #ifdef __linux__
@@ -283,26 +282,19 @@ void IngestServer::CloseAll() {
 void IngestServer::Run() {
   int epfd = epoll_create1(0);
   if (epfd < 0) return;
-  auto add = [epfd](int fd, uint32_t events) {
+  auto control = [epfd](int op, int fd, uint32_t events) {
     epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
     ev.events = events;
     ev.data.fd = fd;
-    epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev);
+    epoll_ctl(epfd, op, fd, &ev);
   };
-  auto mod = [epfd](int fd, uint32_t events) {
-    epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = events;
-    ev.data.fd = fd;
-    epoll_ctl(epfd, EPOLL_CTL_MOD, fd, &ev);
-  };
-  add(listen_fd_, EPOLLIN);
-  add(wake_read_fd_, EPOLLIN);
+  control(EPOLL_CTL_ADD, listen_fd_, EPOLLIN);
+  control(EPOLL_CTL_ADD, wake_read_fd_, EPOLLIN);
 
   // Level-triggered loop: connection interest is EPOLLIN, plus
-  // EPOLLOUT only while output is pending.
-  std::set<int> registered;
+  // EPOLLOUT only while output is pending. The kernel is told only
+  // when a connection's interest changes; close() deregisters.
   epoll_event events[64];
   while (!stop_.load()) {
     int n = epoll_wait(epfd, events, 64, 500);
@@ -335,10 +327,7 @@ void IngestServer::Run() {
       if (alive && (events[i].events & EPOLLOUT) != 0) {
         alive = FlushOutput(conn);
       }
-      if (!alive) {
-        registered.erase(fd);
-        CloseConnection(fd);
-      }
+      if (!alive) CloseConnection(fd);
     }
 
     // Results produced by this wakeup's commands (or by another
@@ -359,16 +348,13 @@ void IngestServer::Run() {
       }
       uint32_t want =
           conn.unsent() == 0 ? EPOLLIN : (EPOLLIN | EPOLLOUT);
-      if (registered.insert(fd).second) {
-        add(fd, want);
-      } else {
-        mod(fd, want);
+      if (want != conn.interest) {
+        control(conn.interest == 0 ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd,
+                want);
+        conn.interest = want;
       }
     }
-    for (int fd : doomed) {
-      registered.erase(fd);
-      CloseConnection(fd);
-    }
+    for (int fd : doomed) CloseConnection(fd);
   }
   close(epfd);
 }

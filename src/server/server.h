@@ -103,6 +103,7 @@ class IngestServer {
     Session session;   // protocol state (subscriptions, quit)
     bool closing = false;  // flush `out`, then close
     bool dropped = false;  // slow consumer: close now, discard `out`
+    uint32_t interest = 0;  // epoll events registered; 0 = not added
 
     size_t unsent() const { return out.size() - out_sent; }
   };

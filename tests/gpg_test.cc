@@ -41,8 +41,8 @@ TEST(GpgTest, Fig9GeneralizedEdgeStructure) {
       GeneralizedPunctuationGraph::Build(q, Fig8Schemes(catalog));
 
   bool found = false;
-  for (const GpgEdge& e : gpg.edges()) {
-    if (e.target == 2 && e.sources == std::vector<size_t>{0, 1}) {
+  for (const LocalGpgEdge& e : gpg.edges()) {
+    if (e.target_input == 2 && e.source_inputs == std::vector<size_t>{0, 1}) {
       found = true;
       EXPECT_EQ(e.bindings.size(), 2u);
     }
@@ -109,8 +109,8 @@ TEST(GpgTest, SimpleSchemesYieldSingletonEdges) {
   GeneralizedPunctuationGraph gpg =
       GeneralizedPunctuationGraph::Build(q, Fig5Schemes(catalog));
   EXPECT_EQ(gpg.edges().size(), 3u);
-  for (const GpgEdge& e : gpg.edges()) {
-    EXPECT_EQ(e.sources.size(), 1u);
+  for (const LocalGpgEdge& e : gpg.edges()) {
+    EXPECT_EQ(e.source_inputs.size(), 1u);
     EXPECT_EQ(e.bindings.size(), 1u);
   }
   EXPECT_TRUE(gpg.IsStronglyConnected());
@@ -133,9 +133,10 @@ TEST(GpgTest, MultiplePartnersYieldAlternativeEdges) {
       GeneralizedPunctuationGraph::Build(*q, schemes);
   // {A} -> C and {B} -> C.
   ASSERT_EQ(gpg.edges().size(), 2u);
-  EXPECT_EQ(gpg.edges()[0].target, 2u);
-  EXPECT_EQ(gpg.edges()[1].target, 2u);
-  EXPECT_NE(gpg.edges()[0].sources, gpg.edges()[1].sources);
+  EXPECT_EQ(gpg.edges()[0].target_input, 2u);
+  EXPECT_EQ(gpg.edges()[1].target_input, 2u);
+  EXPECT_NE(gpg.edges()[0].source_inputs,
+            gpg.edges()[1].source_inputs);
 }
 
 // Arity-mismatched schemes (stale schema) are ignored, not fatal.

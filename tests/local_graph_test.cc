@@ -36,8 +36,8 @@ TEST(LocalGraphTest, RawInputsMatchGpg) {
         GeneralizedPunctuationGraph::Build(q, schemes);
     ASSERT_EQ(edges.size(), gpg.edges().size());
     for (size_t i = 0; i < edges.size(); ++i) {
-      EXPECT_EQ(edges[i].source_inputs, gpg.edges()[i].sources);
-      EXPECT_EQ(edges[i].target_input, gpg.edges()[i].target);
+      EXPECT_EQ(edges[i].source_inputs, gpg.edges()[i].source_inputs);
+      EXPECT_EQ(edges[i].target_input, gpg.edges()[i].target_input);
     }
     for (size_t s = 0; s < 3; ++s) {
       EXPECT_EQ(LocalInputPurgeable(s, 3, edges), gpg.StatePurgeable(s));
@@ -74,30 +74,52 @@ TEST(LocalGraphTest, CompositeInputInternalizesPredicates) {
   EXPECT_TRUE(LocalInputPurgeable(1, 2, edges));
 }
 
-TEST(LocalGraphTest, DeriveLocalPurgeStepsOrdering) {
+TEST(LocalGraphTest, FixpointRecordsFiringOrder) {
   StreamCatalog catalog = PaperCatalog();
   ContinuousJoinQuery q = TriangleQuery(catalog);
   auto edges = BuildLocalEdges(q, RawInputs(q, Fig5Schemes(catalog)));
-  auto steps = DeriveLocalPurgeSteps(0, 3, edges);
-  ASSERT_TRUE(steps.ok());
-  ASSERT_EQ(steps->size(), 2u);
+  std::vector<size_t> fired;
+  EXPECT_EQ(LocalReachableFrom(0, 3, edges, &fired),
+            (std::vector<bool>{true, true, true}));
+  ASSERT_EQ(fired.size(), 2u);
   // Dependency order: each step's sources already covered.
   std::vector<bool> covered(3, false);
   covered[0] = true;
-  for (const LocalGpgEdge& e : *steps) {
+  for (size_t i : fired) {
+    const LocalGpgEdge& e = edges[i];
     for (size_t s : e.source_inputs) EXPECT_TRUE(covered[s]);
     covered[e.target_input] = true;
   }
 }
 
-TEST(LocalGraphTest, DeriveLocalPurgeStepsFailsWhenUnreachable) {
+TEST(LocalGraphTest, FixpointLeavesUnreachableInputsUncovered) {
   StreamCatalog catalog = PaperCatalog();
   ContinuousJoinQuery q = TriangleQuery(catalog);
   auto edges = BuildLocalEdges(q, RawInputs(q, SchemeSet()));
   EXPECT_TRUE(edges.empty());
-  EXPECT_TRUE(DeriveLocalPurgeSteps(0, 3, edges)
-                  .status()
-                  .IsFailedPrecondition());
+  std::vector<size_t> fired;
+  EXPECT_EQ(LocalReachableFrom(0, 3, edges, &fired),
+            (std::vector<bool>{true, false, false}));
+  EXPECT_TRUE(fired.empty());
+  EXPECT_FALSE(LocalInputPurgeable(0, 3, edges));
+}
+
+// The propagation rule: the operator exposes the sorted union of its
+// input streams and the schemes of its purgeable inputs only. Over
+// inputs {S2}, {S1} with Figure 5 schemes only S1.B = S2.B crosses, so
+// S2(C) yields no edge: S2 reaches S1 (via S1(B)) but not vice versa.
+TEST(LocalGraphTest, CheckOperatorPropagatesSchemesOfPurgeableInputs) {
+  StreamCatalog catalog = PaperCatalog();
+  ContinuousJoinQuery q = TriangleQuery(catalog);
+  SchemeSet schemes = Fig5Schemes(catalog);
+  OperatorCheck check = CheckOperator(
+      q, {LocalInput::Leaf(q, schemes, 1), LocalInput::Leaf(q, schemes, 0)});
+  ASSERT_EQ(check.edges.size(), 1u);
+  EXPECT_EQ(check.edges[0].target_input, 1u);
+  EXPECT_EQ(check.input_purgeable, (std::vector<bool>{true, false}));
+  EXPECT_FALSE(check.purgeable());
+  EXPECT_EQ(check.output.streams, (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(check.output.schemes, RawAvailableSchemes(q, schemes, 1));
 }
 
 // LocalReachableFrom agrees with the GPG fixpoint on random instances

@@ -2,11 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/generalized_punctuation_graph.h"
+#include "query/spec_parser.h"
 #include "test_util.h"
 #include "workload/auction.h"
 
 namespace punctsafe {
 namespace {
+
+// S(a1..a12) joins each of T1..T4 on every attribute, and the Tj
+// join each other on b. S's one scheme covers all twelve attributes,
+// so it has 4^12 partner combinations; each Tj is closed by its
+// scheme on a1 from S, or on b from another Tj.
+std::string WideSchemeSpec() {
+  std::string attrs;
+  std::string scheme;
+  for (int i = 1; i <= 12; ++i) {
+    attrs += " a" + std::to_string(i) + ":int";
+    scheme += " a" + std::to_string(i);
+  }
+  std::string spec = "stream S" + attrs + "\nscheme S" + scheme + "\n";
+  std::string query = "query S";
+  for (int j = 1; j <= 4; ++j) {
+    std::string t = "T" + std::to_string(j);
+    spec += "stream " + t + attrs + " b:int\n";
+    spec += "scheme " + t + " a1\nscheme " + t + " b\n";
+    query += " " + t;
+    for (int i = 1; i <= 12; ++i) {
+      std::string a = ".a" + std::to_string(i);
+      spec += "join S" + a + " = " + t + a + "\n";
+    }
+    if (j > 1) spec += "join " + t + ".b = T1.b\n";
+  }
+  return spec + query + "\n";
+}
 
 TEST(QueryRegisterTest, AdmitsSafeQueryAndRuns) {
   QueryRegister reg;
@@ -120,6 +151,55 @@ TEST(QueryRegisterTest, QueryValidationPropagates) {
   ASSERT_TRUE(reg.RegisterStream("s", Schema::OfInts({"a"})).ok());
   auto rq = reg.Register({"s"}, {});
   EXPECT_TRUE(rq.status().IsInvalidArgument());
+}
+
+// Admission expands at most kMaxCombinationsPerScheme combinations
+// per scheme at every level: the query-level GPG and the root
+// operator's check are the same truncated graph, and registration
+// stays fast (it runs on the server's event-loop thread).
+TEST(QueryRegisterTest, WideSchemeAdmissionIsCapped) {
+  auto spec = ParseSpec(WideSchemeSpec());
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  QueryRegister reg;
+  for (const std::string& name : spec->query_streams) {
+    ASSERT_TRUE(
+        reg.RegisterStream(name, *spec->catalog.Get(name).ValueOrDie())
+            .ok());
+  }
+  for (const PunctuationScheme& scheme : spec->schemes.schemes()) {
+    ASSERT_TRUE(reg.RegisterScheme(scheme).ok());
+  }
+  auto rq = reg.Register(spec->query_streams, spec->predicates);
+  ASSERT_TRUE(rq.ok()) << rq.status().ToString();
+  EXPECT_TRUE(rq->safety.safe);
+  EXPECT_EQ(rq->shape, PlanShape::SingleMJoin(5));
+
+  auto query = spec->MakeQuery();
+  ASSERT_TRUE(query.ok());
+  GeneralizedPunctuationGraph gpg =
+      GeneralizedPunctuationGraph::Build(*query, spec->schemes);
+  EXPECT_TRUE(gpg.truncated());
+  EXPECT_TRUE(gpg.IsStronglyConnected());
+
+  std::vector<LocalInput> leaves;
+  for (size_t s = 0; s < query->num_streams(); ++s) {
+    leaves.push_back(LocalInput::Leaf(*query, spec->schemes, s));
+  }
+  OperatorCheck root = CheckOperator(*query, leaves);
+  EXPECT_TRUE(root.purgeable());
+  ASSERT_EQ(root.edges.size(), gpg.edges().size());
+  for (size_t i = 0; i < root.edges.size(); ++i) {
+    const LocalGpgEdge& a = root.edges[i];
+    const LocalGpgEdge& b = gpg.edges()[i];
+    EXPECT_EQ(a.target_input, b.target_input) << i;
+    EXPECT_EQ(a.source_inputs, b.source_inputs) << i;
+    EXPECT_EQ(a.scheme, b.scheme) << i;
+    ASSERT_EQ(a.bindings.size(), b.bindings.size()) << i;
+    for (size_t k = 0; k < a.bindings.size(); ++k) {
+      EXPECT_EQ(a.bindings[k].source_stream, b.bindings[k].source_stream);
+      EXPECT_EQ(a.bindings[k].source_attr, b.bindings[k].source_attr);
+    }
+  }
 }
 
 }  // namespace
