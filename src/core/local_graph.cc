@@ -165,4 +165,54 @@ OperatorCheck CheckOperator(const ContinuousJoinQuery& query,
   return check;
 }
 
+std::vector<std::vector<JoinAttr>> JoinAttrClasses(
+    const ContinuousJoinQuery& query, const std::vector<LocalInput>& inputs) {
+  // Union-find (path halving) over node ids that number the composite
+  // attributes input by input; kOutside marks a node in no predicate.
+  constexpr size_t kOutside = static_cast<size_t>(-1);
+  std::vector<size_t> first_node(query.num_streams(), kOutside);
+  std::vector<JoinAttr> attr_of;  // node id -> attribute
+  for (size_t k = 0; k < inputs.size(); ++k) {
+    size_t offset = 0;
+    for (size_t s : inputs[k].streams) {
+      first_node[s] = attr_of.size();
+      for (size_t a = 0; a < query.schema(s).num_attributes(); ++a) {
+        attr_of.push_back({k, offset++});
+      }
+    }
+  }
+  std::vector<size_t> parent(attr_of.size(), kOutside);
+  auto find = [&](size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (const ResolvedPredicate& p : query.predicates()) {
+    if (first_node[p.left_stream] == kOutside ||
+        first_node[p.right_stream] == kOutside) {
+      continue;
+    }
+    const size_t a = first_node[p.left_stream] + p.left_attr;
+    const size_t b = first_node[p.right_stream] + p.right_attr;
+    if (attr_of[a].input == attr_of[b].input) continue;
+    for (size_t n : {a, b}) {
+      if (parent[n] == kOutside) parent[n] = n;
+    }
+    parent[find(a)] = find(b);
+  }
+  std::vector<size_t> class_of_root(attr_of.size());
+  std::vector<std::vector<JoinAttr>> classes;
+  for (size_t n = 0; n < attr_of.size(); ++n) {
+    if (parent[n] == n) {
+      class_of_root[n] = classes.size();
+      classes.emplace_back();
+    }
+  }
+  for (size_t n = 0; n < attr_of.size(); ++n) {
+    if (parent[n] != kOutside) {
+      classes[class_of_root[find(n)]].push_back(attr_of[n]);
+    }
+  }
+  return classes;
+}
+
 }  // namespace punctsafe

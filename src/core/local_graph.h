@@ -136,6 +136,21 @@ struct OperatorCheck {
 OperatorCheck CheckOperator(const ContinuousJoinQuery& query,
                             const std::vector<LocalInput>& inputs);
 
+/// \brief Attribute `offset` of input `input`'s composite row (its
+/// streams' schemas concatenated in ascending stream order).
+struct JoinAttr {
+  size_t input;
+  size_t offset;
+};
+
+/// \brief The operator's join-attribute classes: each equi-join
+/// predicate between two inputs unions its endpoints. Members come in
+/// (input, offset) order, classes in union-find root order, so the
+/// partition router picks its key class deterministically; MJoin
+/// retirement finishes values per class.
+std::vector<std::vector<JoinAttr>> JoinAttrClasses(
+    const ContinuousJoinQuery& query, const std::vector<LocalInput>& inputs);
+
 }  // namespace punctsafe
 
 #endif  // PUNCTSAFE_CORE_LOCAL_GRAPH_H_

@@ -526,7 +526,8 @@ std::vector<PendingPropagationSnapshot> MergePending(
 }
 
 // Punctuation-side counters are replicated per shard (every shard sees
-// the full broadcast), so their logical value is the max, not the sum.
+// the full broadcast, though each retires on its own), so their logical
+// value is the max, not the sum.
 OperatorMetricsSnapshot MergeOperatorMetrics(
     const OperatorMetricsSnapshot& a, const OperatorMetricsSnapshot& b) {
   OperatorMetricsSnapshot m;

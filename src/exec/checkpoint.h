@@ -18,11 +18,12 @@
 //  * tuples / results — multiset union (tuples partition across
 //    shards, so union restores the logical state);
 //  * punctuations / pending propagations — set union (broadcast state
-//    is replicated per shard), duplicate punctuations keep the max
-//    arrival timestamp;
+//    is replicated per shard; a union of stores whose shards retired
+//    different values is still valid), duplicate punctuations keep the
+//    max arrival timestamp;
 //  * tuple-side counters (inserted, purged, ...) — sums;
-//  * punctuation-side counters and gauges — max (every shard holds
-//    the full broadcast set, so the max IS the logical value);
+//  * punctuation-side counters and gauges — max (every shard received
+//    the full broadcast);
 //  * per-stream progress — element-wise max.
 // SplitSnapshot is the inverse up to Merge: it re-partitions the
 // tuples over K pieces (by ShardOf-style hashing or a caller-supplied

@@ -4,7 +4,6 @@
 #include <bit>
 #include <deque>
 #include <utility>
-#include <unordered_set>
 
 #include "exec/simd.h"
 #include "util/logging.h"
@@ -90,13 +89,12 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
   }
   op->output_width_ = out;
 
-  // Localized predicates + per-input join offsets for indexing.
+  // Localized predicates.
   constexpr size_t kOutside = static_cast<size_t>(-1);
   std::vector<size_t> input_of(query.num_streams(), kOutside);
   for (size_t k = 0; k < m; ++k) {
     for (size_t s : op->inputs_[k].streams) input_of[s] = k;
   }
-  std::vector<std::vector<size_t>> indexed(m);
   for (const ResolvedPredicate& p : query.predicates()) {
     size_t ia = input_of[p.left_stream];
     size_t ib = input_of[p.right_stream];
@@ -106,8 +104,6 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
     lp.offset_a = op->OffsetOf(ia, p.left_stream, p.left_attr);
     lp.input_b = ib;
     lp.offset_b = op->OffsetOf(ib, p.right_stream, p.right_attr);
-    indexed[ia].push_back(lp.offset_a);
-    indexed[ib].push_back(lp.offset_b);
     op->predicates_.push_back(lp);
   }
   op->predicates_of_input_.resize(m);
@@ -143,16 +139,27 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
     }
   }
 
-  // Stores.
+  // Join-attribute classes; their members are the join offsets.
+  op->join_offsets_.resize(m);
+  op->class_of_.resize(m);
+  for (size_t k = 0; k < m; ++k) op->class_of_[k].resize(op->widths_[k]);
+  for (const std::vector<JoinAttr>& members :
+       JoinAttrClasses(query, op->inputs_)) {
+    std::vector<ClassMember>& cls = op->class_members_.emplace_back();
+    for (const JoinAttr& a : members) {
+      cls.push_back({a.input, {a.offset}});
+      op->class_of_[a.input][a.offset] = op->class_members_.size() - 1;
+      op->join_offsets_[a.input].push_back(a.offset);
+    }
+  }
+
+  // Stores, indexed on the join offsets.
   for (size_t k = 0; k < m; ++k) {
-    std::sort(indexed[k].begin(), indexed[k].end());
-    indexed[k].erase(std::unique(indexed[k].begin(), indexed[k].end()),
-                     indexed[k].end());
-    op->states_.push_back(std::make_unique<TupleStore>(indexed[k]));
+    std::sort(op->join_offsets_[k].begin(), op->join_offsets_[k].end());
+    op->states_.push_back(std::make_unique<TupleStore>(op->join_offsets_[k]));
     op->punct_stores_.push_back(
         std::make_unique<PunctuationStore>(config.punctuation_lifespan));
   }
-  op->join_offsets_ = std::move(indexed);
 
   // Scheme signatures per input (composite constrained offsets).
   op->scheme_signatures_.resize(m);
@@ -946,7 +953,21 @@ void MJoinOperator::PushPunctuation(size_t input,
   // A duplicate still wakes: it refreshes the arrival a lifespan counts
   // from.
   const size_t sig = SignatureOf(input, punctuation);
-  if (!full_sweep_reference_) WakeOnPunctuation(input, punctuation, sig);
+  if (!full_sweep_reference_) {
+    WakeOnPunctuation(input, punctuation, sig);
+    // It can finish the values it constrains join attributes to; an
+    // all-wildcard one covers every value, so it schedules a scan.
+    const std::vector<Pattern>& patterns = punctuation.patterns();
+    retire_scan_pending_ |=
+        std::all_of(patterns.begin(), patterns.end(),
+                    [](const Pattern& p) { return p.is_wildcard(); });
+    for (size_t offset : join_offsets_[input]) {
+      const Pattern& pattern = punctuation.pattern(offset);
+      if (!pattern.is_wildcard()) {
+        RetireIfFinished(class_of_[input][offset], pattern.constant(), ts);
+      }
+    }
+  }
 
   // Queue propagation if this instantiates a propagatable scheme and a
   // parent listens (see the file comment).
@@ -986,7 +1007,7 @@ void MJoinOperator::Sweep(int64_t now) {
                                ? FullSweepPass(now, &purged_total)
                                : WakePass(now, &purged_total);
   TryPropagate(now, changed);
-  if (config_.purge_punctuations) PurgeObsoletePunctuations(now);
+  if (full_sweep_reference_ || retire_scan_pending_) RetireFinishedScan(now);
   // Epoch boundary: no probe results from this sweep are in flight
   // anymore, so purged payloads can be released and all-dead arena
   // blocks reclaimed wholesale.
@@ -1057,10 +1078,19 @@ uint64_t MJoinOperator::WakePass(int64_t now, uint64_t* purged_total) {
         recheck = true;
         *purged_total += sweep_scratch_.size();
         state.PurgeSlots(sweep_scratch_);
-        // Payloads stay addressable until AdvanceEpoch.
+        // Payloads stay addressable until AdvanceEpoch. Equal join
+        // values are adjacent (pass_rows_ order): one finish test each.
+        const Tuple* prev = nullptr;
         for (size_t slot : sweep_scratch_) {
+          const Tuple& tuple = state.At(slot);
           WakeKey({static_cast<uint32_t>(k), kPartnerKey,
-                   PartnerHash(k, state.At(slot))});
+                   PartnerHash(k, tuple)});
+          if (prev == nullptr || !SameJoinValues(k, tuple, *prev)) {
+            for (size_t offset : join_offsets_[k]) {
+              RetireIfFinished(class_of_[k][offset], tuple.at(offset), now);
+            }
+          }
+          prev = &tuple;
         }
       }
       if (ExpandScratchCapacity() > scratch_before) {
@@ -1093,59 +1123,39 @@ uint64_t MJoinOperator::FullSweepPass(int64_t now, uint64_t* purged_total) {
   return changed;
 }
 
-void MJoinOperator::PurgeObsoletePunctuations(int64_t now) {
-  // A punctuation p on input v exists to close join values that
-  // partner inputs wait on. Once every predicate (u.x = v.y) with y
-  // constrained by p has (a) u's own punctuation store excluding
-  // {x = p[y]} — no future u tuple will wait on it — and (b) no live
-  // u tuple with x = p[y] — nothing stored waits on it — p carries no
-  // information the system still needs (paper Section 5.1; the binary
-  // case is the paper's (*, b1)-retires-(b1, *) example). Punctuations
-  // whose constrained attributes include a non-join attribute are
-  // kept: they still deduplicate late arrivals on their own input.
-  //
-  // Conditions are evaluated against a snapshot and the removals
-  // applied afterwards: two punctuations that justify each other's
-  // retirement both go — exclusion is a property of the stream
-  // contract, not of the store that recorded it.
-  auto retirable = [&](size_t v, const Punctuation& p) {
-    bool touches_join = false;
-    for (size_t y : p.ConstrainedAttrs()) {
-      for (size_t pi : predicates_of_input_[v]) {
-        const LocalPredicate& pred = predicates_[pi];
-        size_t v_off = (pred.input_a == v) ? pred.offset_a : pred.offset_b;
-        if (v_off != y) continue;
-        touches_join = true;
-        size_t u = (pred.input_a == v) ? pred.input_b : pred.input_a;
-        size_t u_off = (pred.input_a == v) ? pred.offset_b : pred.offset_a;
-        const Value& value = p.pattern(y).constant();
-        if (!punct_stores_[u]->CoversSubspace(
-                {u_off}, std::span<const Value>(&value, 1), now)) {
-          return false;  // future u tuples may still need p
-        }
-        if (states_[u]->AnyMatch(u_off, value,
-                                 [](const Tuple&) { return true; })) {
-          return false;  // a stored u tuple still waits on p
-        }
-      }
-      // A constrained non-join attribute neither helps nor blocks:
-      // the join-attribute conditions decide.
+void MJoinOperator::RetireIfFinished(size_t cls, const Value& value,
+                                     int64_t now) {
+  const std::vector<ClassMember>& members = class_members_[cls];
+  for (const ClassMember& member : members) {
+    if (!punct_stores_[member.input]->CoversSubspace(
+            member.attr, std::span<const Value>(&value, 1), now) ||
+        states_[member.input]->HoldsLive(member.attr[0], value)) {
+      return;
     }
-    return touches_join;
-  };
-
-  std::vector<std::unordered_set<Punctuation, PunctuationHash>> to_remove(
-      num_inputs());
-  for (size_t v = 0; v < num_inputs(); ++v) {
-    punct_stores_[v]->ForEach([&](const Punctuation& p) {
-      if (retirable(v, p)) to_remove[v].insert(p);
-    });
   }
-  for (size_t v = 0; v < num_inputs(); ++v) {
-    punctuations_purged_ += punct_stores_[v]->RemoveIf(
-        [&](const Punctuation& p) { return to_remove[v].count(p) > 0; });
+  for (const ClassMember& member : members) {
+    punctuations_purged_ +=
+        punct_stores_[member.input]->Retire(member.attr[0], value);
   }
   metrics_.OnPunctuationsLive(TotalLivePunctuations());
+}
+
+void MJoinOperator::RetireFinishedScan(int64_t now) {
+  retire_scan_pending_ = false;
+  // Every (class, value) a stored punctuation constrains, collected
+  // first: retiring edits the stores being walked.
+  std::vector<std::pair<size_t, Value>> candidates;
+  for (size_t k = 0; k < num_inputs(); ++k) {
+    punct_stores_[k]->ForEachEntry([&](Punctuation p, int64_t) {
+      for (size_t offset : join_offsets_[k]) {
+        const Pattern& pattern = p.pattern(offset);
+        if (!pattern.is_wildcard()) {
+          candidates.push_back({class_of_[k][offset], pattern.constant()});
+        }
+      }
+    });
+  }
+  for (const auto& [cls, value] : candidates) RetireIfFinished(cls, value, now);
 }
 
 void MJoinOperator::TryPropagate(int64_t now, uint64_t changed_inputs) {
@@ -1269,6 +1279,9 @@ Status MJoinOperator::RestoreState(const OperatorStateSnapshot& snapshot) {
   punctuations_purged_ = snapshot.punctuations_purged;
   punctuations_since_sweep_ =
       static_cast<size_t>(snapshot.punctuations_since_sweep);
+  // A split restore hands every shard the merged punctuations, values
+  // a shard had already finished included.
+  retire_scan_pending_ = true;
   return Status::OK();
 }
 

@@ -15,7 +15,8 @@
 //    graph), results emitted, tuple inserted; under the eager policy
 //    its removability is tested immediately so already-closed arrivals
 //    never occupy state ("purging future tuples", Section 5.1).
-//  * new punctuation — stored (with optional lifespan); it wakes only
+//  * new punctuation — stored until retirement or its lifespan drops
+//    it (see "Punctuation retirement" below); it wakes only
 //    the stored tuples whose removability check stalled on a value
 //    combination the punctuation closes (the wait index below), and a
 //    purge pass runs per policy (eager: now; lazy: every lazy_batch
@@ -35,6 +36,19 @@
 // A tuple arriving on an input whose own stored punctuations exclude
 // it (late, or violating its stream's contract) is dropped on
 // arrival.
+//
+// Punctuation retirement (Section 5.1, "punctuation purgeability").
+// The equi-join predicates union the join attributes into classes
+// (JoinAttrClasses). A value c of a class is *finished* once every
+// member (input, attribute) has promised c and no live tuple of any
+// member carries c: then nothing can join on c any more, and every
+// stored punctuation constraining a class attribute to c is retired.
+// Only two events can finish a value, so only they test it: a
+// punctuation's arrival and a tuple's purge. An all-wildcard
+// punctuation or a restore schedules one scan at the next purge pass.
+// Trade-off: a promise is forgotten once its value finishes, so a
+// later tuple violating it is admitted (it joins nothing and stays);
+// before the finish such a tuple is dropped on arrival.
 //
 // Removability of tuple t in input i follows the chained purge plan
 // derived from the operator-local generalized punctuation graph
@@ -81,15 +95,11 @@ struct MJoinConfig {
   PurgePolicy purge_policy = PurgePolicy::kEager;
   /// Punctuations between sweeps under the lazy policy.
   size_t lazy_batch = 64;
-  /// Lifespan (timestamp units) for stored punctuations; nullopt
-  /// keeps them forever (see Section 5.1 on the trade-off).
+  /// Lifespan (timestamp units) for stored punctuations, for recycled
+  /// identifiers (Section 5.1); nullopt keeps each until it retires
+  /// (see the file comment), which one constraining no join attribute
+  /// never does.
   std::optional<int64_t> punctuation_lifespan;
-  /// Purge stored punctuations once partner punctuations prove them
-  /// obsolete (paper Section 5.1, "punctuation purgeability"): a
-  /// punctuation can go when, for every join predicate touching one of
-  /// its constrained attributes, the partner input is itself closed on
-  /// the corresponding value and holds no matching live tuple.
-  bool purge_punctuations = false;
 
   bool operator==(const MJoinConfig&) const = default;
 };
@@ -158,10 +168,6 @@ class MJoinOperator : public JoinOperator {
   bool InputPurgeable(size_t input) const {
     return input_purgeable_[input];
   }
-  /// \brief Streams covered by the operator output (sorted).
-  const std::vector<size_t>& output_streams() const {
-    return output_.streams;
-  }
   /// \brief The input this operator exposes to a parent: its output
   /// streams and the schemes of its purgeable inputs (CheckOperator).
   const LocalInput& output() const { return output_; }
@@ -175,8 +181,8 @@ class MJoinOperator : public JoinOperator {
   /// punctuations; `SweepAll` and `Drain` call it for a final flush.
   void Sweep(int64_t now);
 
-  /// \brief Stored punctuations dropped by the Section 5.1
-  /// punctuation-purgeability pass.
+  /// \brief Stored punctuations retired because their join value
+  /// finished (see the file comment).
   uint64_t punctuations_purged() const { return punctuations_purged_; }
 
   /// \brief Captures this operator's logical state for a
@@ -192,7 +198,8 @@ class MJoinOperator : public JoinOperator {
   /// arena layout rebuild), then the metric counters are overwritten
   /// with their captured values. The wait index is derived state and
   /// is not snapshotted: every restored tuple is queued for the next
-  /// purge pass, whose check parks it again.
+  /// purge pass, whose check parks it again. That pass also retires
+  /// the restored punctuations whose values are finished here.
   Status RestoreState(const OperatorStateSnapshot& snapshot);
 
   /// \brief Re-evaluates every pending propagation as if all inputs
@@ -383,8 +390,12 @@ class MJoinOperator : public JoinOperator {
   /// Re-checks pending propagations for the inputs (bitmask) whose
   /// punctuation store or join state changed.
   void TryPropagate(int64_t now, uint64_t changed_inputs);
-  /// Section 5.1 punctuation purgeability pass (see MJoinConfig).
-  void PurgeObsoletePunctuations(int64_t now);
+  /// Retires the punctuations of class `cls` on `value` if the value
+  /// is finished (see the file comment); its lookups count no probe.
+  void RetireIfFinished(size_t cls, const Value& value, int64_t now);
+  /// RetireIfFinished on every (class, value) stored punctuations
+  /// constrain; the full-sweep reference runs it on every pass.
+  void RetireFinishedScan(int64_t now);
   Punctuation RebaseToOutput(size_t input, const Punctuation& p) const;
 
   std::vector<LocalInput> inputs_;
@@ -464,6 +475,15 @@ class MJoinOperator : public JoinOperator {
   // Per input: its join attributes (the offsets its store indexes).
   // The first one's value keys a purged tuple's partner wake.
   std::vector<std::vector<size_t>> join_offsets_;
+  // Join-attribute classes: members, and per input the class by offset.
+  struct ClassMember {
+    size_t input;
+    std::vector<size_t> attr;  // {offset}, as CoversSubspace takes it
+  };
+  std::vector<std::vector<ClassMember>> class_members_;
+  std::vector<std::vector<size_t>> class_of_;
+  // A RetireFinishedScan is due at the next purge pass.
+  bool retire_scan_pending_ = false;
   struct PurgeQueues {
     // Per slot: generation of the slot's current park.
     std::vector<uint32_t> park_gen;

@@ -476,7 +476,7 @@ void ParallelExecutor::SampleHighWater() {
       for (size_t i = 0; i < op.num_inputs(); ++i) {
         tuples += op.state_metrics(i).live.load(std::memory_order_relaxed);
       }
-      // Punctuations are broadcast: every shard holds the full store,
+      // Punctuations are broadcast (each shard minus its retirements),
       // so the logical count is the max over shards, not the sum.
       group_puncts = std::max(
           group_puncts,

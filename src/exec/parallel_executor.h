@@ -12,7 +12,8 @@
 //    one shard; punctuations and drain markers are *broadcast* to all
 //    shards (serialized per group so every shard sees the same
 //    punctuation order), so chained purge fires shard-locally against
-//    full punctuation stores and drains stay a quiescence barrier;
+//    every promise still needed there (a shard retires only values none
+//    of its live tuples carries) and drains stay a quiescence barrier;
 //  * per-edge FIFO — elements from one producer are consumed in
 //    production order per shard, so a punctuation never overtakes the
 //    tuples it covers on any shard's queue;
@@ -101,8 +102,8 @@ class ParallelExecutor {
     StateMetricsSnapshot aggregate;
     std::vector<size_t> shard_live;        ///< live tuples per shard
     std::vector<size_t> shard_high_water;  ///< per-shard state high water
-    /// Max over shards (each shard stores the full broadcast set, so
-    /// the max — not the sum — is the logical operator's count).
+    /// Max over shards (each stores the broadcast set minus its retired
+    /// values, so the max — not the sum — is the logical count).
     size_t punctuations_live = 0;
   };
 
@@ -170,7 +171,7 @@ class ParallelExecutor {
 
   size_t TotalLiveTuples() const;
   /// \brief Logical count: per operator group the max over shards
-  /// (punctuations are broadcast, so every shard holds the full set).
+  /// (punctuations are broadcast; shards differ only by retired values).
   size_t TotalLivePunctuations() const;
   /// \brief Sampled after every delivered element; a lower bound of
   /// the instantaneous global maximum (exact at quiescence).

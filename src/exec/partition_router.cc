@@ -23,21 +23,6 @@ uint64_t Mix64(uint64_t x) {
   return x;
 }
 
-struct UnionFind {
-  explicit UnionFind(size_t n) : parent(n) {
-    for (size_t i = 0; i < n; ++i) parent[i] = i;
-  }
-  size_t Find(size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  void Union(size_t a, size_t b) { parent[Find(a)] = Find(b); }
-  std::vector<size_t> parent;
-};
-
 }  // namespace
 
 size_t PartitionSpec::ShardOf(size_t input, const Tuple& tuple,
@@ -62,86 +47,36 @@ PartitionSpec ComputePartitionSpec(const ContinuousJoinQuery& query,
                                    const std::vector<LocalInput>& inputs) {
   PartitionSpec spec;
   const size_t m = inputs.size();
-
-  // Composite layouts, matching MJoinOperator: an input's row is its
-  // covered streams' schemas concatenated in ascending stream order.
-  std::vector<size_t> input_of(query.num_streams(), kOutside);
-  std::vector<size_t> base(m, 0);  // node-id base per input
-  size_t num_nodes = 0;
-  std::vector<std::vector<std::pair<size_t, size_t>>> stream_base(m);
-  for (size_t k = 0; k < m; ++k) {
-    base[k] = num_nodes;
-    size_t offset = 0;
-    for (size_t s : inputs[k].streams) {
-      input_of[s] = k;
-      stream_base[k].push_back({s, offset});
-      offset += query.schema(s).num_attributes();
-    }
-    num_nodes += offset;
-  }
-  auto composite_offset = [&](size_t input, size_t stream, size_t attr) {
-    for (const auto& [s, start] : stream_base[input]) {
-      if (s == stream) return start + attr;
-    }
-    return kOutside;
-  };
-
-  // Localize the cross-input equi-join predicates and union their
-  // endpoint attributes into equivalence classes.
-  struct LocalPred {
-    size_t node_a, node_b;
-  };
-  std::vector<LocalPred> preds;
-  UnionFind uf(num_nodes);
-  for (const ResolvedPredicate& p : query.predicates()) {
-    size_t ia = input_of[p.left_stream];
-    size_t ib = input_of[p.right_stream];
-    if (ia == kOutside || ib == kOutside || ia == ib) continue;
-    size_t na = base[ia] + composite_offset(ia, p.left_stream, p.left_attr);
-    size_t nb = base[ib] + composite_offset(ib, p.right_stream, p.right_attr);
-    preds.push_back({na, nb});
-    uf.Union(na, nb);
-  }
-  if (preds.empty()) {
+  const std::vector<std::vector<JoinAttr>> classes =
+      JoinAttrClasses(query, inputs);
+  if (classes.empty()) {
     spec.detail = "not partitionable: no cross-input equi-join predicate";
     return spec;
   }
 
-  // Candidate classes: one representative attribute in every input.
-  // Iterating node ids ascending makes the choice deterministic.
+  // The first class with a member in every input; its first member per
+  // input is the key. With three or more inputs, exactness also needs
+  // every predicate inside the class, i.e. one class (see
+  // partition_router.h); a binary operator verifies all predicates on
+  // expansion, so any covering class is exact there.
   std::vector<size_t> chosen_offsets;
-  size_t chosen_root = kOutside;
-  for (size_t root = 0; root < num_nodes && chosen_root == kOutside; ++root) {
-    if (uf.Find(root) != root) continue;
+  for (const std::vector<JoinAttr>& members : classes) {
+    if (m > 2 && classes.size() > 1) break;
     std::vector<size_t> offsets(m, kOutside);
     size_t covered = 0;
-    for (size_t node = 0; node < num_nodes; ++node) {
-      if (uf.Find(node) != root) continue;
-      // Node -> (input, offset); inputs are contiguous id ranges.
-      size_t k = m - 1;
-      while (base[k] > node) --k;
-      if (offsets[k] == kOutside) {
-        offsets[k] = node - base[k];
+    for (const JoinAttr& attr : members) {
+      if (offsets[attr.input] == kOutside) {
+        offsets[attr.input] = attr.offset;
         ++covered;
       }
     }
-    if (covered != m) continue;
-    // With three or more inputs, exactness additionally needs every
-    // predicate inside the class (see partition_router.h); a binary
-    // operator always verifies all its predicates on expansion, so
-    // any covering class is exact there.
-    if (m > 2) {
-      bool all_in_class = std::all_of(
-          preds.begin(), preds.end(), [&](const LocalPred& p) {
-            return uf.Find(p.node_a) == root && uf.Find(p.node_b) == root;
-          });
-      if (!all_in_class) continue;
+    if (covered == m) {
+      chosen_offsets = std::move(offsets);
+      break;
     }
-    chosen_root = root;
-    chosen_offsets = std::move(offsets);
   }
 
-  if (chosen_root == kOutside) {
+  if (chosen_offsets.empty()) {
     spec.detail = StrCat("not partitionable: no equi-join attribute class ",
                          "covers all ", m, " inputs",
                          m > 2 ? " with every predicate inside it" : "");

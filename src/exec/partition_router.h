@@ -8,7 +8,8 @@
 //    to exactly one shard; punctuations (and drain markers) are
 //    broadcast to every shard.
 //  * A shard therefore owns a key-disjoint slice of the operator's
-//    join state but the *full* punctuation stores, so the chained
+//    join state but receives every punctuation (it retires only values
+//    none of its own tuples can need), so the chained
 //    purge removability check evaluated shard-locally returns exactly
 //    the unpartitioned answer (see "exactness" below), and the union
 //    of per-shard purges equals the unpartitioned purge — no double

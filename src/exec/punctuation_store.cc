@@ -139,30 +139,27 @@ size_t PunctuationStore::ExpireBefore(int64_t now) {
   return dropped;
 }
 
-size_t PunctuationStore::RemoveIf(
-    const std::function<bool(const Punctuation&)>& pred) {
+size_t PunctuationStore::Retire(size_t attr, const Value& value) {
   size_t removed = 0;
   for (Group& group : groups_) {
-    for (auto it = group.by_values.begin(); it != group.by_values.end();) {
-      if (pred(Materialize(group, it->first))) {
-        it = group.by_values.erase(it);
+    auto pos = std::find(group.attrs.begin(), group.attrs.end(), attr);
+    if (pos == group.attrs.end() || group.by_values.empty()) continue;
+    if (group.attrs.size() == 1) {
+      key_scratch_.assign(1, &value);
+      auto it = group.by_values.find(ProjectedKey{&key_scratch_});
+      if (it != group.by_values.end()) {
+        group.by_values.erase(it);
         ++removed;
-      } else {
-        ++it;
       }
+      continue;
     }
+    const size_t i = static_cast<size_t>(pos - group.attrs.begin());
+    removed += std::erase_if(group.by_values, [&](const auto& entry) {
+      return entry.first.at(i) == value;
+    });
   }
   size_ -= removed;
   return removed;
-}
-
-void PunctuationStore::ForEach(
-    const std::function<void(const Punctuation&)>& fn) const {
-  for (const Group& group : groups_) {
-    for (const auto& [key, entry] : group.by_values) {
-      fn(Materialize(group, key));
-    }
-  }
 }
 
 void PunctuationStore::ForEachEntry(

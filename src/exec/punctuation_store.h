@@ -6,8 +6,8 @@
 // hazard, so the store supports the paper's two practical remedies:
 //  * lifespans — a punctuation expires `lifespan` time units after its
 //    arrival timestamp (the TCP sequence-number example);
-//  * explicit purging by punctuations from partner streams
-//    (punctuation purgeability), driven by the owning operator.
+//  * retirement (punctuation purgeability) — the owning operator calls
+//    Retire once nothing can join on a value any more (exec/mjoin.h).
 //
 // Lookup is organized by constrained-attribute signature: the chained
 // purge test "is subspace {attrs = values} closed?" probes each
@@ -73,31 +73,29 @@ class PunctuationStore {
   /// returns how many were dropped. No-op without a lifespan.
   size_t ExpireBefore(int64_t now);
 
-  /// \brief Removes stored punctuations selected by the predicate
-  /// (punctuation purgeability, Section 5.1); returns count removed.
-  size_t RemoveIf(const std::function<bool(const Punctuation&)>& pred);
+  /// \brief Removes every stored punctuation constraining `attr` to
+  /// `value`; returns how many went. Only groups constraining other
+  /// attributes too are scanned; the {attr} group is probed by key.
+  size_t Retire(size_t attr, const Value& value);
 
   size_t size() const { return size_; }
   size_t high_water() const { return high_water_; }
 
-  /// \brief Calls fn for every stored punctuation (expired included).
-  void ForEach(const std::function<void(const Punctuation&)>& fn) const;
-
-  /// \brief Like ForEach but also exposes each punctuation's arrival
-  /// timestamp — the checkpoint capture path (exec/checkpoint.h) needs
-  /// it so lifespan expiry keeps working after a restore (re-adding
-  /// with the original arrival via Add(p, arrival)).
-  /// The punctuation is rebuilt per entry and handed over by value, so
-  /// the callback can keep it without another copy.
+  /// \brief Calls fn for every stored punctuation (expired included)
+  /// with its arrival timestamp — the checkpoint capture path
+  /// (exec/checkpoint.h) needs it so lifespan expiry keeps working
+  /// after a restore (re-adding with the original arrival via
+  /// Add(p, arrival)). The punctuation is rebuilt per entry and handed
+  /// over by value, so the callback can keep it without another copy.
   void ForEachEntry(
       const std::function<void(Punctuation, int64_t)>& fn) const;
 
  private:
   // A stored punctuation is its group's signature plus the key's
   // constants (wildcards elsewhere), so an entry keeps only its
-  // arrival; the punctuation is rebuilt on the cold paths that need it
-  // (ForEach, ForEachEntry, RemoveIf). Stores without a lifespan keep
-  // every punctuation, so the per-entry footprint is what they grow by.
+  // arrival; the punctuation is rebuilt on the cold path that needs it
+  // (ForEachEntry). The per-entry footprint is what a store grows by
+  // between retirements.
   struct Entry {
     int64_t arrival = 0;
   };

@@ -25,8 +25,7 @@
 //    points, the ones the MJoin calls: FindBucket + ForBucketLive, a
 //    split cursor so batch-aware expansion (MJoinOperator::Expand)
 //    resolves one bucket for a whole run of same-key rows, and the
-//    early-exit AnyMatch used by punctuation propagation and
-//    punctuation purgeability.
+//    early-exit AnyMatch used by punctuation propagation.
 //
 // Lifetime contract: `const Tuple&`/`const Value&` references obtained
 // from At() or probes stay valid until the *next* AdvanceEpoch() —
@@ -42,6 +41,7 @@
 #ifndef PUNCTSAFE_EXEC_TUPLE_STORE_H_
 #define PUNCTSAFE_EXEC_TUPLE_STORE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -217,6 +217,17 @@ class TupleStore {
       if (live_[slot] && pred(handles_[slot])) return true;
     }
     return false;
+  }
+
+  /// \brief Whether a live tuple's indexed `offset` attribute equals
+  /// `value`. Not a probe: it counts nothing and never compacts, so
+  /// the StateMetrics checkpoints serialize stay as they were.
+  bool HoldsLive(size_t offset, const Value& value) const {
+    const Bucket* bucket =
+        indexes_[offset_to_index_[offset]].Find(value.Hash(), value);
+    return bucket != nullptr &&
+           std::any_of(bucket->begin(), bucket->end(),
+                       [&](size_t slot) { return live_[slot]; });
   }
 
   /// \brief Marks `slots` purged and updates metrics.

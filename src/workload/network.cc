@@ -80,6 +80,14 @@ Trace NetworkWorkload::Generate(const NetworkConfig& config) {
     id_pool.push_back({static_cast<int64_t>(i), 0});
   }
 
+  // Source quarantine: a source punctuated as quiescent opens no flow
+  // (so raises no alert) for a lifespan.
+  std::vector<int64_t> src_available_at(config.ip_space, 0);
+  auto any_src_available = [&]() {
+    return std::any_of(src_available_at.begin(), src_available_at.end(),
+                       [&](int64_t at) { return at <= now; });
+  };
+
   auto src_still_open = [&](int64_t src) {
     return std::any_of(open.begin(), open.end(),
                        [&](const OpenFlow& f) { return f.src_ip == src; });
@@ -97,8 +105,10 @@ Trace NetworkWorkload::Generate(const NetworkConfig& config) {
   };
 
   auto open_flow = [&](int64_t flow_id) {
-    int64_t src = rng.NextInRange(0, static_cast<int64_t>(config.ip_space) -
-                                         1);
+    int64_t src;  // uniform over the available sources (one is)
+    do {
+      src = rng.NextInRange(0, static_cast<int64_t>(config.ip_space) - 1);
+    } while (src_available_at[src] > now);
     trace.push_back({kFlows, StreamElement::OfTuple(
                                  Tuple({Value(flow_id), Value(src)}), ++now)});
     // This use of flow_id is unique until the id recycles: punctuate
@@ -137,20 +147,21 @@ Trace NetworkWorkload::Generate(const NetworkConfig& config) {
                                     Punctuation::OfConstants(
                                         2, {{0, Value(f.src_ip)}}),
                                     ++now)});
+      src_available_at[f.src_ip] = now + lifespan;
     }
   };
 
   while (flows_emitted < config.num_flows || !open.empty()) {
     while (open.size() < config.max_open_flows &&
            flows_emitted < config.num_flows &&
-           open.size() < config.id_space / 2) {
+           open.size() < config.id_space / 2 && any_src_available()) {
       auto id = take_available_id();
       if (!id.has_value()) break;  // all ids quarantined; drain first
       open_flow(*id);
     }
     if (open.empty()) {
       if (flows_emitted < config.num_flows) {
-        // Everything quarantined: let time pass until an id frees up.
+        // Everything quarantined: let time pass until ids and sources free.
         ++now;
         continue;
       }

@@ -61,7 +61,9 @@ class NetworkWorkload {
 
   /// \brief Ticks between two uses of the same flow id — the sound
   /// punctuation lifespan for this trace (analogous to the 4.55 h TCP
-  /// wrap period).
+  /// wrap period). The generator honours every punctuation of every
+  /// stream for this long: flow ids and quiescent sources are both
+  /// quarantined.
   static int64_t RecommendedLifespan(const NetworkConfig& config);
 
   static Trace Generate(const NetworkConfig& config);

@@ -1,4 +1,4 @@
-// Extra runtime coverage: punctuation purgeability (Section 5.1),
+// Extra runtime coverage: punctuation retirement (Section 5.1),
 // all-wildcard stream-end punctuations (heartbeat-style closure), and
 // StateMetrics accounting.
 
@@ -19,13 +19,12 @@ using testing_util::SchemeOn;
 using testing_util::TriangleQuery;
 
 std::unique_ptr<MJoinOperator> MakeBinaryOp(const ContinuousJoinQuery& q,
-                                            const SchemeSet& schemes,
-                                            MJoinConfig config = {}) {
+                                            const SchemeSet& schemes) {
   std::vector<LocalInput> inputs;
   for (size_t s = 0; s < q.num_streams(); ++s) {
     inputs.push_back({{s}, RawAvailableSchemes(q, schemes, s)});
   }
-  auto op = MJoinOperator::Create(q, inputs, config);
+  auto op = MJoinOperator::Create(q, inputs, {});
   PUNCTSAFE_CHECK(op.ok()) << op.status().ToString();
   return std::move(op).ValueOrDie();
 }
@@ -54,19 +53,17 @@ struct BinaryFixture {
 // tuple will ever need it again.
 TEST(PunctuationPurgeabilityTest, PartnerPunctuationRetiresPunctuation) {
   BinaryFixture fx;
-  MJoinConfig config;
-  config.purge_punctuations = true;
-  auto op = MakeBinaryOp(fx.query, fx.schemes, config);
+  auto op = MakeBinaryOp(fx.query, fx.schemes);
 
   // R closes B=7.
   op->PushPunctuation(1, Punctuation::OfConstants(2, {{0, Value(7)}}), 1);
   EXPECT_EQ(op->TotalLivePunctuations(), 1u);
   EXPECT_EQ(op->punctuations_purged(), 0u);
 
-  // L closes B=7 too: each punctuation's only join value is now
-  // closed on the partner with no live tuples left — and since the
-  // conditions are snapshot-evaluated, BOTH retire (exclusion is a
-  // property of the stream contracts, which outlive the stores).
+  // L closes B=7 too: the value 7 of the class {L.B, R.B} is now
+  // promised by both inputs and carried by no live tuple, so it is
+  // finished and BOTH punctuations retire (exclusion is a property of
+  // the stream contracts, which outlive the stores).
   op->PushPunctuation(0, Punctuation::OfConstants(2, {{1, Value(7)}}), 2);
   EXPECT_EQ(op->punctuations_purged(), 2u);
   EXPECT_EQ(op->TotalLivePunctuations(), 0u);
@@ -79,13 +76,11 @@ TEST(PunctuationPurgeabilityTest, LiveMatchingTupleBlocksRetirement) {
   StreamCatalog catalog = PaperCatalog();
   ContinuousJoinQuery q = TriangleQuery(catalog);
   SchemeSet schemes = Fig5Schemes(catalog);
-  MJoinConfig config;
-  config.purge_punctuations = true;
   std::vector<LocalInput> inputs;
   for (size_t s = 0; s < 3; ++s) {
     inputs.push_back({{s}, RawAvailableSchemes(q, schemes, s)});
   }
-  auto op_or = MJoinOperator::Create(q, inputs, config);
+  auto op_or = MJoinOperator::Create(q, inputs, {});
   ASSERT_TRUE(op_or.ok());
   auto op = std::move(op_or).ValueOrDie();
 
@@ -108,21 +103,55 @@ TEST(PunctuationPurgeabilityTest, LiveMatchingTupleBlocksRetirement) {
   EXPECT_EQ(op->TotalLivePunctuations(), 1u);
 }
 
-TEST(PunctuationPurgeabilityTest, DisabledByDefault) {
+// The contract trade-off of retirement: a promise is enforced while
+// its value is unfinished and forgotten once it finishes.
+TEST(PunctuationPurgeabilityTest, PromiseIsForgottenOnlyOnceItsValueFinishes) {
   BinaryFixture fx;
   auto op = MakeBinaryOp(fx.query, fx.schemes);
   op->PushPunctuation(1, Punctuation::OfConstants(2, {{0, Value(7)}}), 1);
-  op->PushPunctuation(0, Punctuation::OfConstants(2, {{1, Value(7)}}), 2);
-  op->Sweep(3);
-  EXPECT_EQ(op->punctuations_purged(), 0u);
+  // R violates its own promise before L has promised: dropped.
+  op->PushTuple(1, Tuple({Value(7), Value(1)}), 2);
+  EXPECT_EQ(op->state_metrics(1).dropped_on_arrival.load(), 1u);
+  EXPECT_EQ(op->TotalLiveTuples(), 0u);
+
+  // L promises too: 7 finishes and both promises retire.
+  op->PushPunctuation(0, Punctuation::OfConstants(2, {{1, Value(7)}}), 3);
+  EXPECT_EQ(op->punctuations_purged(), 2u);
+  EXPECT_EQ(op->TotalLivePunctuations(), 0u);
+
+  // The same violation now is admitted; it joins nothing (L promised
+  // no more 7s) and nothing can purge it.
+  op->PushTuple(1, Tuple({Value(7), Value(2)}), 4);
+  op->Sweep(5);
+  EXPECT_EQ(op->state_metrics(1).dropped_on_arrival.load(), 1u);
+  EXPECT_EQ(op->TotalLiveTuples(), 1u);
+  EXPECT_EQ(op->metrics().results_emitted.load(), 0u);
+}
+
+// A split restore hands a shard promises on values it holds no tuple
+// of; such a value is finished with no event left to test it, so the
+// next purge pass scans the restored stores. Capture right after the
+// restore still sees the snapshot unchanged.
+TEST(PunctuationPurgeabilityTest, RestoredFinishedValueRetiresAtNextPass) {
+  BinaryFixture fx;
+  OperatorStateSnapshot snap;
+  snap.inputs.resize(2);
+  snap.inputs[0].punctuations.push_back(
+      {Punctuation::OfConstants(2, {{1, Value(7)}}), 1});
+  snap.inputs[1].punctuations.push_back(
+      {Punctuation::OfConstants(2, {{0, Value(7)}}), 2});
+  auto op = MakeBinaryOp(fx.query, fx.schemes);
+  ASSERT_TRUE(op->RestoreState(snap).ok());
   EXPECT_EQ(op->TotalLivePunctuations(), 2u);
+  EXPECT_EQ(op->CaptureState().inputs[1].punctuations.size(), 1u);
+  op->Sweep(3);
+  EXPECT_EQ(op->punctuations_purged(), 2u);
+  EXPECT_EQ(op->TotalLivePunctuations(), 0u);
 }
 
 TEST(PunctuationPurgeabilityTest, BoundedStoreOnLongRun) {
   BinaryFixture fx;
-  MJoinConfig config;
-  config.purge_punctuations = true;
-  auto op = MakeBinaryOp(fx.query, fx.schemes, config);
+  auto op = MakeBinaryOp(fx.query, fx.schemes);
   // Windowed run: both sides punctuate each value; stores stay small.
   for (int64_t v = 0; v < 500; ++v) {
     op->PushTuple(0, Tuple({Value(v), Value(v)}), 4 * v);

@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "exec/plan_executor.h"
 
@@ -22,29 +24,46 @@ TEST(NetworkTest, SetupAndSafety) {
 
 TEST(NetworkTest, TraceRespectsLifespanContract) {
   NetworkConfig config;
-  config.num_flows = 200;
   Trace trace = NetworkWorkload::Generate(config);
   int64_t lifespan = NetworkWorkload::RecommendedLifespan(config);
   ASSERT_GT(lifespan, 0);
 
-  // Within any window of `lifespan` ticks after an end-of-flow
-  // punctuation for flow f, no packet tuple for f may appear — that
+  // Within `lifespan` ticks after any punctuation, no tuple of the
+  // same stream may match it — on every stream: end-of-flow on packets,
+  // flow ids and quiescent sources on flows, sources on alerts. That
   // is exactly what a lifespan-aware store assumes.
-  std::map<int64_t, int64_t> packet_closed_at;
+  struct Promise {
+    Punctuation punctuation;
+    int64_t at;
+  };
+  std::map<std::string, std::vector<Promise>> promises;
+  size_t punctuations = 0;
+  size_t violations = 0;
   for (const TraceEvent& e : trace) {
-    if (e.stream != NetworkWorkload::kPackets) continue;
+    std::vector<Promise>& stream_promises = promises[e.stream];
+    const int64_t ts = e.element.timestamp;
+    std::erase_if(stream_promises,
+                  [&](const Promise& p) { return p.at + lifespan <= ts; });
     if (e.element.is_punctuation()) {
-      packet_closed_at[e.element.punctuation.pattern(0).constant().AsInt64()] =
-          e.element.timestamp;
-    } else {
-      int64_t flow = e.element.tuple.at(0).AsInt64();
-      auto it = packet_closed_at.find(flow);
-      if (it != packet_closed_at.end()) {
-        EXPECT_GE(e.element.timestamp, it->second + lifespan)
-            << "flow id " << flow << " reused before the lifespan ended";
+      stream_promises.push_back({e.element.punctuation, ts});
+      ++punctuations;
+      continue;
+    }
+    for (const Promise& p : stream_promises) {
+      if (!p.punctuation.Matches(e.element.tuple)) continue;
+      if (++violations <= 5) {
+        ADD_FAILURE() << e.stream << " tuple " << e.element.tuple.ToString()
+                      << " at " << ts << " breaks "
+                      << p.punctuation.ToString() << " made at " << p.at;
       }
     }
   }
+  EXPECT_EQ(violations, 0u);
+  for (const char* stream : {NetworkWorkload::kFlows, NetworkWorkload::kPackets,
+                             NetworkWorkload::kAlerts}) {
+    EXPECT_TRUE(promises.count(stream) > 0) << stream << " never appeared";
+  }
+  EXPECT_GT(punctuations, config.num_flows);
 }
 
 TEST(NetworkTest, FlowIdsActuallyRecycle) {

@@ -110,17 +110,30 @@ TEST(PunctuationStoreTest, NoLifespanNeverExpires) {
   EXPECT_TRUE(store.CoversSubspace({0}, {Value(1)}, 1'000'000));
 }
 
-TEST(PunctuationStoreTest, RemoveIf) {
+TEST(PunctuationStoreTest, RetireValue) {
   PunctuationStore store;
   store.Add(Punctuation::OfConstants(1, {{0, Value(1)}}), 0);
   store.Add(Punctuation::OfConstants(1, {{0, Value(2)}}), 0);
-  size_t removed = store.RemoveIf([](const Punctuation& p) {
-    return p.pattern(0).constant() == Value(1);
-  });
-  EXPECT_EQ(removed, 1u);
+  EXPECT_EQ(store.Retire(0, Value(1)), 1u);
+  EXPECT_EQ(store.Retire(0, Value(1)), 0u);
   EXPECT_EQ(store.size(), 1u);
   EXPECT_FALSE(store.CoversSubspace({0}, {Value(1)}, 0));
   EXPECT_TRUE(store.CoversSubspace({0}, {Value(2)}, 0));
+}
+
+// Multi-attribute punctuations constraining the attribute to the value
+// retire with it; others, and those on other attributes, stay.
+TEST(PunctuationStoreTest, RetireFiltersMultiAttributeGroups) {
+  PunctuationStore store;
+  store.Add(Punctuation::OfConstants(3, {{0, Value(1)}, {1, Value(5)}}), 0);
+  store.Add(Punctuation::OfConstants(3, {{0, Value(1)}, {1, Value(6)}}), 0);
+  store.Add(Punctuation::OfConstants(3, {{0, Value(2)}, {1, Value(5)}}), 0);
+  store.Add(Punctuation::OfConstants(3, {{2, Value(1)}}), 0);
+  EXPECT_EQ(store.Retire(0, Value(1)), 2u);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_FALSE(store.CoversSubspace({0, 1}, {Value(1), Value(5)}, 0));
+  EXPECT_TRUE(store.CoversSubspace({0, 1}, {Value(2), Value(5)}, 0));
+  EXPECT_TRUE(store.CoversSubspace({2}, {Value(1)}, 0));
 }
 
 TEST(PunctuationStoreTest, ForEachVisitsAll) {
@@ -128,7 +141,7 @@ TEST(PunctuationStoreTest, ForEachVisitsAll) {
   store.Add(Punctuation::OfConstants(1, {{0, Value(1)}}), 0);
   store.Add(Punctuation::OfConstants(1, {{0, Value(2)}}), 0);
   size_t count = 0;
-  store.ForEach([&](const Punctuation&) { ++count; });
+  store.ForEachEntry([&](Punctuation, int64_t) { ++count; });
   EXPECT_EQ(count, 2u);
 }
 
@@ -136,7 +149,8 @@ TEST(PunctuationStoreTest, HighWaterSurvivesRemoval) {
   PunctuationStore store;
   store.Add(Punctuation::OfConstants(1, {{0, Value(1)}}), 0);
   store.Add(Punctuation::OfConstants(1, {{0, Value(2)}}), 0);
-  store.RemoveIf([](const Punctuation&) { return true; });
+  store.Retire(0, Value(1));
+  store.Retire(0, Value(2));
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.high_water(), 2u);
 }

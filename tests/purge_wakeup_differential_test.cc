@@ -8,17 +8,21 @@
 //    subset of the reference's (wakes run to a fixpoint, the reference
 //    is one pass), so state high water is <= the reference's;
 //  * on traces that close every generation, total removals (purged +
-//    dropped on arrival) are equal once SweepAll reaches its fixpoint.
+//    dropped on arrival) are equal once SweepAll reaches its fixpoint;
+//  * without a lifespan, the stored punctuations are then equal too:
+//    the event-driven retirement (a punctuation's arrival, a tuple's
+//    purge) finishes the same join values as the reference's scan of
+//    every store on every pass.
 // Trace families: covering traces (uniform and zipf) over random
 // queries with m = 2..5 streams, the auction, network and sensor
 // workloads (sensor has two-attribute schemes, so generalized edges
-// with more than one source). Configurations: eager, lazy, eager with
-// a punctuation lifespan, eager with punctuation purging, and an
-// ingest batch size > 1 (the PushBatch eager loop). Explicit cases: a
+// with more than one source). Configurations: eager, lazy, eager and
+// lazy with a punctuation lifespan, and an ingest batch size > 1 (the
+// PushBatch eager loop). Every configuration retires punctuations. Explicit cases: a
 // tuple whose blocking combination leaves with a purged partner (only
 // the partner-purge wake re-keys it), a pass at an earlier timestamp
-// than a parked check under a lifespan, and a checkpoint restore in
-// the middle of a trace.
+// than a parked check under a lifespan, a stream end retiring through
+// the scan, and a checkpoint restore in the middle of a trace.
 //
 // The file also pins the purge path allocation-free: a test-local
 // counting operator new shows that, once a chain trace has been
@@ -101,7 +105,6 @@ struct Variant {
   std::string name;
   PurgePolicy policy = PurgePolicy::kEager;
   std::optional<int64_t> lifespan;
-  bool purge_punctuations = false;
   size_t batch_size = 1;
 };
 
@@ -119,9 +122,6 @@ Variant Lazy() {
 
 std::vector<Variant> Variants(std::optional<int64_t> lifespan) {
   std::vector<Variant> v{Eager(), Lazy()};
-  v.push_back(Eager());
-  v.back().name = "eager+purge_punctuations";
-  v.back().purge_punctuations = true;
   v.push_back(Eager());
   v.back().name = "eager+batch16";
   v.back().batch_size = 16;
@@ -143,7 +143,6 @@ ExecutorConfig ConfigOf(const Variant& v) {
   config.mjoin.purge_policy = v.policy;
   config.mjoin.lazy_batch = 3;
   config.mjoin.punctuation_lifespan = v.lifespan;
-  config.mjoin.purge_punctuations = v.purge_punctuations;
   return config;
 }
 
@@ -187,6 +186,22 @@ void ExpectLiveSubset(const PlanExecutor& got, const PlanExecutor& ref,
         << " live tuples that are not a subset of the reference's "
         << r[i].size();
   }
+}
+
+// Stored punctuations per (operator, input), rendered and sorted.
+std::vector<std::vector<std::string>> StoredPunctuations(
+    const PlanExecutor& exec) {
+  std::vector<std::vector<std::string>> sets;
+  for (const auto& op : exec.operators()) {
+    for (const InputStateSnapshot& in : op->CaptureState().inputs) {
+      std::vector<std::string>& set = sets.emplace_back();
+      for (const PunctuationEntry& e : in.punctuations) {
+        set.push_back(e.punctuation.ToString());
+      }
+      std::sort(set.begin(), set.end());
+    }
+  }
+  return sets;
 }
 
 uint64_t Removed(const PlanExecutor& exec) {
@@ -280,6 +295,12 @@ void RunDifferential(const ContinuousJoinQuery& query,
   if (closes_every_generation && !variant.lifespan.has_value()) {
     EXPECT_EQ(Removed(*got), Removed(*ref)) << "purge totals diverged";
     EXPECT_EQ(got->TotalLiveTuples(), ref->TotalLiveTuples());
+  }
+  // Under a lifespan the reference's later scan can see a promise
+  // expired that the event path retired while it was live.
+  if (!variant.lifespan.has_value()) {
+    EXPECT_TRUE(StoredPunctuations(*got) == StoredPunctuations(*ref))
+        << "stored punctuations diverged";
   }
 }
 
@@ -500,6 +521,29 @@ TEST(PurgeWakeupDifferentialTest, PassAtEarlierTimeUnderLifespan) {
       w->query, w->schemes, PlanShape::SingleMJoin(3), ConfigOf(v), false);
   for (const TraceEvent& e : trace) ASSERT_TRUE(got->Push(e).ok());
   EXPECT_EQ(got->TotalLiveTuples(), 0u);
+}
+
+// An all-wildcard punctuation (a stream's end) covers every value of
+// its input at once, so it schedules a scan of the stores rather than
+// testing one value: T1's promise on a = 1 retires once T0 ends.
+TEST(PurgeWakeupDifferentialTest, StreamEndRetiresThroughTheScan) {
+  auto w = MakeTwoRoute();
+  Trace trace;
+  trace.push_back(PunctEvent("T1", 3, 0, 1, 1));
+  trace.push_back(TupleEvent("T1", {2, 10, 20}, 2));
+  trace.push_back(
+      {"T0", StreamElement::OfPunctuation(
+                 Punctuation(std::vector<Pattern>(1)), 3)});
+  for (const Variant& v : {Eager(), Lazy()}) {
+    RunDifferential(w->query, w->schemes, PlanShape::SingleMJoin(3), trace,
+                    v, false, "stream end");
+  }
+  std::unique_ptr<PlanExecutor> got =
+      MakeExecutor(w->query, w->schemes, PlanShape::SingleMJoin(3),
+                   ConfigOf(Eager()), false);
+  for (const TraceEvent& e : trace) ASSERT_TRUE(got->Push(e).ok());
+  EXPECT_EQ(got->operators()[0]->punctuations_purged(), 1u);
+  EXPECT_EQ(got->TotalLivePunctuations(), 1u);  // the end itself stays
 }
 
 // Restore in the middle of covering traces: the restored operator's

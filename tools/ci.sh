@@ -152,8 +152,6 @@ run_bench_smoke() {
   echo "=== [bench] smoke: bench_fig3_chained_purge ==="
   "${dir}/bench/bench_fig3_chained_purge" \
     --benchmark_min_time=0.01 --benchmark_filter='windows:20' >/dev/null
-  echo "=== [bench] smoke: bench_ablation ==="
-  "${dir}/bench/bench_ablation" --benchmark_min_time=0.01 >/dev/null
   echo "=== [bench] hot-path regression gate ==="
   # Default parameters match the checked-in baseline's configuration
   # exactly (rates depend on store size / key cardinality). Fails
