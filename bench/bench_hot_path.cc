@@ -286,7 +286,7 @@ RunStats RunSerialOnce(const bench::ChainFixture& fx, const PlanShape& shape,
                        const Trace& trace, bool observe = false,
                        size_t batch_size = 1) {
   ExecutorConfig config;
-  config.observe.enabled = observe;
+  config.observe = observe;
   config.batch_size = batch_size;
   auto exec = PlanExecutor::Create(fx.query, fx.schemes, shape, config);
   PUNCTSAFE_CHECK_OK(exec.status());
@@ -304,7 +304,7 @@ RunStats RunParallelOnce(const bench::ChainFixture& fx, const PlanShape& shape,
                          bool observe = false) {
   ExecutorConfig config;
   config.shards = shards;
-  config.observe.enabled = observe;
+  config.observe = observe;
   // The emit-staging granularity the pipelined runtime ran with before
   // the knob existed (the former hard-coded kEmitFlushBatch).
   config.batch_size = 128;

@@ -50,7 +50,7 @@ RunStats RunSerialOnce(const bench::ChainFixture& fx, const PlanShape& shape,
                        const Trace& trace, bool observe,
                        obs::MetricsExporter* exporter) {
   ExecutorConfig config;
-  config.observe.enabled = observe;
+  config.observe = observe;
   auto exec = PlanExecutor::Create(fx.query, fx.schemes, shape, config);
   PUNCTSAFE_CHECK_OK(exec.status());
   auto start = Clock::now();
@@ -79,7 +79,7 @@ RunStats RunParallelOnce(const bench::ChainFixture& fx,
   ExecutorConfig config;
   config.queue_capacity = queue_capacity;
   config.shards = shards;
-  config.observe.enabled = observe;
+  config.observe = observe;
   auto exec = ParallelExecutor::Create(fx.query, fx.schemes, shape, config);
   PUNCTSAFE_CHECK_OK(exec.status());
   auto start = Clock::now();

@@ -5,13 +5,18 @@
 //
 // Flow ids recycle (like TCP sequence numbers wrapping every ~4.55 h),
 // so "no more packets for flow 17" cannot mean *forever*. The example
-// runs the same trace through two executors:
-//   * one whose punctuation stores use the recommended lifespan —
-//     correct on recycled ids AND bounded punctuation storage;
-//   * one that keeps punctuations forever — on a recycling trace this
-//     is semantically WRONG: revived flow ids are dropped on arrival
-//     against stale punctuations and results go missing, on top of
-//     the store growing with every distinct id ever punctuated.
+// runs the same trace through two executors, and neither gives the
+// right answer (EXPERIMENTS.md E10 counted 54,486 epoch-correct
+// results on this 2,000-flow trace):
+//   * one whose punctuation stores use the recommended lifespan
+//     returns 680,478: a flow whose id promises expire before its
+//     source goes quiet can never be purged, and its tuples join the
+//     next use of the recycled id;
+//   * one that keeps punctuations until retirement returns 26,560: a
+//     recycled id's tuples are dropped on arrival as promise-breakers
+//     while an old flow still waits on its source.
+// ROADMAP.md's recycled-identifier item (promise epochs) is the
+// planned fix.
 //
 // Build & run:  ./build/examples/network_monitoring
 
@@ -72,7 +77,7 @@ int main() {
   RunStats with = Run(trace, lifespan);
   RunStats without = Run(trace, std::nullopt);
 
-  std::printf("%-28s %15s %15s\n", "", "with lifespan", "keep forever");
+  std::printf("%-28s %15s %15s\n", "", "with lifespan", "until retired");
   std::printf("%-28s %15llu %15llu\n", "join results",
               static_cast<unsigned long long>(with.results),
               static_cast<unsigned long long>(without.results));
@@ -87,14 +92,13 @@ int main() {
               static_cast<unsigned long long>(without.punct_expired));
 
   std::printf(
-      "\nThe forever store lost %.1f%% of the results: a punctuation\n"
-      "that outlives its identifier's validity window wrongly excludes\n"
-      "the id's next incarnation — exactly the Section 5.1 hazard that\n"
-      "motivates lifespans (TCP sequence numbers wrap ~every 4.55 h).\n"
-      "With the recommended lifespan the answer is complete and the\n"
-      "punctuation store stays bounded by the ids in flight instead of\n"
-      "every id ever punctuated.\n",
-      100.0 * (1.0 - static_cast<double>(without.results) /
-                         static_cast<double>(with.results)));
+      "\nNeither answer is right: EXPERIMENTS.md E10 counted 54,486\n"
+      "epoch-correct results on this trace. With the lifespan, a flow\n"
+      "whose id promises expire before its source goes quiet can never\n"
+      "be purged and joins the next use of the recycled id (too many\n"
+      "results, tuples left live). Kept until retirement, a recycled\n"
+      "id's tuples are dropped as promise-breakers while an old flow\n"
+      "still waits on its source (too few). ROADMAP.md's recycled-\n"
+      "identifier item replaces lifespans with promise epochs.\n");
   return 0;
 }

@@ -60,20 +60,6 @@
 
 namespace punctsafe {
 
-/// \brief ExecutorConfig knob: automatic punctuation-aligned
-/// checkpoints. Both executors count arriving punctuations (the
-/// paper's epoch markers) and write a snapshot to `path` after each
-/// `interval_punctuations` of them, once the triggering cascade has
-/// fully settled.
-struct CheckpointConfig {
-  /// Punctuations between automatic snapshots; 0 disables them.
-  size_t interval_punctuations = 0;
-  /// Snapshot file target for automatic snapshots.
-  std::string path;
-
-  bool operator==(const CheckpointConfig&) const = default;
-};
-
 /// \brief One stored punctuation plus its arrival timestamp (needed so
 /// lifespan expiry keeps working after a restore).
 struct PunctuationEntry {

@@ -224,7 +224,7 @@ void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
         << "tuple arity " << batch.tuple(i).size() << " != input width "
         << widths_[input];
   }
-  if (obs::kCompiled && obs_ != nullptr) {
+  if (obs_ != nullptr) {
     // One watermark fold per batch (NoteTupleTs is an atomic max, so
     // folding the batch max is equivalent to per-row notes).
     obs_->NoteTupleTs(batch.max_timestamp());
@@ -938,7 +938,7 @@ void MJoinOperator::PushPunctuation(size_t input,
       << "punctuation arity " << punctuation.arity() << " != input width "
       << widths_[input];
   ++metrics_.punctuations_received;
-  if (obs::kCompiled && obs_ != nullptr) obs_->RecordPunctuation(input, ts);
+  if (obs_ != nullptr) obs_->RecordPunctuation(input, ts);
 
   if (config_.punctuation_lifespan.has_value()) {
     for (auto& store : punct_stores_) {
@@ -1000,7 +1000,7 @@ void MJoinOperator::OnObserverSet() {
 void MJoinOperator::Sweep(int64_t now) {
   ++metrics_.purge_sweeps;
   punctuations_since_sweep_ = 0;
-  const bool observing = obs::kCompiled && obs_ != nullptr;
+  const bool observing = obs_ != nullptr;
   const int64_t sweep_start = observing ? obs::NowNs() : 0;
   uint64_t purged_total = 0;
   const uint64_t changed = full_sweep_reference_
@@ -1192,7 +1192,7 @@ void MJoinOperator::TryPropagate(int64_t now, uint64_t changed_inputs) {
     }
     Emit(StreamElement::OfPunctuation(RebaseToOutput(it->input, p), now));
     ++metrics_.punctuations_propagated;
-    if (obs::kCompiled && obs_ != nullptr) {
+    if (obs_ != nullptr) {
       obs_->Note(obs::TraceKind::kPunctOut, it->input);
     }
     it = pending_propagations_.erase(it);

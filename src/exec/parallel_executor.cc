@@ -9,7 +9,6 @@
 #include "exec/bounded_queue.h"
 #include "exec/operator_tree.h"
 #include "exec/simd.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace punctsafe {
@@ -200,8 +199,8 @@ Result<std::unique_ptr<ParallelExecutor>> ParallelExecutor::Create(
 
   // Observation points: one per shard worker, registered before any
   // worker thread starts (the registry is append-only afterwards).
-  if (obs::kCompiled && config.observe.enabled) {
-    exec->obs_ = std::make_unique<obs::Observability>(config.observe);
+  if (config.observe) {
+    exec->obs_ = std::make_unique<obs::Observability>();
     for (size_t j = 0; j < num_groups; ++j) {
       OpGroup& group = *exec->groups_[j];
       for (size_t s = 0; s < group.num_shards; ++s) {
@@ -283,15 +282,12 @@ void ParallelExecutor::FlushEmits(Worker& worker) {
   OpGroup& parent = *groups_[groups_[worker.group]->parent_group];
   // One clock read covers the whole flush (per-batch sampling); the
   // consumer's latency sample then charges queue wait from here.
-  const int64_t now =
-      (obs::kCompiled && obs_ != nullptr) ? obs::NowNs() : 0;
+  const int64_t now = obs_ != nullptr ? obs::NowNs() : 0;
   for (size_t s = 0; s < worker.emit_buf.size(); ++s) {
     TupleBatch& staged = worker.emit_buf[s];
     if (staged.empty()) continue;
     Worker& target = *workers_[parent.first_worker + s];
-    if (obs::kCompiled && obs_ != nullptr) {
-      target.obs->IncRouted(staged.size());
-    }
+    if (obs_ != nullptr) target.obs->IncRouted(staged.size());
     OpMessage message;
     message.input = input;
     message.enqueue_ns = now;
@@ -319,7 +315,7 @@ bool ParallelExecutor::Broadcast(OpGroup& group, size_t input,
   for (size_t s = 0; s < group.num_shards; ++s) {
     Worker& target = *workers_[group.first_worker + s];
     OpMessage message{PipelineMarker::kNone, input, element, 0};
-    if (obs::kCompiled && obs_ != nullptr) {
+    if (obs_ != nullptr) {
       message.enqueue_ns = obs::NowNs();
       if (target.queue.size() >= target.queue.capacity()) {
         target.obs->IncStall();
@@ -338,7 +334,7 @@ void ParallelExecutor::WorkerLoop(size_t index) {
     // much context as possible.
     std::optional<std::deque<OpMessage>> batch = worker.queue.PopAll();
     if (!batch.has_value()) break;  // closed and fully drained
-    if (obs::kCompiled && worker.obs != nullptr) {
+    if (worker.obs != nullptr) {
       worker.obs->RecordQueueBatch(batch->size());
     }
 
@@ -369,7 +365,7 @@ void ParallelExecutor::WorkerLoop(size_t index) {
     if (drains > 0) {
       worker.op->Sweep(barrier_ts);
       SampleHighWater();
-      if (obs::kCompiled && worker.obs != nullptr) {
+      if (worker.obs != nullptr) {
         worker.obs->Note(obs::TraceKind::kDrain, drains);
       }
     }
@@ -439,7 +435,7 @@ void ParallelExecutor::Deliver(Worker& worker, const OpMessage& message) {
       worker.op->PushTuple(message.input, element.tuple, element.timestamp);
     }
   };
-  if (obs::kCompiled && worker.obs != nullptr) {
+  if (worker.obs != nullptr) {
     // Per-message observation sampling: the latency sample covers
     // pipeline-edge enqueue -> processed by this shard (queue wait +
     // reorder buffering + the operator's own work), recorded as the
@@ -534,7 +530,7 @@ bool ParallelExecutor::PushIngestBatch(OpGroup& group, size_t shard,
   Worker& target = *workers_[group.first_worker + shard];
   OpMessage message;
   message.input = input;
-  if (obs::kCompiled && obs_ != nullptr) {
+  if (obs_ != nullptr) {
     message.enqueue_ns = obs::NowNs();
     target.obs->IncRouted(batch->size());
     if (target.queue.size() >= target.queue.capacity()) {
@@ -577,7 +573,6 @@ void ParallelExecutor::PushPunctuation(size_t stream,
   if (Broadcast(*groups_[group_idx], input,
                 StreamElement::OfPunctuation(punctuation, ts))) {
     NoteProgress(stream, ts);
-    MaybeAutoCheckpoint(ts);
   }
 }
 
@@ -585,25 +580,6 @@ void ParallelExecutor::NoteProgress(size_t stream, int64_t ts) {
   InputProgress& p = progress_[stream];
   ++p.events_consumed;
   p.watermark_ts = std::max(p.watermark_ts, ts);
-}
-
-void ParallelExecutor::MaybeAutoCheckpoint(int64_t ts) {
-  if (config_.checkpoint.interval_punctuations == 0) return;
-  if (++punctuations_since_checkpoint_ <
-      config_.checkpoint.interval_punctuations) {
-    return;
-  }
-  punctuations_since_checkpoint_ = 0;
-  if (config_.checkpoint.path.empty()) return;
-  Result<StateSnapshot> snap = Checkpoint(ts);
-  Status status = snap.ok()
-                      ? WriteSnapshotFile(*snap, config_.checkpoint.path)
-                      : snap.status();
-  if (!status.ok()) {
-    PUNCTSAFE_LOG(Warning) << "automatic checkpoint to '"
-                           << config_.checkpoint.path
-                           << "' failed: " << status.ToString();
-  }
 }
 
 Status ParallelExecutor::BarrierAll(PipelineMarker marker, int64_t now) {

@@ -244,8 +244,9 @@ class ParallelExecutor {
   /// operator scratch, so everything kept is copied before return.
   void EmitBatchFromShard(size_t group_idx, size_t shard, TupleBatch& batch);
   /// Pushes the worker's staged result tuples into the parent group's
-  /// shard queues (one batched PushAll per non-empty buffer). Runs on
-  /// the worker's own thread; no-op when nothing is staged.
+  /// shard queues (one queue Push per non-empty staged buffer, the
+  /// whole buffer as one message). Runs on the worker's own thread;
+  /// no-op when nothing is staged.
   void FlushEmits(Worker& worker);
   /// Punctuation/drain -> every shard, serialized per group so all
   /// shards observe the same punctuation order. False iff stopped.
@@ -255,7 +256,6 @@ class ParallelExecutor {
   /// open ingest batch first.
   Status BarrierAll(PipelineMarker marker, int64_t now);
   void NoteProgress(size_t stream, int64_t ts);
-  void MaybeAutoCheckpoint(int64_t ts);
   /// Splits `logical` across the group's shards (SplitOperatorSnapshot
   /// by PartitionSpec::ShardOf) and restores each piece into the
   /// group's (freshly created) shard operators.
@@ -290,10 +290,8 @@ class ParallelExecutor {
   std::atomic<size_t> punct_high_water_{0};
   std::atomic<bool> stopped_{false};
   // Driver-thread-only bookkeeping (the thread contract makes Push*
-  // single-threaded): per-stream positions and the auto-checkpoint
-  // punctuation counter.
+  // single-threaded): per-stream positions.
   std::vector<InputProgress> progress_;
-  size_t punctuations_since_checkpoint_ = 0;
   // Driver-side ingest batching: the open batch of consecutive
   // ingest_stream_ tuples, plus the recycled per-shard scatter buffers
   // FlushIngest fills (see partition_router.h, ScatterBatch).

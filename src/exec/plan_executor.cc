@@ -73,8 +73,8 @@ Result<std::unique_ptr<PlanExecutor>> PlanExecutor::Create(
   });
   exec->operators_ = std::move(tree.operators);
 
-  if (obs::kCompiled && config.observe.enabled) {
-    exec->obs_ = std::make_unique<obs::Observability>(config.observe);
+  if (config.observe) {
+    exec->obs_ = std::make_unique<obs::Observability>();
     for (size_t j = 0; j < exec->operators_.size(); ++j) {
       exec->operators_[j]->SetObserver(
           exec->obs_->AddOperator(static_cast<uint16_t>(j), 0));
@@ -119,7 +119,7 @@ void PlanExecutor::FlushIngest() {
   // event carrying the batch's result count. Serial execution runs the
   // whole synchronous cascade (probes, result emission, parent pushes)
   // inside the push, so the sample covers arrival -> last emit.
-  if (obs::kCompiled && op->observer() != nullptr) {
+  if (op->observer() != nullptr) {
     const uint64_t results_before =
         op->metrics().results_emitted.load(std::memory_order_relaxed);
     const int64_t start = obs::NowNs();
@@ -147,29 +147,12 @@ void PlanExecutor::PushPunctuation(size_t stream,
   auto [op, input] = leaf_route_[stream];
   op->PushPunctuation(input, punctuation, ts);
   RecordHighWater();
-  MaybeAutoCheckpoint();
 }
 
 void PlanExecutor::NoteProgress(size_t stream, int64_t ts) {
   InputProgress& p = progress_[stream];
   ++p.events_consumed;
   p.watermark_ts = std::max(p.watermark_ts, ts);
-}
-
-void PlanExecutor::MaybeAutoCheckpoint() {
-  if (config_.checkpoint.interval_punctuations == 0) return;
-  if (++punctuations_since_checkpoint_ <
-      config_.checkpoint.interval_punctuations) {
-    return;
-  }
-  punctuations_since_checkpoint_ = 0;
-  if (config_.checkpoint.path.empty()) return;
-  Status status = WriteSnapshotFile(Checkpoint(), config_.checkpoint.path);
-  if (!status.ok()) {
-    PUNCTSAFE_LOG(Warning) << "automatic checkpoint to '"
-                           << config_.checkpoint.path
-                           << "' failed: " << status.ToString();
-  }
 }
 
 StateSnapshot PlanExecutor::Checkpoint() const {

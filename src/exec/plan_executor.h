@@ -67,15 +67,8 @@ struct ExecutorConfig {
   size_t shards = 1;
   /// Runtime observability (src/obs/): trace rings + latency /
   /// punctuation-lag / sweep / queue histograms per shard operator.
-  /// Off by default — every hook short-circuits on a null pointer —
-  /// and compiled out entirely under PUNCTSAFE_NO_OBS.
-  obs::ObserveOptions observe;
-  /// Automatic punctuation-aligned snapshots (exec/checkpoint.h):
-  /// every `interval_punctuations` punctuations, a StateSnapshot is
-  /// written to `path` once the triggering cascade has settled (under
-  /// kParallel: after a checkpoint barrier drains the pipeline).
-  /// Disabled by default; Checkpoint() can always be called manually.
-  CheckpointConfig checkpoint;
+  /// Off by default — every hook short-circuits on a null pointer.
+  bool observe = false;
 
   /// Field-wise; the server runs registrations whose plans and
   /// configurations compare equal on one executor.
@@ -173,7 +166,6 @@ class PlanExecutor {
 
   void RecordHighWater();
   void NoteProgress(size_t stream, int64_t ts);
-  void MaybeAutoCheckpoint();
 
   ContinuousJoinQuery query_;
   PlanShape shape_;
@@ -189,7 +181,6 @@ class PlanExecutor {
   size_t tuple_high_water_ = 0;
   size_t punct_high_water_ = 0;
   std::vector<InputProgress> progress_;  // per query stream
-  size_t punctuations_since_checkpoint_ = 0;
   // Open ingest batch: consecutive tuples of pending_stream_,
   // delivered as one PushBatch at the next flush point. Storage is
   // recycled across flushes.

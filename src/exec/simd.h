@@ -4,9 +4,10 @@
 // (MJoinOperator::Expand), and the pairwise equal-hash filter that
 // prefilters expansion verification (also MJoinOperator::Expand).
 //
-// Dispatch is compile-time: SSE2 (implied by x86-64) with an AVX2
-// refinement for the 4-wide uint64 hash compare, NEON on AArch64, and
-// a portable scalar fallback everywhere else. Defining
+// Dispatch is compile-time: SSE2 (implied by x86-64), NEON on
+// AArch64, and a portable scalar fallback everywhere else; -mavx2
+// builds use SSE2 too (an AVX2 variant of the uint64 hash compares
+// earned nothing end to end, EXPERIMENTS.md E25). Defining
 // PUNCTSAFE_NO_SIMD (CMake option of the same name) forces the scalar
 // path on any architecture — the CI matrix builds and tests that leg
 // so the fallback cannot rot. All variants are exact drop-ins: same
@@ -22,10 +23,6 @@
     (defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64))
 #define PUNCTSAFE_SIMD_SSE2 1
 #include <emmintrin.h>
-#if defined(__AVX2__)
-#define PUNCTSAFE_SIMD_AVX2 1
-#include <immintrin.h>
-#endif
 #elif !defined(PUNCTSAFE_NO_SIMD) && defined(__aarch64__) && \
     defined(__ARM_NEON)
 #define PUNCTSAFE_SIMD_NEON 1
@@ -38,9 +35,7 @@ namespace simd {
 /// Name of the active dispatch, surfaced in bench JSON and docs so a
 /// measurement records which code path produced it.
 inline constexpr const char* kDispatchName =
-#if defined(PUNCTSAFE_SIMD_AVX2)
-    "avx2";
-#elif defined(PUNCTSAFE_SIMD_SSE2)
+#if defined(PUNCTSAFE_SIMD_SSE2)
     "sse2";
 #elif defined(PUNCTSAFE_SIMD_NEON)
     "neon";
@@ -78,33 +73,14 @@ inline uint32_t MatchTags16(const uint8_t* tags, uint8_t tag) {
 }
 
 /// \brief Length of the prefix of `hashes[0..n)` equal to `hashes[0]`
-/// (n == 0 returns 0). The vectorized variants compare 4 (AVX2) or 2
-/// (SSE2/NEON) cached hashes per step; MJoinOperator::Expand, its only
-/// caller, uses the run length to reuse one bucket resolution across a
-/// run of same-key rows.
+/// (n == 0 returns 0). The vectorized variants compare 2 cached hashes
+/// per step; MJoinOperator::Expand, its only caller, uses the run
+/// length to reuse one bucket resolution across a run of same-key rows.
 inline size_t HashRunLength(const uint64_t* hashes, size_t n) {
   if (n == 0) return 0;
   const uint64_t head = hashes[0];
   size_t i = 1;
-#if defined(PUNCTSAFE_SIMD_AVX2)
-  const __m256i splat = _mm256_set1_epi64x(static_cast<long long>(head));
-  for (; i + 4 <= n; i += 4) {
-    const __m256i block =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hashes + i));
-    const uint32_t eq = static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi64(block, splat)));
-    if (eq != 0xFFFFFFFFu) {
-      // First non-matching lane: each lane owns 8 mask bits.
-      unsigned bit = 0;
-      uint32_t miss = ~eq;
-      while ((miss & 1u) == 0) {
-        miss >>= 1;
-        ++bit;
-      }
-      return i + bit / 8;
-    }
-  }
-#elif defined(PUNCTSAFE_SIMD_SSE2)
+#if defined(PUNCTSAFE_SIMD_SSE2)
   const __m128i splat = _mm_set1_epi64x(static_cast<long long>(head));
   for (; i + 2 <= n; i += 2) {
     const __m128i block =
@@ -143,23 +119,7 @@ inline size_t FilterEqualHashes(const uint64_t* a, const uint64_t* b,
                                 size_t n, uint32_t* out_idx) {
   size_t count = 0;
   size_t i = 0;
-#if defined(PUNCTSAFE_SIMD_AVX2)
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const uint32_t eq = static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi64(va, vb)));
-    // Each 64-bit lane owns 8 mask bits; a lane matches when all 8 are
-    // set.
-    for (unsigned lane = 0; lane < 4; ++lane) {
-      if (((eq >> (8 * lane)) & 0xFFu) == 0xFFu) {
-        out_idx[count++] = static_cast<uint32_t>(i + lane);
-      }
-    }
-  }
-#elif defined(PUNCTSAFE_SIMD_SSE2)
+#if defined(PUNCTSAFE_SIMD_SSE2)
   for (; i + 2 <= n; i += 2) {
     const __m128i va =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));

@@ -180,7 +180,7 @@ void TupleStore::AdvanceEpoch() {
   size_t reclaimed = arena_.AdvanceEpoch();
   metrics_.OnArenaEpoch(reclaimed, arena_.bytes_reserved(),
                         arena_.bytes_live());
-  if (obs::kCompiled && obs_ != nullptr) {
+  if (obs_ != nullptr) {
     obs_->Note(obs::TraceKind::kEpochAdvance, reclaimed, arena_.bytes_live());
   }
 }

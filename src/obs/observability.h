@@ -6,12 +6,9 @@
 //
 // Cost model: every hook is a handful of relaxed atomics; operators
 // hold a nullable OperatorObs* and skip the hooks entirely when
-// observability is off (ExecutorConfig::observe.enabled, the runtime
-// toggle). Building with -DPUNCTSAFE_OBSERVABILITY=OFF defines
-// PUNCTSAFE_NO_OBS, flips kCompiled to false, and lets the compiler
-// fold every `if (obs::kCompiled && ...)` call site to nothing — the
-// compile-time toggle. docs/OBSERVABILITY.md has the event taxonomy
-// and measured overhead.
+// observability is off (ExecutorConfig::observe, the one switch): one
+// predictable null-pointer branch per hook site. docs/OBSERVABILITY.md
+// has the event taxonomy and measured overhead.
 //
 // Thread contract: one OperatorObs belongs to one shard worker
 // thread (its ring's single producer). Histogram/counter reads and
@@ -36,12 +33,6 @@
 
 namespace punctsafe {
 namespace obs {
-
-#ifdef PUNCTSAFE_NO_OBS
-inline constexpr bool kCompiled = false;
-#else
-inline constexpr bool kCompiled = true;
-#endif
 
 /// \brief Steady-clock nanoseconds (the trace/latency time base).
 inline int64_t NowNs() {
@@ -69,23 +60,12 @@ inline void AtomicMax64(std::atomic<int64_t>& target, int64_t value) {
 
 }  // namespace internal
 
-struct ObserveOptions {
-  /// Master runtime switch; off means no OperatorObs is ever created
-  /// and every operator hook short-circuits on a null pointer.
-  bool enabled = false;
-  /// Trace-ring slots per shard worker (32 bytes each; rounded up to
-  /// a power of two). The ring is a recent-window buffer — overflow
-  /// drops the newest event and counts it, it never blocks.
-  size_t ring_capacity = TraceRing::kDefaultCapacity;
-
-  bool operator==(const ObserveOptions&) const = default;
-};
-
 /// \brief One observation point: owned by exactly one shard worker.
+/// Its trace ring holds TraceRing::kDefaultCapacity recent events;
+/// overflow drops the newest event and counts it, it never blocks.
 class OperatorObs {
  public:
-  OperatorObs(uint16_t op, uint32_t shard, size_t ring_capacity)
-      : op_(op), shard_(shard), ring_(ring_capacity) {}
+  OperatorObs(uint16_t op, uint32_t shard) : op_(op), shard_(shard) {}
 
   uint16_t op() const { return op_; }
   uint32_t shard() const { return shard_; }
@@ -219,8 +199,8 @@ struct ObsSnapshot {
   int64_t wall_ms = 0;    ///< filled by the exporter
   uint64_t seq = 0;       ///< filled by the exporter
   std::string executor;   ///< "serial" | "parallel"
-  /// Active SIMD dispatch (simd::kDispatchName: "avx2" | "sse2" |
-  /// "neon" | "scalar") so a recorded run names the code path that
+  /// Active SIMD dispatch (simd::kDispatchName: "sse2" | "neon" |
+  /// "scalar") so a recorded run names the code path that
   /// produced it.
   std::string simd_dispatch;
   /// Configured execution batch capacity (1 = tuple-at-a-time).
@@ -237,17 +217,14 @@ struct ObsSnapshot {
 /// rings outlive the worker threads that feed them.
 class Observability {
  public:
-  explicit Observability(ObserveOptions options)
-      : options_(options) {}
-
+  Observability() = default;
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;
 
   /// \brief Registers the observation point for (op, shard). Called
   /// during executor construction, before worker threads start.
   OperatorObs* AddOperator(uint16_t op, uint32_t shard) {
-    operators_.push_back(
-        std::make_unique<OperatorObs>(op, shard, options_.ring_capacity));
+    operators_.push_back(std::make_unique<OperatorObs>(op, shard));
     return operators_.back().get();
   }
 
@@ -266,10 +243,7 @@ class Observability {
     return n;
   }
 
-  const ObserveOptions& options() const { return options_; }
-
  private:
-  ObserveOptions options_;
   std::vector<std::unique_ptr<OperatorObs>> operators_;
   std::mutex drain_mu_;
 };

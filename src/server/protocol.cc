@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <optional>
 #include <utility>
@@ -56,6 +57,12 @@ Result<double> ParseDoubleToken(const std::string& token) {
   double v = std::strtod(token.c_str(), &end);
   if (errno != 0 || end != token.c_str() + token.size()) {
     return Status::InvalidArgument(StrCat("'", token, "' is not a number"));
+  }
+  // NaN never equals itself, so no punctuation could ever close a NaN
+  // join value and its tuples would stay in state forever.
+  if (std::isnan(v)) {
+    return Status::InvalidArgument(
+        StrCat("'", token, "' is NaN, which no punctuation can match"));
   }
   return v;
 }

@@ -10,12 +10,16 @@
 //
 // The Section 5.1 angle: identifier spaces recycle (the paper's TCP
 // sequence-number example wraps every ~4.55 hours), so "no more tuples
-// with flow_id = f, ever" is unsound — flow ids are reused after
-// `id_recycle_after` ticks. Punctuations therefore carry a *lifespan*:
-// stores created with a matching lifespan stay correct and bounded
-// (Experiment E10), while stores that keep punctuations forever
-// wrongly drop tuples of recycled ids (caught by the failure-injection
-// tests).
+// with flow_id = f, ever" is unsound — flow ids are reused round-robin
+// over `id_space`. Neither punctuation policy answers this workload
+// correctly (EXPERIMENTS.md E10, 2,000 flows, epoch-correct count
+// 54,486): with RecommendedLifespan the run returns 680,478 results,
+// because a flow whose id promises expire before its source goes quiet
+// can never be purged and joins the next use of the id; keeping
+// punctuations until retirement returns 26,560, because a recycled id's
+// tuples are dropped as promise-breakers while an old flow still waits
+// on its source. ROADMAP.md's recycled-identifier item (promise epochs)
+// is the planned fix.
 
 #ifndef PUNCTSAFE_WORKLOAD_NETWORK_H_
 #define PUNCTSAFE_WORKLOAD_NETWORK_H_

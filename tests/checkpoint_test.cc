@@ -4,9 +4,9 @@
 // per-section CRC32 (truncation and bit-flip sweeps), the snapshot
 // monoid laws (identity, associativity, commutativity, and
 // split-merge inversion), executor capture/restore byte-equality in
-// both execution modes, automatic interval checkpoints, and the
-// QueryRegister::Restore recovery entry point. The randomized
-// differential oracle lives in recovery_differential_test.cc.
+// both execution modes, and the QueryRegister::Restore recovery entry
+// point. The randomized differential oracle lives in
+// recovery_differential_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -471,33 +471,6 @@ TEST(CheckpointExecutorTest, RestoreIntoUsedExecutorIsRejected) {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-TEST(CheckpointExecutorTest, AutomaticIntervalCheckpointWritesSnapshots) {
-  StreamCatalog catalog = PaperCatalog();
-  ContinuousJoinQuery query = TriangleQuery(catalog);
-  SchemeSet schemes = Fig5Schemes(catalog);
-  PlanShape shape = PlanShape::SingleMJoin(3);
-
-  ExecutorConfig config = BaseConfig();
-  config.checkpoint.interval_punctuations = 2;
-  config.checkpoint.path = TempPath("punctsafe_auto_ckpt.bin");
-  std::remove(config.checkpoint.path.c_str());
-
-  auto exec = PlanExecutor::Create(query, schemes, shape, config);
-  ASSERT_TRUE(exec.ok());
-  Trace trace = TriangleTrace(4);
-  for (const TraceEvent& e : trace) {
-    ASSERT_TRUE((*exec)->Push(e).ok());
-  }
-  Result<StateSnapshot> snap = ReadSnapshotFile(config.checkpoint.path);
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  EXPECT_EQ(snap->fingerprint, PlanFingerprint(query, shape));
-  // The last interval boundary lands after the final punctuation, so
-  // the on-disk snapshot equals the executor's final state.
-  EXPECT_EQ(SerializeSnapshot(*snap),
-            SerializeSnapshot((*exec)->Checkpoint()));
-  std::remove(config.checkpoint.path.c_str());
 }
 
 TEST(CheckpointExecutorTest, QueryRegisterRestoreResumesBothModes) {

@@ -66,7 +66,7 @@ struct SerialFixture {
     ContinuousJoinQuery q = TriangleQuery(fx.catalog);
     ExecutorConfig config;
     config.keep_results = true;
-    config.observe.enabled = observe;
+    config.observe = observe;
     auto exec = PlanExecutor::Create(q, Fig5Schemes(fx.catalog),
                                      PlanShape::SingleMJoin(3), config);
     PUNCTSAFE_CHECK(exec.ok()) << exec.status().ToString();
@@ -265,7 +265,7 @@ TEST(ParallelObsTest, EveryShardHasLatencyAndPunctLagSamples) {
   ExecutorConfig config;
   config.mode = ExecutionMode::kParallel;
   config.shards = 2;
-  config.observe.enabled = true;
+  config.observe = true;
   auto exec_or = ParallelExecutor::Create(*q, schemes,
                                           PlanShape::SingleMJoin(3), config);
   ASSERT_TRUE(exec_or.ok()) << exec_or.status().ToString();

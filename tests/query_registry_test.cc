@@ -552,6 +552,15 @@ TEST(ProtocolTest, ErrorsAreSingleLineWithCode) {
   EXPECT_EQ(bad_val[0].rfind("ERR InvalidArgument", 0), 0u) << bad_val[0];
   auto bad_arity = Exec(&registry, &session, "PUSH bid 1 2");
   EXPECT_EQ(bad_arity[0].rfind("ERR InvalidArgument", 0), 0u);
+  // NaN never equals itself, so no punctuation could close a NaN join
+  // value: every spelling strtod accepts is refused, in a tuple and in
+  // a punctuation pattern alike.
+  Exec(&registry, &session, "CREATE STREAM d k:double v:int");
+  auto nan_push = Exec(&registry, &session, "PUSH d nan 1");
+  EXPECT_EQ(nan_push[0].rfind("ERR InvalidArgument", 0), 0u) << nan_push[0];
+  auto nan_punct = Exec(&registry, &session, "PUNCT d -NaN(7) *");
+  EXPECT_EQ(nan_punct[0].rfind("ERR InvalidArgument", 0), 0u)
+      << nan_punct[0];
 
   // Malformed schema token.
   auto bad_schema = Exec(&registry, &session, "CREATE STREAM s k:float");

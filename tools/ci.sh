@@ -4,11 +4,14 @@
 # scalar (-DPUNCTSAFE_NO_SIMD=ON, portable exec/simd.h fallback)
 # configurations (see -DPUNCTSAFE_SANITIZE in the top-level
 # CMakeLists.txt), then smoke-runs the standalone benchmark binaries
-# in a Release build on tiny inputs. The sanitizer runs are what give
-# the parallel executor's differential and queue stress tests their
-# teeth; the bench smoke keeps the JSON-emitting binaries (and their
-# internal result-equality CHECKs, including the sharded executor's)
-# from rotting between full benchmark runs, and additionally exports
+# in a Release build on tiny inputs. The plain leg also builds and
+# runs the four examples and runs each perfbench workload for one
+# second (a compile and correctness smoke, no performance threshold).
+# The sanitizer runs are what give the parallel executor's
+# differential and queue stress tests their teeth; the bench smoke
+# keeps the JSON-emitting binaries (and their internal
+# result-equality CHECKs, including the sharded executor's) from
+# rotting between full benchmark runs, and additionally exports
 # an observability metrics JSONL (bench/metrics.jsonl under the build
 # root — uploaded as a CI artifact, rendered with tools/obs_report.py).
 #
@@ -44,9 +47,41 @@ run_explicit() {
   "${binary}" "$@"
 }
 
+# Builds perfbench/ (its own CMake package over ../src) and runs every
+# BENCHMARK.json workload for one second through perfbench/run.py,
+# failing unless the closing JSON line reads "correct": true with 0
+# failed operations. A library API change that breaks cjq_bench, or a
+# wrong answer on a benchmark workload, fails here instead of first
+# showing up when the benchmark runs. No throughput is checked.
+run_perfbench_smoke() {
+  local workloads
+  workloads="$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+    "${ROOT}/BENCHMARK.json")"
+  for workload in ${workloads}; do
+    echo "=== [plain] perfbench smoke: ${workload} ==="
+    local last
+    last="$(CARGO_TARGET_DIR="${BUILD_ROOT}/perfbench" python3 \
+      "${ROOT}/perfbench/run.py" --workload "${workload}" --seconds 1 \
+      --seed 1 | tail -n 1)"
+    echo "${last}"
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+      "${last}" || {
+      echo "ERROR: perfbench ${workload} did not end with correct: true" \
+           "and failed: 0" >&2
+      exit 1
+    }
+  done
+}
+
 run_config() {
   local name="$1" sanitize="$2" no_simd="${3:-OFF}"
   local dir="${BUILD_ROOT}/${name}"
+  # Only the plain leg builds the examples; it also runs each once.
+  local examples=OFF
+  if [ "${name}" = "plain" ]; then examples=ON; fi
   echo "=== [${name}] configure (PUNCTSAFE_SANITIZE='${sanitize}'" \
        "PUNCTSAFE_NO_SIMD=${no_simd}) ==="
   cmake -B "${dir}" -S "${ROOT}" \
@@ -54,7 +89,7 @@ run_config() {
     -DPUNCTSAFE_SANITIZE="${sanitize}" \
     -DPUNCTSAFE_NO_SIMD="${no_simd}" \
     -DPUNCTSAFE_BUILD_BENCHMARKS=OFF \
-    -DPUNCTSAFE_BUILD_EXAMPLES=OFF
+    -DPUNCTSAFE_BUILD_EXAMPLES="${examples}"
   echo "=== [${name}] build ==="
   cmake --build "${dir}" -j "${JOBS}"
   echo "=== [${name}] ctest ==="
@@ -101,6 +136,14 @@ run_config() {
     run_explicit "${dir}/tests/server_e2e_test"
     echo "=== [${name}] query registry plan sharing (explicit) ==="
     run_explicit "${dir}/tests/query_registry_test"
+  fi
+  if [ "${name}" = "plain" ]; then
+    for example in quickstart network_monitoring sensor_dashboard \
+                   plan_advisor; do
+      echo "=== [${name}] example: ${example} ==="
+      run_explicit "${dir}/examples/${example}"
+    done
+    run_perfbench_smoke
   fi
   if [ "${name}" = "scalar" ]; then
     echo "=== [${name}] simd branch compile cross-check ==="
