@@ -1,25 +1,28 @@
-// A bounded multi-producer/multi-consumer blocking queue: the edge
+// A bounded multi-producer/single-consumer blocking queue: the edge
 // primitive of the pipelined executor. Producers block when the queue
 // is full (backpressure propagates source-ward through the plan tree),
 // the consumer blocks when it is empty, and Close() releases everyone:
 // blocked producers give up (Push returns false) while the consumer
 // drains the remaining items before seeing end-of-stream.
 //
-// Mutex + condition variables rather than a lock-free ring: with the
-// batched PushAll/PopAll fast paths (one lock acquisition per burst,
-// not per element) the lock is never the bottleneck, and the simple
-// implementation is trivially TSan-clean (tests/bounded_queue_test.cc
-// runs it under -DPUNCTSAFE_SANITIZE=thread).
+// Mutex + condition variables rather than a lock-free ring: producers
+// push one message per lock acquisition, the consumer moves out every
+// queued message per acquisition (PopAll), and the parallel executor's
+// messages carry whole TupleBatches (up to ExecutorConfig::batch_size
+// rows), so the lock cost amortizes over a batch and is never the
+// bottleneck. Capacity counts messages. The simple implementation is
+// trivially TSan-clean (tests/bounded_queue_test.cc runs it under
+// -DPUNCTSAFE_SANITIZE=thread).
 //
-// Batch hand-off: the parallel executor's messages can carry a whole
-// TupleBatch (ExecutorConfig::batch_size rows) as one element, so the
-// per-element lock cost amortizes over the batch even on the plain
-// Push/Pop paths — capacity counts messages, and one message moves one
-// batch.
+// consumer_idle() is a lock-free hint for producers that stage work:
+// it reads true while the consumer is parked in PopAll on an empty
+// queue, so a producer can hand a partial batch over at once instead
+// of holding it for a consumer that has nothing to do.
 
 #ifndef PUNCTSAFE_EXEC_BOUNDED_QUEUE_H_
 #define PUNCTSAFE_EXEC_BOUNDED_QUEUE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -62,46 +65,6 @@ class BoundedQueue {
     return true;
   }
 
-  /// \brief Batched Push: enqueues every element of `values`, taking
-  /// the lock once per capacity window instead of once per element.
-  /// Blocks while full; returns false (dropping the not-yet-enqueued
-  /// remainder) iff the queue was closed.
-  bool PushAll(std::deque<T> values) {
-    while (!values.empty()) {
-      size_t accepted = 0;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        not_full_.wait(
-            lock, [this] { return closed_ || items_.size() < capacity_; });
-        if (closed_) return false;
-        while (!values.empty() && items_.size() < capacity_) {
-          items_.push_back(std::move(values.front()));
-          values.pop_front();
-          ++accepted;
-        }
-      }
-      if (accepted > 1) {
-        not_empty_.notify_all();
-      } else {
-        not_empty_.notify_one();
-      }
-    }
-    return true;
-  }
-
-  /// \brief Dequeues, blocking while empty. nullopt means closed AND
-  /// drained — the consumer's end-of-stream signal.
-  std::optional<T> Pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
   /// \brief Batched Pop: blocks while empty, then moves out *all*
   /// queued items under one lock — the consumer-side fast path (the
   /// parallel executor's workers drain whole bursts per acquisition
@@ -109,35 +72,17 @@ class BoundedQueue {
   /// drained. FIFO order is preserved within the returned batch.
   std::optional<std::deque<T>> PopAll() {
     std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
+    if (items_.empty() && !closed_) {
+      idle_.store(true, std::memory_order_relaxed);
+      not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
+      idle_.store(false, std::memory_order_relaxed);
+    }
     if (items_.empty()) return std::nullopt;
     std::deque<T> out;
     out.swap(items_);
     lock.unlock();
     not_full_.notify_all();
     return out;
-  }
-
-  /// \brief Non-blocking PopAll; empty deque when nothing is queued.
-  std::deque<T> TryPopAll() {
-    std::deque<T> out;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      out.swap(items_);
-    }
-    if (!out.empty()) not_full_.notify_all();
-    return out;
-  }
-
-  /// \brief Dequeues without blocking; nullopt if currently empty.
-  std::optional<T> TryPop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
   }
 
   /// \brief Marks end-of-stream and wakes all waiters. Queued items
@@ -160,6 +105,12 @@ class BoundedQueue {
     return items_.size();
   }
   size_t capacity() const { return capacity_; }
+  /// \brief True while the consumer waits in PopAll on an empty queue
+  /// (relaxed read, no lock: a stale answer only moves a hand-off by
+  /// one call, never loses or reorders an item).
+  bool consumer_idle() const {
+    return idle_.load(std::memory_order_relaxed);
+  }
 
  private:
   const size_t capacity_;
@@ -168,6 +119,7 @@ class BoundedQueue {
   std::condition_variable not_empty_;
   std::deque<T> items_;
   bool closed_ = false;
+  std::atomic<bool> idle_{false};
 };
 
 }  // namespace punctsafe

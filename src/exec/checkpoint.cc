@@ -525,26 +525,24 @@ std::vector<PendingPropagationSnapshot> MergePending(
   return merged;
 }
 
-// Punctuation-side counters are replicated per shard (every shard sees
-// the full broadcast, though each retires on its own), so their logical
-// value is the max, not the sum.
+// Every counter is per shard work or storage; under key-routed
+// punctuations a shard counts only what was delivered to it, so the
+// logical value is the sum (a broadcast punctuation counts once per
+// shard, as its storage does).
 OperatorMetricsSnapshot MergeOperatorMetrics(
     const OperatorMetricsSnapshot& a, const OperatorMetricsSnapshot& b) {
   OperatorMetricsSnapshot m;
   m.results_emitted = a.results_emitted + b.results_emitted;
   m.removability_checks = a.removability_checks + b.removability_checks;
-  m.punctuations_received =
-      std::max(a.punctuations_received, b.punctuations_received);
-  m.punctuations_stored = std::max(a.punctuations_stored,
-                                   b.punctuations_stored);
+  m.punctuations_received = a.punctuations_received + b.punctuations_received;
+  m.punctuations_stored = a.punctuations_stored + b.punctuations_stored;
   m.punctuations_propagated =
-      std::max(a.punctuations_propagated, b.punctuations_propagated);
-  m.punctuations_expired =
-      std::max(a.punctuations_expired, b.punctuations_expired);
-  m.purge_sweeps = std::max(a.purge_sweeps, b.purge_sweeps);
-  m.punctuations_live = std::max(a.punctuations_live, b.punctuations_live);
+      a.punctuations_propagated + b.punctuations_propagated;
+  m.punctuations_expired = a.punctuations_expired + b.punctuations_expired;
+  m.purge_sweeps = a.purge_sweeps + b.purge_sweeps;
+  m.punctuations_live = a.punctuations_live + b.punctuations_live;
   m.punctuations_high_water =
-      std::max(a.punctuations_high_water, b.punctuations_high_water);
+      a.punctuations_high_water + b.punctuations_high_water;
   return m;
 }
 
@@ -697,8 +695,7 @@ OperatorStateSnapshot MergeOperatorSnapshots(const OperatorStateSnapshot& a,
   }
   out.pending = MergePending(a.pending, b.pending);
   out.op_metrics = MergeOperatorMetrics(a.op_metrics, b.op_metrics);
-  out.punctuations_purged =
-      std::max(a.punctuations_purged, b.punctuations_purged);
+  out.punctuations_purged = a.punctuations_purged + b.punctuations_purged;
   out.punctuations_since_sweep =
       std::max(a.punctuations_since_sweep, b.punctuations_since_sweep);
   return out;
@@ -749,24 +746,32 @@ StateSnapshot MergeSnapshots(const StateSnapshot& a, const StateSnapshot& b) {
 
 std::vector<OperatorStateSnapshot> SplitOperatorSnapshot(
     const OperatorStateSnapshot& op, size_t pieces,
-    const OperatorShardFn& shard_of) {
+    const OperatorShardFn& shard_of,
+    const OperatorPunctuationShardFn& punctuation_shard_of,
+    const OperatorPunctuationShardFn& pending_shard_of) {
   PUNCTSAFE_CHECK(pieces > 0) << "cannot split a snapshot into 0 pieces";
   std::vector<OperatorStateSnapshot> out(pieces);
+  // Each punctuation goes to the piece its router names, or to all.
+  auto place = [&](const OperatorPunctuationShardFn& router, size_t input,
+                   const Punctuation& p, auto&& add) {
+    const size_t target = router ? router(input, p, pieces) : pieces;
+    if (target < pieces) {
+      add(out[target]);
+    } else {
+      for (OperatorStateSnapshot& piece : out) add(piece);
+    }
+  };
   for (size_t s = 0; s < pieces; ++s) {
-    // Replicated / max-semantics state goes into every piece; summed
-    // counters stay on piece 0 so the fold restores them exactly.
+    // Counters stay on piece 0 so the fold restores them exactly;
+    // the sweep schedule is per shard state, replicated (max merge).
     OperatorStateSnapshot& piece = out[s];
     piece.inputs.resize(op.inputs.size());
-    piece.pending = op.pending;
-    piece.punctuations_purged = op.punctuations_purged;
     piece.punctuations_since_sweep = op.punctuations_since_sweep;
-    piece.op_metrics = op.op_metrics;
-    if (s != 0) {
-      piece.op_metrics.results_emitted = 0;
-      piece.op_metrics.removability_checks = 0;
+    if (s == 0) {
+      piece.op_metrics = op.op_metrics;
+      piece.punctuations_purged = op.punctuations_purged;
     }
     for (size_t k = 0; k < op.inputs.size(); ++k) {
-      piece.inputs[k].punctuations = op.inputs[k].punctuations;
       if (s == 0) {
         piece.inputs[k].state_metrics = op.inputs[k].state_metrics;
         // `live` is recomputed from the tuple partition below so each
@@ -774,6 +779,20 @@ std::vector<OperatorStateSnapshot> SplitOperatorSnapshot(
         piece.inputs[k].state_metrics.live = 0;
       }
     }
+  }
+  for (size_t k = 0; k < op.inputs.size(); ++k) {
+    for (const PunctuationEntry& e : op.inputs[k].punctuations) {
+      place(punctuation_shard_of, k, e.punctuation,
+            [&](OperatorStateSnapshot& piece) {
+        piece.inputs[k].punctuations.push_back(e);
+      });
+    }
+  }
+  for (const PendingPropagationSnapshot& p : op.pending) {
+    place(pending_shard_of, p.input, p.punctuation,
+          [&](OperatorStateSnapshot& piece) {
+      piece.pending.push_back(p);
+    });
   }
   for (size_t k = 0; k < op.inputs.size(); ++k) {
     for (const Tuple& t : op.inputs[k].tuples) {

@@ -17,18 +17,20 @@
 // plan into one logical snapshot. Field semantics (docs/RECOVERY.md):
 //  * tuples / results — multiset union (tuples partition across
 //    shards, so union restores the logical state);
-//  * punctuations / pending propagations — set union (broadcast state
-//    is replicated per shard; a union of stores whose shards retired
-//    different values is still valid), duplicate punctuations keep the
-//    max arrival timestamp;
-//  * tuple-side counters (inserted, purged, ...) — sums;
-//  * punctuation-side counters and gauges — max (every shard received
-//    the full broadcast);
+//  * punctuations / pending propagations — set union (a key-routed
+//    punctuation lives on one shard, a broadcast one on every shard;
+//    a union of stores whose shards retired different values is still
+//    valid), duplicate punctuations keep the max arrival timestamp;
+//  * tuple-side and punctuation-side counters and gauges — sums: each
+//    shard counts the punctuations delivered to it, so a key-routed
+//    punctuation counts once and a broadcast one once per shard (high
+//    waters sum to an upper bound, as for tuples);
 //  * per-stream progress — element-wise max.
 // SplitSnapshot is the inverse up to Merge: it re-partitions the
 // tuples over K pieces (by ShardOf-style hashing or a caller-supplied
-// assignment), replicates the broadcast/max state into every piece,
-// and leaves the summed counters on piece 0, so
+// assignment), sends each punctuation and pending propagation to the
+// piece a caller-supplied router names or replicates it into every
+// piece, and leaves the summed counters on piece 0, so
 // Merge(Split(s, K)) == s exactly. The parallel executor's restore
 // path loads one snapshot into K shard workers through the same
 // per-operator split (SplitOperatorSnapshot).
@@ -161,15 +163,26 @@ OperatorStateSnapshot MergeOperatorSnapshots(const OperatorStateSnapshot& a,
 using OperatorShardFn =
     std::function<size_t(size_t input, const Tuple& tuple, size_t pieces)>;
 
+/// \brief Assigns a punctuation of one operator's `input` (stored, or
+/// a pending propagation) to one of `pieces` split targets, or to
+/// every piece with any value >= `pieces`.
+using OperatorPunctuationShardFn = std::function<size_t(
+    size_t input, const Punctuation& punctuation, size_t pieces)>;
+
 /// \brief Splits one operator's snapshot into `pieces` shard states
 /// such that folding them back with MergeOperatorSnapshots reproduces
 /// it exactly (the per-operator core of SplitSnapshot): tuples are
-/// partitioned by `shard_of`, broadcast/max state is replicated into
-/// every piece, summed counters stay on piece 0. The parallel
-/// executor's restore path calls it with PartitionSpec::ShardOf.
+/// partitioned by `shard_of`, stored punctuations go where
+/// `punctuation_shard_of` says and pending propagations where
+/// `pending_shard_of` says (each replicated when its router is empty),
+/// counters stay on piece 0. The parallel executor's restore path
+/// calls it with PartitionSpec::ShardOf, PunctuationShard and
+/// PendingShard.
 std::vector<OperatorStateSnapshot> SplitOperatorSnapshot(
     const OperatorStateSnapshot& snapshot, size_t pieces,
-    const OperatorShardFn& shard_of);
+    const OperatorShardFn& shard_of,
+    const OperatorPunctuationShardFn& punctuation_shard_of = nullptr,
+    const OperatorPunctuationShardFn& pending_shard_of = nullptr);
 
 /// \brief Assigns a tuple of (operator, input) to one of `pieces`
 /// split targets. The default hashes the whole tuple.
@@ -180,8 +193,9 @@ using SnapshotShardFn = std::function<size_t(
 /// folding them back with MergeSnapshots (in any association order)
 /// reproduces `snapshot` exactly. Tuples are partitioned by
 /// `shard_of` (default: whole-tuple hash — the ShardOf-style
-/// re-hashing inverse of Merge); broadcast/max state is replicated
-/// into every piece; summed counters stay on piece 0.
+/// re-hashing inverse of Merge); punctuations, pending propagations
+/// and progress are replicated into every piece; counters stay on
+/// piece 0.
 std::vector<StateSnapshot> SplitSnapshot(const StateSnapshot& snapshot,
                                          size_t pieces,
                                          SnapshotShardFn shard_of = nullptr);

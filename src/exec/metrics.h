@@ -230,6 +230,12 @@ struct OperatorMetrics {
   std::atomic<uint64_t> removability_checks{0};
   std::atomic<size_t> punctuations_live{0};
   std::atomic<size_t> punctuations_high_water{0};
+  /// The part of punctuations_live that pins the operator's partition
+  /// key (MJoinOperator::SetPartitionKey; 0 when none is set). Under
+  /// key-routed punctuations those live on one shard each, the rest on
+  /// every shard, which is how the parallel executor derives the
+  /// logical count. Derived from the stores, so not snapshotted.
+  std::atomic<size_t> punctuations_keyed_live{0};
 
   /// \brief Records the current live-punctuation count and folds it
   /// into the high-water mark.

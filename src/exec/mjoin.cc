@@ -949,7 +949,7 @@ void MJoinOperator::PushPunctuation(size_t input,
   if (punct_stores_[input]->Add(punctuation, ts)) {
     ++metrics_.punctuations_stored;
   }
-  metrics_.OnPunctuationsLive(TotalLivePunctuations());
+  NotePunctuationsLive();
   // A duplicate still wakes: it refreshes the arrival a lifespan counts
   // from.
   const size_t sig = SignatureOf(input, punctuation);
@@ -1137,7 +1137,7 @@ void MJoinOperator::RetireIfFinished(size_t cls, const Value& value,
     punctuations_purged_ +=
         punct_stores_[member.input]->Retire(member.attr[0], value);
   }
-  metrics_.OnPunctuationsLive(TotalLivePunctuations());
+  NotePunctuationsLive();
 }
 
 void MJoinOperator::RetireFinishedScan(int64_t now) {
@@ -1276,11 +1276,19 @@ Status MJoinOperator::RestoreState(const OperatorStateSnapshot& snapshot) {
     pending_propagations_.push_back({p.input, p.punctuation});
   }
   metrics_.RestoreFrom(snapshot.op_metrics);
+  // The live gauges describe this operator's own stores: a split
+  // restore hands a shard its key-routed punctuations plus every
+  // replicated one, which need not be the count the piece carried. The
+  // high water stays as restored.
+  metrics_.punctuations_live.store(TotalLivePunctuations(),
+                                   std::memory_order_relaxed);
+  metrics_.punctuations_keyed_live.store(KeyedLivePunctuations(),
+                                         std::memory_order_relaxed);
   punctuations_purged_ = snapshot.punctuations_purged;
   punctuations_since_sweep_ =
       static_cast<size_t>(snapshot.punctuations_since_sweep);
-  // A split restore hands every shard the merged punctuations, values
-  // a shard had already finished included.
+  // A split restore replicates the punctuations that were broadcast,
+  // values a shard had already finished included.
   retire_scan_pending_ = true;
   return Status::OK();
 }
@@ -1315,6 +1323,27 @@ StateMetricsSnapshot MJoinOperator::AggregateStateSnapshot() const {
 size_t MJoinOperator::TotalLiveTuples() const {
   size_t total = 0;
   for (const auto& s : states_) total += s->live_count();
+  return total;
+}
+
+void MJoinOperator::SetPartitionKey(std::vector<size_t> key_offsets) {
+  PUNCTSAFE_CHECK(key_offsets.size() == num_inputs());
+  partition_key_ = std::move(key_offsets);
+}
+
+void MJoinOperator::NotePunctuationsLive() {
+  metrics_.OnPunctuationsLive(TotalLivePunctuations());
+  if (!partition_key_.empty()) {
+    metrics_.punctuations_keyed_live.store(KeyedLivePunctuations(),
+                                           std::memory_order_relaxed);
+  }
+}
+
+size_t MJoinOperator::KeyedLivePunctuations() const {
+  size_t total = 0;
+  for (size_t k = 0; k < partition_key_.size(); ++k) {
+    total += punct_stores_[k]->CountConstraining(partition_key_[k]);
+  }
   return total;
 }
 

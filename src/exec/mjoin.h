@@ -181,6 +181,12 @@ class MJoinOperator : public JoinOperator {
   /// punctuations; `SweepAll` and `Drain` call it for a final flush.
   void Sweep(int64_t now);
 
+  /// \brief Names, per input, the composite offset of the partition
+  /// key a sharded executor routes by (PartitionSpec::hash_offsets).
+  /// From then on OperatorMetrics::punctuations_keyed_live counts the
+  /// live punctuations pinning it. Call before the first push.
+  void SetPartitionKey(std::vector<size_t> key_offsets);
+
   /// \brief Stored punctuations retired because their join value
   /// finished (see the file comment).
   uint64_t punctuations_purged() const { return punctuations_purged_; }
@@ -397,6 +403,11 @@ class MJoinOperator : public JoinOperator {
   /// constrain; the full-sweep reference runs it on every pass.
   void RetireFinishedScan(int64_t now);
   Punctuation RebaseToOutput(size_t input, const Punctuation& p) const;
+  /// Publishes the live-punctuation gauges (total, keyed) and folds the
+  /// total into the high water.
+  void NotePunctuationsLive();
+  /// The part of TotalLivePunctuations pinning partition_key_.
+  size_t KeyedLivePunctuations() const;
 
   std::vector<LocalInput> inputs_;
   MJoinConfig config_;
@@ -422,6 +433,9 @@ class MJoinOperator : public JoinOperator {
   // (precomputed at Create so PushBatch allocates nothing).
   std::vector<std::vector<size_t>> expand_orders_;
   uint64_t punctuations_purged_ = 0;
+  // Per input: the partition-key offset (SetPartitionKey); empty when
+  // the operator is not sharded by key.
+  std::vector<size_t> partition_key_;
 
   // Per-operator scratch, reused across arrivals/sweeps so the
   // steady-state expansion and chained-purge loops are allocation-free

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -105,9 +106,9 @@ struct ParallelExecutor::OpGroup {
   size_t first_worker = 0;  // index into workers_/operators_
   size_t num_shards = 1;
   PartitionSpec spec;
-  // Serializes punctuation/drain broadcasts into this group so every
-  // shard observes the same punctuation order (keeps the per-shard
-  // punctuation stores identical; see docs/CONCURRENCY.md).
+  // Serializes punctuation and marker sends into this group so every
+  // shard observes the same order of the punctuations it receives (see
+  // docs/CONCURRENCY.md).
   std::mutex broadcast_mu;
   // Merge barrier for this group's *output* punctuations.
   PunctuationAligner aligner;
@@ -129,7 +130,6 @@ Result<std::unique_ptr<ParallelExecutor>> ParallelExecutor::Create(
   exec->shape_ = shape;
   exec->config_ = config;
   exec->safety_ = std::move(safety);
-  exec->ingest_batch_ = TupleBatch(config.batch_size);
 
   PUNCTSAFE_ASSIGN_OR_RETURN(
       OperatorTree tree,
@@ -158,6 +158,11 @@ Result<std::unique_ptr<ParallelExecutor>> ParallelExecutor::Create(
       auto worker = std::make_unique<Worker>(config.queue_capacity);
       worker->op = op.get();
       worker->pending.resize(op->num_inputs());
+      // Key-routed punctuations live on one shard each: the operator
+      // counts them apart so the logical total stays exact.
+      if (shards > 1 && group->spec.routes_punctuations) {
+        op->SetPartitionKey(group->spec.hash_offsets);
+      }
       exec->operators_.push_back(std::move(op));
       exec->workers_.push_back(std::move(worker));
     }
@@ -193,8 +198,13 @@ Result<std::unique_ptr<ParallelExecutor>> ParallelExecutor::Create(
 
   exec->progress_.resize(query.num_streams());
   exec->leaf_route_.assign(query.num_streams(), {kNone, 0});
+  exec->stage_.resize(exec->workers_.size());
   for (size_t s = 0; s < query.num_streams(); ++s) {
     exec->leaf_route_[s] = tree.leaf_route[s];
+    const OpGroup& leaf = *exec->groups_[tree.leaf_route[s].first];
+    for (size_t k = 0; k < leaf.num_shards; ++k) {
+      exec->stage_[leaf.first_worker + k] = TupleBatch(config.batch_size);
+    }
   }
 
   // Observation points: one per shard worker, registered before any
@@ -225,23 +235,29 @@ void ParallelExecutor::EmitFromShard(size_t group_idx, size_t shard,
                                      const StreamElement& element) {
   // An output punctuation of a non-root shard (results travel through
   // EmitBatchFromShard). Flush this shard's staged tuples first so the
-  // punctuation cannot overtake them in the parent queues. Every shard
-  // flushes before its aligner arrival, and arrivals happen-before the
-  // completing shard's broadcast, so all covered tuples of all shards
+  // punctuation cannot overtake them in the parent queues. Every voting
+  // shard flushes before its aligner arrival, and arrivals
+  // happen-before the completing shard's send, so all covered tuples
   // are queued ahead of the forwarded punctuation.
   OpGroup& group = *groups_[group_idx];
   FlushEmits(*workers_[group.first_worker + shard]);
   // The punctuation is valid for the merged output only once every
-  // shard of this group has emitted it — until then another shard may
-  // still hold (and later emit results from) matching tuples.
+  // shard that may still hold (and later emit results from) matching
+  // tuples has emitted it: the key's owner for a key-pinned one, else
+  // every shard.
+  const Punctuation& p = element.punctuation;
   int64_t forward_ts = element.timestamp;
   if (group.num_shards > 1 &&
-      !group.aligner.Arrive(shard, element.punctuation, element.timestamp,
+      !group.aligner.Arrive(shard, p, element.timestamp,
+                            group.spec.OutputPunctuationShard(
+                                p, group.num_shards),
                             &forward_ts)) {
     return;
   }
-  Broadcast(*groups_[group.parent_group], group.parent_input,
-            StreamElement::OfPunctuation(element.punctuation, forward_ts));
+  OpGroup& parent = *groups_[group.parent_group];
+  SendPunctuation(
+      parent, group.parent_input, StreamElement::OfPunctuation(p, forward_ts),
+      parent.spec.PunctuationShard(group.parent_input, p, parent.num_shards));
 }
 
 void ParallelExecutor::EmitBatchFromShard(size_t group_idx, size_t shard,
@@ -304,24 +320,29 @@ void ParallelExecutor::FlushEmits(Worker& worker) {
   worker.emit_buffered = 0;
 }
 
-bool ParallelExecutor::Broadcast(OpGroup& group, size_t input,
-                                 const StreamElement& element) {
+bool ParallelExecutor::SendPunctuation(OpGroup& group, size_t input,
+                                       const StreamElement& element,
+                                       size_t target) {
   // Holding broadcast_mu across the (possibly blocking) pushes is
   // deadlock-free: consumers of these queues never take this mutex —
   // they only take their *parent* group's, and the plan is a tree, so
   // the wait chain ends at the root sink, which always accepts.
+  const bool unicast = target != PartitionSpec::kAllShards;
+  const size_t begin = unicast ? target : 0;
+  const size_t end = unicast ? target + 1 : group.num_shards;
   std::lock_guard<std::mutex> lock(group.broadcast_mu);
   bool ok = true;
-  for (size_t s = 0; s < group.num_shards; ++s) {
-    Worker& target = *workers_[group.first_worker + s];
+  for (size_t s = begin; s < end; ++s) {
+    Worker& worker = *workers_[group.first_worker + s];
     OpMessage message{PipelineMarker::kNone, input, element, 0};
     if (obs_ != nullptr) {
       message.enqueue_ns = obs::NowNs();
-      if (target.queue.size() >= target.queue.capacity()) {
-        target.obs->IncStall();
+      worker.obs->NotePunctuationDelivery(unicast);
+      if (worker.queue.size() >= worker.queue.capacity()) {
+        worker.obs->IncStall();
       }
     }
-    ok &= target.queue.Push(std::move(message));
+    ok &= worker.queue.Push(std::move(message));
   }
   return ok;
 }
@@ -466,22 +487,32 @@ void ParallelExecutor::SampleHighWater() {
   size_t tuples = 0;
   size_t puncts = 0;
   for (const auto& group : groups_) {
-    size_t group_puncts = 0;
     for (size_t s = 0; s < group->num_shards; ++s) {
       const MJoinOperator& op = *operators_[group->first_worker + s];
       for (size_t i = 0; i < op.num_inputs(); ++i) {
         tuples += op.state_metrics(i).live.load(std::memory_order_relaxed);
       }
-      // Punctuations are broadcast (each shard minus its retirements),
-      // so the logical count is the max over shards, not the sum.
-      group_puncts = std::max(
-          group_puncts,
-          op.metrics().punctuations_live.load(std::memory_order_relaxed));
     }
-    puncts += group_puncts;
+    puncts += GroupLivePunctuations(*group);
   }
   internal::AtomicMax(tuple_high_water_, tuples);
   internal::AtomicMax(punct_high_water_, puncts);
+}
+
+size_t ParallelExecutor::GroupLivePunctuations(const OpGroup& group) const {
+  // Key-routed punctuations partition across the shards (sum); the
+  // broadcast rest is replicated minus each shard's retirements (max).
+  size_t keyed = 0;
+  size_t broadcast = 0;
+  for (size_t s = 0; s < group.num_shards; ++s) {
+    const OperatorMetrics& m = operators_[group.first_worker + s]->metrics();
+    const size_t live = m.punctuations_live.load(std::memory_order_relaxed);
+    const size_t own =
+        std::min(live, m.punctuations_keyed_live.load(std::memory_order_relaxed));
+    keyed += own;
+    broadcast = std::max(broadcast, live - own);
+  }
+  return keyed + broadcast;
 }
 
 Status ParallelExecutor::Push(const TraceEvent& event) {
@@ -504,74 +535,104 @@ Status ParallelExecutor::Push(const TraceEvent& event) {
   return Status::OK();
 }
 
-bool ParallelExecutor::FlushIngest() {
-  if (ingest_batch_.empty()) return true;
-  auto [group_idx, input] = leaf_route_[ingest_stream_];
-  OpGroup& group = *groups_[group_idx];
-  bool ok = true;
-  if (group.num_shards > 1) {
-    // Single-pass scatter into per-shard sub-batches, then one queue
-    // message per non-empty shard.
-    ScatterBatch(group.spec, input, ingest_batch_, group.num_shards,
-                 &scatter_scratch_);
-    for (size_t s = 0; s < group.num_shards; ++s) {
-      if (scatter_scratch_[s].empty()) continue;
-      ok &= PushIngestBatch(group, s, input, &scatter_scratch_[s]);
-    }
-  } else {
-    ok = PushIngestBatch(group, 0, input, &ingest_batch_);
-  }
-  ingest_batch_.Clear();
-  return ok;
-}
-
-bool ParallelExecutor::PushIngestBatch(OpGroup& group, size_t shard,
-                                       size_t input, TupleBatch* batch) {
-  Worker& target = *workers_[group.first_worker + shard];
+bool ParallelExecutor::Ship(size_t w, obs::IngestCause cause) {
+  TupleBatch& batch = stage_[w];
+  Worker& target = *workers_[w];
   OpMessage message;
-  message.input = input;
+  message.input = leaf_route_[ingest_stream_].second;
   if (obs_ != nullptr) {
     message.enqueue_ns = obs::NowNs();
-    target.obs->IncRouted(batch->size());
+    target.obs->IncRouted(batch.size());
+    target.obs->NoteIngest(cause, batch.size());
     if (target.queue.size() >= target.queue.capacity()) {
       target.obs->IncStall();
     }
   }
-  if (batch->size() == 1) {
-    // A single row (every row at batch_size 1, or one stranded on a
-    // shard by the scatter) rides as a plain element message.
+  if (batch.size() == 1) {
+    // A single row (every idle ship, and every row at batch_size 1)
+    // rides as a plain element message.
     message.element =
-        StreamElement::OfTuple(batch->tuple(0), batch->timestamp(0));
+        StreamElement::OfTuple(batch.tuple(0), batch.timestamp(0));
   } else {
-    message.batch = std::make_shared<TupleBatch>(std::move(*batch));
+    message.batch = std::make_shared<TupleBatch>(std::move(batch));
   }
-  batch->Clear();
+  batch.Clear();  // moved-from state resets to a valid empty batch
   return target.queue.Push(std::move(message));
+}
+
+template <typename CauseOf>
+bool ParallelExecutor::ShipStagedWhere(CauseOf cause_of) {
+  bool ok = true;
+  for (size_t i = 0; i < staged_.size();) {
+    const size_t w = staged_[i];
+    const std::optional<obs::IngestCause> cause = cause_of(w);
+    if (!cause.has_value()) {
+      ++i;
+      continue;
+    }
+    staged_[i] = staged_.back();
+    staged_.pop_back();
+    ok &= Ship(w, *cause);
+  }
+  return ok;
+}
+
+bool ParallelExecutor::ShipStaged(obs::IngestCause cause, size_t begin,
+                                  size_t end) {
+  return ShipStagedWhere([&](size_t w) -> std::optional<obs::IngestCause> {
+    if (w < begin || w >= end) return std::nullopt;
+    return cause;
+  });
 }
 
 void ParallelExecutor::PushTuple(size_t stream, const Tuple& tuple,
                                  int64_t ts) {
-  // Accumulate the run, flush on stream change / full batch (at once
-  // under batch_size 1). The tuple is accepted into the buffer now; a
-  // flush that fails later means Stop() closed the pipeline.
-  if (!ingest_batch_.empty() && ingest_stream_ != stream && !FlushIngest()) {
+  // Staged rows all belong to ingest_stream_: a stream change ships
+  // them first. The tuple is accepted into staging now; a ship that
+  // fails later means Stop() closed the pipeline.
+  if (stream != ingest_stream_ && !staged_.empty() &&
+      !ShipStaged(obs::IngestCause::kStreamChange, 0, workers_.size())) {
     return;
   }
   ingest_stream_ = stream;
-  ingest_batch_.Append(tuple, ts);
+  auto [group_idx, input] = leaf_route_[stream];
+  const OpGroup& group = *groups_[group_idx];
+  const size_t w =
+      group.first_worker + (group.num_shards > 1
+                                ? group.spec.ShardOf(input, tuple,
+                                                     group.num_shards)
+                                : 0);
+  if (stage_[w].empty()) staged_.push_back(w);
+  stage_[w].Append(tuple, ts);
   NoteProgress(stream, ts);
-  if (ingest_batch_.full()) FlushIngest();
+  // Ship every staged batch that is full or whose worker waits for
+  // work; the rest keeps accumulating while its shard is busy.
+  ShipStagedWhere([this](size_t v) -> std::optional<obs::IngestCause> {
+    if (stage_[v].full()) return obs::IngestCause::kFull;
+    if (workers_[v]->queue.consumer_idle()) return obs::IngestCause::kIdle;
+    return std::nullopt;
+  });
 }
 
 void ParallelExecutor::PushPunctuation(size_t stream,
                                        const Punctuation& punctuation,
                                        int64_t ts) {
-  // Batch-boundary ordering: buffered tuples reach the shard queues
-  // before the punctuation is broadcast.
-  if (!FlushIngest()) return;
+  // A punctuation must not overtake the staged tuples it covers: ship
+  // those of the shards it goes to first (a key-routed one goes to its
+  // key's shard only, so the other shards keep accumulating).
   auto [group_idx, input] = leaf_route_[stream];
-  if (Broadcast(*groups_[group_idx], input,
-                StreamElement::OfPunctuation(punctuation, ts))) {
+  OpGroup& group = *groups_[group_idx];
+  const size_t target =
+      group.spec.PunctuationShard(input, punctuation, group.num_shards);
+  const size_t begin = group.first_worker +
+                       (target == PartitionSpec::kAllShards ? 0 : target);
+  const size_t end = target == PartitionSpec::kAllShards
+                         ? group.first_worker + group.num_shards
+                         : begin + 1;
+  if (!ShipStaged(obs::IngestCause::kPunctuation, begin, end)) return;
+  if (SendPunctuation(group, input,
+                      StreamElement::OfPunctuation(punctuation, ts),
+                      target)) {
     NoteProgress(stream, ts);
   }
 }
@@ -587,8 +648,8 @@ Status ParallelExecutor::BarrierAll(PipelineMarker marker, int64_t now) {
     return Status::FailedPrecondition("parallel executor is stopped");
   }
   // The barrier contract covers everything pushed so far — including
-  // tuples still sitting in the driver's ingest buffer.
-  if (!FlushIngest()) {
+  // tuples still staged driver-side.
+  if (!ShipStaged(obs::IngestCause::kBarrier, 0, workers_.size())) {
     return Status::FailedPrecondition("parallel executor is stopped");
   }
   // Leaves-first (groups_ is post-order, children before parents):
@@ -596,8 +657,8 @@ Status ParallelExecutor::BarrierAll(PipelineMarker marker, int64_t now) {
   // every element they will ever emit is already in j's shard queues,
   // so j's markers are provably last and their acks mean the whole
   // group is caught up (and swept / rechecked, per marker kind).
-  // Markers go through Broadcast-style pushes under broadcast_mu so
-  // they order consistently against punctuation broadcasts.
+  // Markers are pushed under broadcast_mu so they order consistently
+  // against punctuation sends.
   for (size_t j = 0; j < groups_.size(); ++j) {
     OpGroup& group = *groups_[j];
     std::vector<uint64_t> targets(group.num_shards);
@@ -647,13 +708,24 @@ Result<StateSnapshot> ParallelExecutor::Checkpoint(int64_t now) {
   for (const auto& group : groups_) {
     // Fold the shard captures into the logical operator's snapshot —
     // the same monoid the split/merge laws are stated over, so a
-    // K-shard checkpoint equals the serial executor's byte-for-byte
-    // once canonicalized.
-    OperatorStateSnapshot merged =
-        operators_[group->first_worker]->CaptureState();
+    // K-shard checkpoint restores into any shard count. A shard's copy of a pending propagation
+    // whose round has another owner can never complete it (the owner
+    // may have forwarded it already), so it is not captured.
+    auto capture = [&](size_t s) {
+      OperatorStateSnapshot shard =
+          operators_[group->first_worker + s]->CaptureState();
+      if (group->num_shards > 1) {
+        std::erase_if(shard.pending, [&](const PendingPropagationSnapshot& p) {
+          const size_t owner = group->spec.PendingShard(p.input, p.punctuation,
+                                                        group->num_shards);
+          return owner != PartitionSpec::kAllShards && owner != s;
+        });
+      }
+      return shard;
+    };
+    OperatorStateSnapshot merged = capture(0);
     for (size_t s = 1; s < group->num_shards; ++s) {
-      merged = MergeOperatorSnapshots(
-          merged, operators_[group->first_worker + s]->CaptureState());
+      merged = MergeOperatorSnapshots(merged, capture(s));
     }
     snap.operators.push_back(std::move(merged));
   }
@@ -696,13 +768,14 @@ Status ParallelExecutor::RestoreState(const StateSnapshot& snapshot) {
                           std::memory_order_relaxed);
   punct_high_water_.store(snapshot.punct_high_water,
                           std::memory_order_relaxed);
-  // Phase 2: pending propagations were replicated to every shard, but
-  // a shard that had already cleared (and voted at the aligner) before
-  // the snapshot must re-emit — the crash discarded its vote. The
-  // recheck barrier runs on the worker threads, leaves-first, so those
-  // re-emissions flow through the normal aligner/queue path and the
-  // aligner completes exactly once when the last shard clears during
-  // replay (docs/RECOVERY.md).
+  // Phase 2: a pending propagation went back to every shard whose
+  // vote it feeds, but a shard that had already cleared (and voted at
+  // the aligner) before the snapshot must re-emit — the crash
+  // discarded its vote. The recheck barrier runs on the worker
+  // threads, leaves-first, so those re-emissions flow through the
+  // normal aligner/queue path and the aligner completes exactly once
+  // when the last expected shard clears during replay
+  // (docs/RECOVERY.md).
   int64_t now = 0;
   for (const InputProgress& p : progress_) {
     now = std::max(now, p.watermark_ts);
@@ -718,12 +791,20 @@ Status ParallelExecutor::RestoreGroupFromLogical(
         StrCat("snapshot operator has ", logical.inputs.size(),
                " inputs but the operator has ", num_inputs));
   }
-  // Tuples go by PartitionSpec::ShardOf, the same route live tuples
-  // take, so restored and replayed tuples agree on their shard.
+  // Tuples and punctuations go the routes live ones take
+  // (PartitionSpec::ShardOf / PunctuationShard), so restored and
+  // replayed state agree on their shard; a pending propagation goes to
+  // the shard whose vote it feeds (PendingShard).
   std::vector<OperatorStateSnapshot> pieces = SplitOperatorSnapshot(
       logical, group.num_shards,
       [&group](size_t input, const Tuple& tuple, size_t n) {
         return group.spec.ShardOf(input, tuple, n);
+      },
+      [&group](size_t input, const Punctuation& p, size_t n) {
+        return group.spec.PunctuationShard(input, p, n);
+      },
+      [&group](size_t input, const Punctuation& p, size_t n) {
+        return group.spec.PendingShard(input, p, n);
       });
   for (size_t s = 0; s < group.num_shards; ++s) {
     PUNCTSAFE_RETURN_IF_ERROR(
@@ -754,16 +835,7 @@ size_t ParallelExecutor::TotalLiveTuples() const {
 
 size_t ParallelExecutor::TotalLivePunctuations() const {
   size_t total = 0;
-  for (const auto& group : groups_) {
-    size_t group_puncts = 0;
-    for (size_t s = 0; s < group->num_shards; ++s) {
-      group_puncts = std::max(
-          group_puncts, operators_[group->first_worker + s]
-                            ->metrics()
-                            .punctuations_live.load(std::memory_order_relaxed));
-    }
-    total += group_puncts;
-  }
+  for (const auto& group : groups_) total += GroupLivePunctuations(*group);
   return total;
 }
 
@@ -782,11 +854,8 @@ ParallelExecutor::GroupSnapshots() const {
       snap.aggregate += shard;
       snap.shard_live.push_back(shard.live);
       snap.shard_high_water.push_back(shard.high_water);
-      snap.punctuations_live =
-          std::max(snap.punctuations_live,
-                   op.metrics().punctuations_live.load(
-                       std::memory_order_relaxed));
     }
+    snap.punctuations_live = GroupLivePunctuations(*group);
     out.push_back(std::move(snap));
   }
   return out;

@@ -9,11 +9,21 @@
 //
 // Routing model (docs/CONCURRENCY.md has the full argument):
 //  * tuples hash on the operator's partition-key attribute to exactly
-//    one shard; punctuations and drain markers are *broadcast* to all
-//    shards (serialized per group so every shard sees the same
-//    punctuation order), so chained purge fires shard-locally against
-//    every promise still needed there (a shard retires only values none
-//    of its live tuples carries) and drains stay a quiescence barrier;
+//    one shard; a punctuation that pins its input's key attribute to c
+//    goes to ShardOf(c) only, while punctuations that leave the key
+//    open and drain markers are *broadcast* to all shards (serialized
+//    per group so every shard sees the same punctuation order). Every
+//    shard thus holds every promise that can touch its key slice, so
+//    chained purge fires shard-locally exactly as it would unsharded
+//    (a shard retires only values none of its live tuples carries)
+//    and drains stay a quiescence barrier; the same rule routes
+//    punctuations forwarded between groups and the restore re-split;
+//  * ingest — the driver stages each tuple in its shard's TupleBatch
+//    and ships it as one queue message as soon as that shard's worker
+//    is parked on an empty queue; while the shard is busy, rows keep
+//    accumulating up to batch_size. A stream change, a punctuation for
+//    the shard and a barrier ship first too. The one hold: a row whose
+//    shard was busy when it was staged waits for the next call;
 //  * per-edge FIFO — elements from one producer are consumed in
 //    production order per shard, so a punctuation never overtakes the
 //    tuples it covers on any shard's queue;
@@ -23,9 +33,9 @@
 //    hand-off: one queue op moves the whole batch); a shard's output
 //    punctuation first flushes that shard's staged tuples, then passes
 //    a per-group PunctuationAligner and is forwarded only once every
-//    shard of the group has emitted it (another shard may still hold
-//    matching tuples), which preserves the propagation contract
-//    downstream;
+//    shard that can still hold matching tuples has emitted it (the key
+//    owner alone for a key-pinned punctuation, else all of them),
+//    which preserves the propagation contract downstream;
 //  * best-effort timestamp merge — each shard worker drains its queue
 //    into per-input reorder buffers and delivers buffered elements in
 //    ascending timestamp order (ties: lowest input), which keeps
@@ -38,7 +48,7 @@
 //    the serial executor's at every shard count
 //    (tests/parallel_differential_test.cc checks this over randomized
 //    queries and traces; tests/partition_purge_test.cc pins the
-//    broadcast-purge equivalence directly).
+//    purge equivalence and the punctuation routing directly).
 //
 // Thread contract: one external driver thread calls
 // Push*/Drain/Stop. Metric accessors are safe from any thread at any
@@ -102,8 +112,9 @@ class ParallelExecutor {
     StateMetricsSnapshot aggregate;
     std::vector<size_t> shard_live;        ///< live tuples per shard
     std::vector<size_t> shard_high_water;  ///< per-shard state high water
-    /// Max over shards (each stores the broadcast set minus its retired
-    /// values, so the max — not the sum — is the logical count).
+    /// Logical count: key-routed punctuations summed over shards (each
+    /// lives on one), plus the max over shards of the broadcast ones
+    /// (each shard holds the broadcast set minus its retired values).
     size_t punctuations_live = 0;
   };
 
@@ -124,11 +135,12 @@ class ParallelExecutor {
   Status Push(const TraceEvent& event);
 
   /// \brief Routes by query stream index (blocks on a full leaf queue
-  /// — backpressure to the source). Consecutive same-stream tuples are
-  /// accumulated driver-side into a TupleBatch of batch_size rows that
-  /// is scattered into per-shard sub-batches in a single pass and
-  /// enqueued as one message per shard; the open batch is flushed
-  /// before any punctuation or barrier goes in.
+  /// — backpressure to the source). A tuple is staged in its shard's
+  /// TupleBatch, which ships as one message at once if the shard's
+  /// worker is idle, else when it holds batch_size rows, on a stream
+  /// change, or before a punctuation for that shard or a barrier. Each
+  /// call also ships every staged batch whose shard has gone idle.
+  /// A punctuation goes to its key's shard or to all (see above).
   void PushTuple(size_t stream, const Tuple& tuple, int64_t ts);
   void PushPunctuation(size_t stream, const Punctuation& punctuation,
                        int64_t ts);
@@ -157,8 +169,10 @@ class ParallelExecutor {
   /// a freshly created executor before anything is pushed. Tuples are
   /// re-routed to shards by PartitionSpec::ShardOf (the split inverse
   /// of the snapshot merge, and the same route live tuples take);
-  /// punctuation stores and pending propagations are replicated to
-  /// every shard (broadcast state). A kRecheck barrier then runs on
+  /// stored punctuations go to their key's shard or to every shard by
+  /// the live routing rule (PartitionSpec::PunctuationShard), a pending
+  /// propagation to the shard whose aligner vote it feeds
+  /// (PartitionSpec::PendingShard). A kRecheck barrier then runs on
   /// the worker threads so already-clear shards re-emit pending
   /// punctuations to the aligner.
   /// Afterwards, resume by replaying each stream's suffix from
@@ -170,8 +184,9 @@ class ParallelExecutor {
   const std::vector<InputProgress>& progress() const { return progress_; }
 
   size_t TotalLiveTuples() const;
-  /// \brief Logical count: per operator group the max over shards
-  /// (punctuations are broadcast; shards differ only by retired values).
+  /// \brief Logical count: per operator group, the key-routed
+  /// punctuations summed over shards plus the max over shards of the
+  /// broadcast ones (OperatorGroupSnapshot::punctuations_live).
   size_t TotalLivePunctuations() const;
   /// \brief Sampled after every delivered element; a lower bound of
   /// the instantaneous global maximum (exact at quiescence).
@@ -202,7 +217,7 @@ class ParallelExecutor {
   /// in post-order (a group's shards are contiguous). With shards=1
   /// this is exactly the plan's operator list. Summing state metrics
   /// over it matches the serial executor (tuples partition across
-  /// shards); punctuation-store sizes are replicated per shard — use
+  /// shards); broadcast punctuations are stored once per shard — use
   /// GroupSnapshots()/TotalLivePunctuations for logical counts.
   const std::vector<std::unique_ptr<MJoinOperator>>& operators() const {
     return operators_;
@@ -233,8 +248,8 @@ class ParallelExecutor {
   void ProcessPending(Worker& worker);
   void SampleHighWater();
   /// Non-root group `group_idx`, shard `shard` emitted the output
-  /// punctuation `element`: flush, align across shards, broadcast to
-  /// the parent group.
+  /// punctuation `element`: flush, align across the expected shards,
+  /// route into the parent group.
   void EmitFromShard(size_t group_idx, size_t shard,
                      const StreamElement& element);
   /// Shard `shard` of group `group_idx` emitted a result batch — the
@@ -248,12 +263,14 @@ class ParallelExecutor {
   /// whole buffer as one message). Runs on the worker's own thread;
   /// no-op when nothing is staged.
   void FlushEmits(Worker& worker);
-  /// Punctuation/drain -> every shard, serialized per group so all
-  /// shards observe the same punctuation order. False iff stopped.
-  bool Broadcast(OpGroup& group, size_t input, const StreamElement& element);
+  /// A punctuation -> shard `target` of the group, or every shard for
+  /// PartitionSpec::kAllShards; serialized per group so all shards
+  /// observe the same punctuation order. False iff stopped.
+  bool SendPunctuation(OpGroup& group, size_t input,
+                       const StreamElement& element, size_t target);
   /// The shared leaves-first barrier handshake behind Drain /
-  /// Checkpoint / restore-recheck (see PipelineMarker). Flushes the
-  /// open ingest batch first.
+  /// Checkpoint / restore-recheck (see PipelineMarker). Ships every
+  /// staged ingest batch first.
   Status BarrierAll(PipelineMarker marker, int64_t now);
   void NoteProgress(size_t stream, int64_t ts);
   /// Splits `logical` across the group's shards (SplitOperatorSnapshot
@@ -261,15 +278,20 @@ class ParallelExecutor {
   /// group's (freshly created) shard operators.
   Status RestoreGroupFromLogical(OpGroup& group,
                                  const OperatorStateSnapshot& logical);
-  /// Delivers the driver-side ingest batch: scatter into per-shard
-  /// sub-batches (one pass), one queue message per non-empty shard.
-  /// False iff stopped. No-op (true) when empty.
-  bool FlushIngest();
-  /// One scattered sub-batch -> one message on `shard`'s queue (a
+  /// Logical live punctuations of one group (see
+  /// OperatorGroupSnapshot::punctuations_live).
+  size_t GroupLivePunctuations(const OpGroup& group) const;
+  /// Worker `w`'s staged ingest rows -> one message on its queue (a
   /// single row rides as a plain element message, sparing the batch
-  /// allocation).
-  bool PushIngestBatch(OpGroup& group, size_t shard, size_t input,
-                       TupleBatch* batch);
+  /// allocation). False iff stopped.
+  bool Ship(size_t w, obs::IngestCause cause);
+  /// Ships every staged batch of workers in [begin, end). False iff
+  /// stopped.
+  bool ShipStaged(obs::IngestCause cause, size_t begin, size_t end);
+  /// Ships every staged batch of worker w for which cause_of(w) names
+  /// a cause (std::optional<obs::IngestCause>). False iff stopped.
+  template <typename CauseOf>
+  bool ShipStagedWhere(CauseOf cause_of);
 
   ContinuousJoinQuery query_;
   PlanShape shape_;
@@ -292,12 +314,11 @@ class ParallelExecutor {
   // Driver-thread-only bookkeeping (the thread contract makes Push*
   // single-threaded): per-stream positions.
   std::vector<InputProgress> progress_;
-  // Driver-side ingest batching: the open batch of consecutive
-  // ingest_stream_ tuples, plus the recycled per-shard scatter buffers
-  // FlushIngest fills (see partition_router.h, ScatterBatch).
-  TupleBatch ingest_batch_{1};
+  // Driver-side ingest staging: per worker (leaf shards only), the rows
+  // of ingest_stream_ not yet shipped, and the workers holding any.
+  std::vector<TupleBatch> stage_;
+  std::vector<size_t> staged_;
   size_t ingest_stream_ = 0;
-  std::vector<TupleBatch> scatter_scratch_;
   // One OperatorObs per shard worker, indexed in step with workers_.
   // Null when observability is off.
   std::unique_ptr<obs::Observability> obs_;

@@ -23,24 +23,52 @@ uint64_t Mix64(uint64_t x) {
   return x;
 }
 
+size_t ShardOfValue(const Value& key, size_t num_shards) {
+  if (num_shards <= 1) return 0;
+  return Mix64(key.Hash()) % num_shards;
+}
+
+// The shard owning the constant `p` pins on the first of `offsets` it
+// pins, or kAllShards when it pins none of them.
+size_t OwnerOfPinned(const std::vector<size_t>& offsets,
+                     const Punctuation& p, size_t num_shards) {
+  for (size_t offset : offsets) {
+    const Pattern& pattern = p.pattern(offset);
+    if (!pattern.is_wildcard()) {
+      return ShardOfValue(pattern.constant(), num_shards);
+    }
+  }
+  return PartitionSpec::kAllShards;
+}
+
 }  // namespace
 
 size_t PartitionSpec::ShardOf(size_t input, const Tuple& tuple,
                               size_t num_shards) const {
   if (num_shards <= 1) return 0;
-  return Mix64(tuple.at(hash_offsets[input]).Hash()) % num_shards;
+  return ShardOfValue(tuple.at(hash_offsets[input]), num_shards);
 }
 
-void ScatterBatch(const PartitionSpec& spec, size_t input,
-                  const TupleBatch& batch, size_t num_shards,
-                  std::vector<TupleBatch>* out) {
-  if (out->size() < num_shards) out->resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) (*out)[s].Clear();
-  const size_t n = batch.size();
-  for (size_t i = 0; i < n; ++i) {
-    const Tuple& t = batch.tuple(i);
-    (*out)[spec.ShardOf(input, t, num_shards)].Append(t, batch.timestamp(i));
-  }
+size_t PartitionSpec::PunctuationShard(size_t input,
+                                       const Punctuation& punctuation,
+                                       size_t num_shards) const {
+  if (num_shards <= 1) return 0;
+  // With one key member per input, pinning it means pinning the key.
+  return routes_punctuations ? PendingShard(input, punctuation, num_shards)
+                             : kAllShards;
+}
+
+size_t PartitionSpec::OutputPunctuationShard(const Punctuation& punctuation,
+                                             size_t num_shards) const {
+  if (num_shards <= 1) return 0;
+  return OwnerOfPinned(output_key_offsets, punctuation, num_shards);
+}
+
+size_t PartitionSpec::PendingShard(size_t input,
+                                   const Punctuation& punctuation,
+                                   size_t num_shards) const {
+  if (num_shards <= 1) return 0;
+  return OwnerOfPinned(key_members[input], punctuation, num_shards);
 }
 
 PartitionSpec ComputePartitionSpec(const ContinuousJoinQuery& query,
@@ -60,6 +88,7 @@ PartitionSpec ComputePartitionSpec(const ContinuousJoinQuery& query,
   // partition_router.h); a binary operator verifies all predicates on
   // expansion, so any covering class is exact there.
   std::vector<size_t> chosen_offsets;
+  const std::vector<JoinAttr>* chosen_class = nullptr;
   for (const std::vector<JoinAttr>& members : classes) {
     if (m > 2 && classes.size() > 1) break;
     std::vector<size_t> offsets(m, kOutside);
@@ -72,6 +101,7 @@ PartitionSpec ComputePartitionSpec(const ContinuousJoinQuery& query,
     }
     if (covered == m) {
       chosen_offsets = std::move(offsets);
+      chosen_class = &members;
       break;
     }
   }
@@ -84,6 +114,38 @@ PartitionSpec ComputePartitionSpec(const ContinuousJoinQuery& query,
   }
   spec.partitionable = true;
   spec.hash_offsets = std::move(chosen_offsets);
+  spec.routes_punctuations = chosen_class->size() == m;
+  spec.key_members.resize(m);
+  for (const JoinAttr& attr : *chosen_class) {
+    spec.key_members[attr.input].push_back(attr.offset);
+  }
+
+  // The output row concatenates the covered streams' schemas in
+  // ascending stream order; an input's composite does the same over
+  // its own streams. Map each class member through its stream.
+  std::vector<size_t> out_base(query.num_streams(), kOutside);
+  std::vector<size_t> covered_streams;
+  for (const LocalInput& input : inputs) {
+    covered_streams.insert(covered_streams.end(), input.streams.begin(),
+                           input.streams.end());
+  }
+  std::sort(covered_streams.begin(), covered_streams.end());
+  size_t width = 0;
+  for (size_t s : covered_streams) {
+    out_base[s] = width;
+    width += query.schema(s).num_attributes();
+  }
+  for (const JoinAttr& attr : *chosen_class) {
+    size_t offset = attr.offset;
+    for (size_t s : inputs[attr.input].streams) {
+      const size_t w = query.schema(s).num_attributes();
+      if (offset < w) {
+        spec.output_key_offsets.push_back(out_base[s] + offset);
+        break;
+      }
+      offset -= w;
+    }
+  }
   std::string offsets_str;
   for (size_t k = 0; k < m; ++k) {
     offsets_str += (k ? "," : "") + std::to_string(spec.hash_offsets[k]);
@@ -93,7 +155,14 @@ PartitionSpec ComputePartitionSpec(const ContinuousJoinQuery& query,
 }
 
 bool PunctuationAligner::Arrive(size_t shard, const Punctuation& p,
-                                int64_t ts, int64_t* forward_ts) {
+                                int64_t ts, size_t expected,
+                                int64_t* forward_ts) {
+  if (expected != PartitionSpec::kAllShards) {
+    // One voter: its vote is the whole round, anyone else's is moot.
+    if (shard != expected) return false;
+    *forward_ts = ts;
+    return true;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = entries_[p];
   if (entry.seen.empty()) entry.seen.assign(num_shards_, false);

@@ -58,8 +58,9 @@ struct ExecutorConfig {
   /// Under kParallel: shard workers per operator (hash-partitioned
   /// intra-operator parallelism). Each operator whose join predicates
   /// admit an exact partitioning runs as this many single-threaded
-  /// shard replicas behind a key-hashing router; punctuations and
-  /// drain markers are broadcast to all shards. Operators that cannot
+  /// shard replicas behind a key-hashing router; a punctuation pinning
+  /// the key goes to that key's shard, other punctuations and drain
+  /// markers to all shards. Operators that cannot
   /// be partitioned exactly (see exec/partition_router.h) fall back to
   /// one shard. 0 is normalized to 1; 1 disables sharding. Total
   /// thread count is (#operators x shards), so size against the

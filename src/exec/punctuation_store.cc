@@ -162,6 +162,17 @@ size_t PunctuationStore::Retire(size_t attr, const Value& value) {
   return removed;
 }
 
+size_t PunctuationStore::CountConstraining(size_t attr) const {
+  size_t count = 0;
+  for (const Group& group : groups_) {
+    if (std::find(group.attrs.begin(), group.attrs.end(), attr) !=
+        group.attrs.end()) {
+      count += group.by_values.size();
+    }
+  }
+  return count;
+}
+
 void PunctuationStore::ForEachEntry(
     const std::function<void(Punctuation, int64_t)>& fn) const {
   for (const Group& group : groups_) {

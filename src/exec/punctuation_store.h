@@ -78,6 +78,10 @@ class PunctuationStore {
   /// attributes too are scanned; the {attr} group is probed by key.
   size_t Retire(size_t attr, const Value& value);
 
+  /// \brief Stored punctuations constraining `attr` (expired included,
+  /// like size()); O(#signatures).
+  size_t CountConstraining(size_t attr) const;
+
   size_t size() const { return size_; }
   size_t high_water() const { return high_water_; }
 

@@ -128,6 +128,22 @@ void AppendOperator(std::string* out, const OperatorObsEntry& e,
   // Routing / backpressure / aligner gauges.
   AppendKv(out, "routed_tuples", e.routed_tuples, &f);
   AppendKv(out, "queue_stalls", e.queue_stalls, &f);
+  // Ingest ledger: driver messages by cause, rows, punctuation fan-out.
+  AppendKv(out, "ingest_idle",
+           e.ingest_messages[static_cast<size_t>(IngestCause::kIdle)], &f);
+  AppendKv(out, "ingest_full",
+           e.ingest_messages[static_cast<size_t>(IngestCause::kFull)], &f);
+  AppendKv(out, "ingest_stream_change",
+           e.ingest_messages[static_cast<size_t>(IngestCause::kStreamChange)],
+           &f);
+  AppendKv(out, "ingest_punct",
+           e.ingest_messages[static_cast<size_t>(IngestCause::kPunctuation)],
+           &f);
+  AppendKv(out, "ingest_barrier",
+           e.ingest_messages[static_cast<size_t>(IngestCause::kBarrier)], &f);
+  AppendKv(out, "ingest_rows", e.ingest_rows, &f);
+  AppendKv(out, "punct_unicast", e.punct_unicast, &f);
+  AppendKv(out, "punct_broadcast", e.punct_broadcast, &f);
   AppendKv(out, "aligner_pending", e.aligner_pending, &f);
   AppendKv(out, "aligner_pending_hw", e.aligner_pending_high_water,
            &f);

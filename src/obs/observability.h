@@ -18,6 +18,7 @@
 #ifndef PUNCTSAFE_OBS_OBSERVABILITY_H_
 #define PUNCTSAFE_OBS_OBSERVABILITY_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -60,6 +61,17 @@ inline void AtomicMax64(std::atomic<int64_t>& target, int64_t value) {
 
 }  // namespace internal
 
+/// \brief Why the parallel executor's driver shipped a staged ingest
+/// batch to a leaf shard (the ingest ledger).
+enum class IngestCause : uint8_t {
+  kIdle = 0,      ///< the shard's worker was parked on an empty queue
+  kFull,          ///< batch_size rows were staged
+  kStreamChange,  ///< a tuple of another stream arrived
+  kPunctuation,   ///< a punctuation for this shard follows
+  kBarrier,       ///< drain / checkpoint / recheck
+};
+inline constexpr size_t kNumIngestCauses = 5;
+
 /// \brief One observation point: owned by exactly one shard worker.
 /// Its trace ring holds TraceRing::kDefaultCapacity recent events;
 /// overflow drops the newest event and counts it, it never blocks.
@@ -101,10 +113,11 @@ class OperatorObs {
 
   /// \brief Punctuation arrival: records its staleness relative to
   /// the newest tuple timestamp this operator has seen (clamped at 0
-  /// — a punctuation "from the future" has no lag) and a ring event.
+  /// — a punctuation "from the future", or one ahead of every tuple,
+  /// has no lag) and a ring event.
   void RecordPunctuation(size_t input, int64_t punct_ts) {
-    int64_t lag = max_tuple_ts() - punct_ts;
-    if (lag < 0) lag = 0;
+    const int64_t newest = max_tuple_ts();
+    int64_t lag = newest > punct_ts ? newest - punct_ts : 0;
     punct_lag_.Record(lag);
     Note(TraceKind::kPunctIn, input, static_cast<uint64_t>(lag));
   }
@@ -138,6 +151,34 @@ class OperatorObs {
     return routed_.load(std::memory_order_relaxed);
   }
 
+  /// \brief The driver shipped `rows` staged ingest rows to this shard
+  /// as one message, for `cause` (driver thread; atomic counters).
+  void NoteIngest(IngestCause cause, uint64_t rows) {
+    ingest_messages_[static_cast<size_t>(cause)].fetch_add(
+        1, std::memory_order_relaxed);
+    ingest_rows_.fetch_add(rows, std::memory_order_relaxed);
+  }
+  uint64_t ingest_messages(IngestCause cause) const {
+    return ingest_messages_[static_cast<size_t>(cause)].load(
+        std::memory_order_relaxed);
+  }
+  uint64_t ingest_rows() const {
+    return ingest_rows_.load(std::memory_order_relaxed);
+  }
+
+  /// \brief A punctuation was delivered to this shard, either to it
+  /// alone (key-routed) or as part of a broadcast. Any thread.
+  void NotePunctuationDelivery(bool unicast) {
+    (unicast ? punct_unicast_ : punct_broadcast_)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+  uint64_t punct_unicast() const {
+    return punct_unicast_.load(std::memory_order_relaxed);
+  }
+  uint64_t punct_broadcast() const {
+    return punct_broadcast_.load(std::memory_order_relaxed);
+  }
+
   const LogHistogram& latency_ns() const { return latency_ns_; }
   const LogHistogram& punct_lag() const { return punct_lag_; }
   const LogHistogram& sweep_ns() const { return sweep_ns_; }
@@ -151,6 +192,10 @@ class OperatorObs {
       std::numeric_limits<int64_t>::min()};
   std::atomic<uint64_t> stalls_{0};
   std::atomic<uint64_t> routed_{0};
+  std::atomic<uint64_t> ingest_messages_[kNumIngestCauses] = {};
+  std::atomic<uint64_t> ingest_rows_{0};
+  std::atomic<uint64_t> punct_unicast_{0};
+  std::atomic<uint64_t> punct_broadcast_{0};
   LogHistogram latency_ns_;   // nanoseconds, arrival -> processed
   LogHistogram punct_lag_;    // logical timestamp units
   LogHistogram sweep_ns_;     // nanoseconds per purge sweep
@@ -168,6 +213,12 @@ struct OperatorObsEntry {
   OperatorMetricsSnapshot op_metrics;
   uint64_t routed_tuples = 0;
   uint64_t queue_stalls = 0;
+  /// Ingest ledger (leaf shards; zero elsewhere): messages per
+  /// IngestCause, rows they carried, and punctuations delivered.
+  std::array<uint64_t, kNumIngestCauses> ingest_messages{};
+  uint64_t ingest_rows = 0;
+  uint64_t punct_unicast = 0;
+  uint64_t punct_broadcast = 0;
   size_t aligner_pending = 0;
   size_t aligner_pending_high_water = 0;
   uint64_t trace_recorded = 0;
@@ -185,6 +236,12 @@ struct OperatorObsEntry {
     shard = o.shard();
     routed_tuples = o.routed();
     queue_stalls = o.stalls();
+    for (size_t c = 0; c < kNumIngestCauses; ++c) {
+      ingest_messages[c] = o.ingest_messages(static_cast<IngestCause>(c));
+    }
+    ingest_rows = o.ingest_rows();
+    punct_unicast = o.punct_unicast();
+    punct_broadcast = o.punct_broadcast();
     trace_recorded = o.ring().recorded();
     trace_dropped = o.ring().dropped();
     latency_ns = o.latency_ns().Snapshot();

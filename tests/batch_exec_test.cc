@@ -6,8 +6,6 @@
 //  * FlatKeyIndex — find/insert/growth over int and string keys;
 //  * TupleStore::InsertBatch — selection vectors respected;
 //  * JoinOperator::PushBatch — result-identical to per-tuple pushes;
-//  * ScatterBatch — per-shard sub-batches agree with ShardOf and keep
-//    arrival order;
 //  * PlanExecutor ingest batching — buffering is invisible at flush
 //    points, and the batch-boundary ordering guarantee holds: results
 //    produced from a batch are emitted before any punctuation that
@@ -24,7 +22,6 @@
 #include "exec/flat_index.h"
 #include "exec/mjoin.h"
 #include "exec/plan_executor.h"
-#include "exec/partition_router.h"
 #include "exec/simd.h"
 #include "exec/tuple_batch.h"
 #include "exec/tuple_store.h"
@@ -255,50 +252,6 @@ TEST(OperatorBatchTest, MJoinPushBatchMatchesPushTuple) {
   EXPECT_EQ((*batched)->TotalLiveTuples(), (*per_tuple)->TotalLiveTuples());
   EXPECT_EQ((*batched)->TotalLivePunctuations(),
             (*per_tuple)->TotalLivePunctuations());
-}
-
-TEST(ScatterBatchTest, SubBatchesAgreeWithShardOfAndKeepOrder) {
-  PartitionSpec spec;
-  spec.partitionable = true;
-  spec.hash_offsets = {0, 1};  // input 0 keys on offset 0, input 1 on 1
-
-  // 3 is not a power of two: the modulus then uses every bit of the
-  // mixed hash, not just its low bits.
-  for (size_t kShards : {3u, 4u}) {
-    SCOPED_TRACE(::testing::Message() << "shards=" << kShards);
-    TupleBatch batch(16);
-    for (int64_t i = 0; i < 16; ++i) {
-      batch.Append(Tuple({Value(i % 6), Value(i)}), 100 + i);
-    }
-    std::vector<TupleBatch> shards;
-    ScatterBatch(spec, /*input=*/0, batch, kShards, &shards);
-    ASSERT_EQ(shards.size(), kShards);
-
-    size_t total = 0;
-    std::vector<int64_t> seen_ts;
-    for (size_t s = 0; s < kShards; ++s) {
-      for (size_t i = 0; i < shards[s].size(); ++i) {
-        EXPECT_EQ(spec.ShardOf(0, shards[s].tuple(i), kShards), s);
-        seen_ts.push_back(shards[s].timestamp(i));
-        // Arrival order within a shard is preserved (timestamps were
-        // appended in increasing order).
-        if (i > 0) {
-          EXPECT_LT(shards[s].timestamp(i - 1), shards[s].timestamp(i));
-        }
-      }
-      total += shards[s].size();
-    }
-    EXPECT_EQ(total, batch.size());
-
-    // Storage is recycled: scattering a smaller batch clears
-    // sub-batches.
-    TupleBatch small(2);
-    small.Append(Tuple({Value(1), Value(1)}), 0);
-    ScatterBatch(spec, 0, small, kShards, &shards);
-    size_t total_small = 0;
-    for (const TupleBatch& sub : shards) total_small += sub.size();
-    EXPECT_EQ(total_small, 1u);
-  }
 }
 
 // The ingest buffer is invisible at flush points: tuples buffer until

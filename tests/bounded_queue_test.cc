@@ -1,7 +1,8 @@
 // BoundedQueue contract tests, written to be meaningful under TSan
 // (tools/ci.sh runs this suite with -DPUNCTSAFE_SANITIZE=thread):
 // per-producer FIFO under multi-producer contention, capacity-1
-// backpressure, and shutdown while producers/consumers are blocked.
+// backpressure, the consumer-idle hint, and shutdown while producers
+// or the consumer are blocked.
 
 #include "exec/bounded_queue.h"
 
@@ -15,6 +16,14 @@
 namespace punctsafe {
 namespace {
 
+// The next PopAll burst as a vector; empty means closed and drained.
+template <typename T>
+std::vector<T> NextBurst(BoundedQueue<T>& q) {
+  std::optional<std::deque<T>> burst = q.PopAll();
+  if (!burst.has_value()) return {};
+  return std::vector<T>(burst->begin(), burst->end());
+}
+
 TEST(BoundedQueueTest, FifoSingleThread) {
   BoundedQueue<int> q(4);
   EXPECT_EQ(q.capacity(), 4u);
@@ -22,10 +31,8 @@ TEST(BoundedQueueTest, FifoSingleThread) {
   EXPECT_TRUE(q.Push(2));
   EXPECT_TRUE(q.Push(3));
   EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.Pop(), 1);
-  EXPECT_EQ(q.Pop(), 2);
-  EXPECT_EQ(q.TryPop(), 3);
-  EXPECT_EQ(q.TryPop(), std::nullopt);
+  EXPECT_EQ(NextBurst(q), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(BoundedQueueTest, TryPushRespectsCapacity) {
@@ -33,7 +40,7 @@ TEST(BoundedQueueTest, TryPushRespectsCapacity) {
   EXPECT_TRUE(q.TryPush(1));
   EXPECT_TRUE(q.TryPush(2));
   EXPECT_FALSE(q.TryPush(3));  // full
-  EXPECT_EQ(q.Pop(), 1);
+  EXPECT_EQ(NextBurst(q), (std::vector<int>{1, 2}));
   EXPECT_TRUE(q.TryPush(3));
 }
 
@@ -55,9 +62,7 @@ TEST(BoundedQueueTest, CapacityOneBackpressure) {
   });
   for (int i = 0; i < kCount; ++i) {
     ASSERT_LE(q.size(), 1u);
-    std::optional<int> v = q.Pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
+    EXPECT_EQ(NextBurst(q), (std::vector<int>{i}));
   }
   producer.join();
   EXPECT_EQ(q.size(), 0u);
@@ -85,15 +90,17 @@ TEST(BoundedQueueTest, MultiProducerPerProducerFifo) {
   std::vector<int> next_seq(kProducers, 0);
   size_t received = 0;
   while (received < kProducers * kPerProducer) {
-    std::optional<Item> item = q.Pop();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(item->seq, next_seq[item->producer])
-        << "producer " << item->producer << " reordered";
-    ++next_seq[item->producer];
-    ++received;
+    std::vector<Item> burst = NextBurst(q);
+    ASSERT_FALSE(burst.empty());
+    for (const Item& item : burst) {
+      EXPECT_EQ(item.seq, next_seq[item.producer])
+          << "producer " << item.producer << " reordered";
+      ++next_seq[item.producer];
+      ++received;
+    }
   }
   for (auto& t : producers) t.join();
-  EXPECT_EQ(q.TryPop(), std::nullopt);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 // Multi-producer + multi-consumer smoke: totals must balance.
@@ -113,10 +120,12 @@ TEST(BoundedQueueTest, MultiProducerMultiConsumerConservesItems) {
   for (int c = 0; c < 2; ++c) {
     threads.emplace_back([&] {
       while (true) {
-        std::optional<int> v = q.Pop();
-        if (!v.has_value()) return;  // closed and drained
-        sum.fetch_add(*v);
-        popped.fetch_add(1);
+        std::vector<int> burst = NextBurst(q);
+        if (burst.empty()) return;  // closed and drained
+        for (int v : burst) {
+          sum.fetch_add(v);
+          popped.fetch_add(1);
+        }
       }
     });
   }
@@ -174,194 +183,13 @@ TEST(BoundedQueueTest, PopAllReleasesBlockedProducers) {
   std::optional<std::deque<int>> first = q.PopAll();
   ASSERT_TRUE(first.has_value());
   producer.join();
-  std::deque<int> rest = q.TryPopAll();
   std::deque<int> all = *first;
-  all.insert(all.end(), rest.begin(), rest.end());
+  if (all.size() < 4) {
+    std::optional<std::deque<int>> rest = q.PopAll();
+    ASSERT_TRUE(rest.has_value());
+    all.insert(all.end(), rest->begin(), rest->end());
+  }
   EXPECT_EQ(all, (std::deque<int>{1, 2, 3, 4}));
-}
-
-TEST(BoundedQueueTest, TryPopAllNonBlocking) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.TryPopAll().empty());
-  ASSERT_TRUE(q.Push(7));
-  ASSERT_TRUE(q.Push(8));
-  EXPECT_EQ(q.TryPopAll(), (std::deque<int>{7, 8}));
-  EXPECT_TRUE(q.TryPopAll().empty());
-}
-
-TEST(BoundedQueueTest, PushAllSpansCapacityWindows) {
-  // 10 items through a capacity-3 queue: PushAll must block in chunks
-  // while the consumer drains, and deliver everything in order.
-  BoundedQueue<int> q(3);
-  std::deque<int> values;
-  for (int i = 0; i < 10; ++i) values.push_back(i);
-  std::thread producer([&] { ASSERT_TRUE(q.PushAll(std::move(values))); });
-  std::vector<int> received;
-  while (received.size() < 10) {
-    std::optional<int> v = q.Pop();
-    ASSERT_TRUE(v.has_value());
-    ASSERT_LE(q.size(), 3u);
-    received.push_back(*v);
-  }
-  producer.join();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(received[i], i);
-}
-
-TEST(BoundedQueueTest, PushAllFailsWhenClosedMidway) {
-  BoundedQueue<int> q(1);
-  std::atomic<bool> result{true};
-  std::thread producer([&] {
-    std::deque<int> values = {1, 2, 3};
-    result = q.PushAll(std::move(values));  // blocks after the first
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.Close();
-  producer.join();
-  EXPECT_FALSE(result.load()) << "PushAll must report the dropped remainder";
-  EXPECT_EQ(q.Pop(), 1);  // what made it in before Close stays poppable
-  EXPECT_EQ(q.Pop(), std::nullopt);
-}
-
-TEST(BoundedQueueTest, BatchedProducerConsumerConservesItems) {
-  // PushAll bursts against a PopAll consumer under contention: nothing
-  // lost, nothing duplicated, per-producer order preserved.
-  constexpr size_t kProducers = 3;
-  constexpr int kPerProducer = 2000;
-  constexpr int kBurst = 16;
-  struct Item {
-    size_t producer;
-    int seq;
-  };
-  BoundedQueue<Item> q(8);
-  std::vector<std::thread> producers;
-  for (size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int base = 0; base < kPerProducer; base += kBurst) {
-        std::deque<Item> burst;
-        for (int i = base; i < base + kBurst; ++i) burst.push_back({p, i});
-        ASSERT_TRUE(q.PushAll(std::move(burst)));
-      }
-    });
-  }
-  std::vector<int> next_seq(kProducers, 0);
-  size_t received = 0;
-  while (received < kProducers * kPerProducer) {
-    std::optional<std::deque<Item>> batch = q.PopAll();
-    ASSERT_TRUE(batch.has_value());
-    for (const Item& item : *batch) {
-      EXPECT_EQ(item.seq, next_seq[item.producer])
-          << "producer " << item.producer << " reordered";
-      ++next_seq[item.producer];
-      ++received;
-    }
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueueTest, TryPopAllUnblocksPushAllAcrossCapacityWindows) {
-  // A PushAll burst much larger than capacity can only finish if the
-  // non-blocking TryPopAll drain loop keeps freeing windows: the two
-  // batch fast paths must hand off to each other without a blocking
-  // consumer in the loop.
-  BoundedQueue<int> q(2);
-  constexpr int kCount = 500;
-  std::deque<int> values;
-  for (int i = 0; i < kCount; ++i) values.push_back(i);
-  std::thread producer([&] { ASSERT_TRUE(q.PushAll(std::move(values))); });
-  std::vector<int> received;
-  while (received.size() < kCount) {
-    std::deque<int> batch = q.TryPopAll();
-    ASSERT_LE(batch.size(), q.capacity());
-    received.insert(received.end(), batch.begin(), batch.end());
-    // Cede the core between polls so the blocked producer can refill
-    // (a hard spin starves it on single-CPU machines).
-    if (batch.empty()) std::this_thread::yield();
-  }
-  producer.join();
-  for (int i = 0; i < kCount; ++i) EXPECT_EQ(received[i], i);
-  EXPECT_TRUE(q.TryPopAll().empty());
-}
-
-TEST(BoundedQueueTest, TryPopAllInterleavedWithPushAllConservesItems) {
-  // Multiple PushAll producers against a TryPopAll spin-drainer: no
-  // loss, no duplication, per-producer FIFO — the same contract the
-  // blocking PopAll consumer test checks, on the non-blocking path.
-  constexpr size_t kProducers = 3;
-  constexpr int kPerProducer = 1600;
-  constexpr int kBurst = 8;
-  static_assert(kPerProducer % kBurst == 0,
-                "producers must deliver exactly kPerProducer items");
-  struct Item {
-    size_t producer;
-    int seq;
-  };
-  BoundedQueue<Item> q(4);
-  std::vector<std::thread> producers;
-  for (size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int base = 0; base < kPerProducer; base += kBurst) {
-        std::deque<Item> burst;
-        for (int i = base; i < base + kBurst; ++i) burst.push_back({p, i});
-        ASSERT_TRUE(q.PushAll(std::move(burst)));
-      }
-    });
-  }
-  std::vector<int> next_seq(kProducers, 0);
-  size_t received = 0;
-  while (received < kProducers * kPerProducer) {
-    std::deque<Item> batch = q.TryPopAll();
-    for (const Item& item : batch) {
-      EXPECT_EQ(item.seq, next_seq[item.producer])
-          << "producer " << item.producer << " reordered";
-      ++next_seq[item.producer];
-      ++received;
-    }
-    if (batch.empty()) std::this_thread::yield();
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_TRUE(q.TryPopAll().empty());
-}
-
-TEST(BoundedQueueTest, TryPopAllAfterCloseReturnsRemainderThenEmpty) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.Push(1));
-  ASSERT_TRUE(q.Push(2));
-  q.Close();
-  EXPECT_EQ(q.TryPopAll(), (std::deque<int>{1, 2}));
-  EXPECT_TRUE(q.TryPopAll().empty());
-}
-
-TEST(BoundedQueueTest, CloseDuringPushAllLeavesContiguousPrefix) {
-  // Close lands while a PushAll burst is mid-flight against a
-  // TryPopAll drainer. Whatever was accepted must be a gap-free,
-  // duplicate-free prefix of the burst — Close may drop the tail but
-  // never tears inside an accepted window.
-  BoundedQueue<int> q(1);
-  constexpr int kCount = 10000;
-  std::atomic<bool> result{true};
-  std::thread producer([&] {
-    std::deque<int> values;
-    for (int i = 0; i < kCount; ++i) values.push_back(i);
-    result = q.PushAll(std::move(values));
-  });
-  std::vector<int> received;
-  while (received.size() < 64) {
-    std::deque<int> batch = q.TryPopAll();
-    received.insert(received.end(), batch.begin(), batch.end());
-    if (batch.empty()) std::this_thread::yield();
-  }
-  q.Close();
-  producer.join();
-  // Drain whatever the producer got in before Close won the race.
-  std::deque<int> rest = q.TryPopAll();
-  received.insert(received.end(), rest.begin(), rest.end());
-  EXPECT_FALSE(result.load())
-      << "PushAll must report the remainder Close dropped";
-  ASSERT_LT(received.size(), static_cast<size_t>(kCount));
-  for (size_t i = 0; i < received.size(); ++i) {
-    ASSERT_EQ(received[i], static_cast<int>(i)) << "prefix torn at " << i;
-  }
 }
 
 TEST(BoundedQueueTest, CloseUnblocksBlockedProducer) {
@@ -381,16 +209,15 @@ TEST(BoundedQueueTest, CloseUnblocksBlockedProducer) {
   EXPECT_TRUE(push_returned.load());
   EXPECT_FALSE(push_result.load()) << "Push must fail after Close";
   // The element queued before Close stays poppable.
-  EXPECT_EQ(q.Pop(), 1);
-  EXPECT_EQ(q.Pop(), std::nullopt);
+  EXPECT_EQ(NextBurst(q), (std::vector<int>{1}));
+  EXPECT_EQ(q.PopAll(), std::nullopt);
 }
 
 TEST(BoundedQueueTest, CloseUnblocksBlockedConsumer) {
   BoundedQueue<int> q(4);
   std::atomic<bool> pop_returned{false};
   std::thread consumer([&] {
-    std::optional<int> v = q.Pop();  // blocks: queue empty
-    EXPECT_EQ(v, std::nullopt);
+    EXPECT_EQ(q.PopAll(), std::nullopt);  // blocks: queue empty
     pop_returned = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -408,9 +235,30 @@ TEST(BoundedQueueTest, CloseIsIdempotentAndDrainsRemainder) {
   q.Close();
   q.Close();
   EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.Pop(), 1);
-  EXPECT_EQ(q.Pop(), 2);
-  EXPECT_EQ(q.Pop(), std::nullopt);
+  EXPECT_EQ(NextBurst(q), (std::vector<int>{1, 2}));
+  EXPECT_EQ(q.PopAll(), std::nullopt);
+}
+
+// The idle hint reads true only while the consumer is parked on an
+// empty queue: not before it waits, not while items are queued, and
+// not once a push has woken it.
+TEST(BoundedQueueTest, ConsumerIdleOnlyWhileParkedOnEmptyQueue) {
+  BoundedQueue<int> q(4);
+  EXPECT_FALSE(q.consumer_idle());
+  std::atomic<int> bursts{0};
+  std::thread consumer([&] {
+    while (!NextBurst(q).empty()) bursts.fetch_add(1);
+  });
+  while (!q.consumer_idle()) std::this_thread::yield();
+  ASSERT_TRUE(q.Push(1));
+  while (bursts.load() == 0) std::this_thread::yield();
+  // Back in PopAll on the drained queue: idle again.
+  while (!q.consumer_idle()) std::this_thread::yield();
+  EXPECT_EQ(q.size(), 0u);
+  q.Close();
+  consumer.join();
+  EXPECT_FALSE(q.consumer_idle());
+  EXPECT_EQ(bursts.load(), 1);
 }
 
 }  // namespace

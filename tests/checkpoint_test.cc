@@ -21,9 +21,11 @@
 #include "exec/checkpoint.h"
 #include "exec/parallel_executor.h"
 #include "exec/plan_executor.h"
+#include "exec/partition_router.h"
 #include "exec/query_register.h"
 #include "test_util.h"
 #include "util/logging.h"
+#include "workload/random_query.h"
 
 namespace punctsafe {
 namespace {
@@ -428,6 +430,77 @@ TEST(CheckpointExecutorTest, ParallelCaptureRestoreCaptureIsByteStable) {
     EXPECT_EQ(SerializeSnapshot(*recaptured), bytes)
         << "shard split/merge is not a clean inverse";
     (*restored)->Stop();
+  }
+}
+
+// The same law under key-routed punctuations: a shared-key join whose
+// punctuations all pin k, cut while stores and pending propagations
+// are non-trivial, single MJoin and binary chain. The restore puts
+// each stored punctuation on its key's shard only.
+TEST(CheckpointExecutorTest, KeyRoutedCaptureRestoreCaptureIsByteStable) {
+  StreamCatalog catalog;
+  SchemeSet schemes;
+  for (const char* name : {"T0", "T1", "T2"}) {
+    PUNCTSAFE_CHECK_OK(catalog.Register(name, Schema::OfInts({"k", "v"})));
+    PUNCTSAFE_CHECK_OK(
+        schemes.Add(testing_util::SchemeOn(catalog, name, {"k"})));
+  }
+  auto query = ContinuousJoinQuery::Create(
+      catalog, {"T0", "T1", "T2"},
+      {Eq({"T0", "k"}, {"T1", "k"}), Eq({"T1", "k"}, {"T2", "k"})});
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  CoveringTraceConfig tconfig;
+  tconfig.num_generations = 8;
+  tconfig.values_per_generation = 5;
+  tconfig.tuples_per_generation = 24;
+  tconfig.seed = 3;
+  const Trace trace = MakeCoveringTrace(*query, schemes, tconfig);
+
+  for (const PlanShape& shape :
+       {PlanShape::SingleMJoin(3), PlanShape::LeftDeepBinary({0, 1, 2})}) {
+    for (size_t shards : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "shards=" << shards << " shape="
+                                        << shape.ToString(*query));
+      ExecutorConfig config = BaseConfig();
+      config.shards = shards;
+      auto exec = ParallelExecutor::Create(*query, schemes, shape, config);
+      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+      const size_t cut = trace.size() * 3 / 5;
+      for (size_t i = 0; i < cut; ++i) {
+        ASSERT_TRUE((*exec)->Push(trace[i]).ok());
+      }
+      Result<StateSnapshot> snap = (*exec)->Checkpoint(1000);
+      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+      const size_t live_punctuations = (*exec)->TotalLivePunctuations();
+      ASSERT_GT(live_punctuations, 0u);
+      const std::string bytes = SerializeSnapshot(*snap);
+      (*exec)->Stop();
+
+      auto restored = ParallelExecutor::Create(*query, schemes, shape, config);
+      ASSERT_TRUE(restored.ok());
+      ASSERT_TRUE((*restored)->RestoreState(*snap).ok());
+      if ((*restored)->num_operator_groups() == 1 && shards > 1) {
+        // One group keyed on every input's attribute 0.
+        const PartitionSpec spec = ComputePartitionSpec(
+            *query, {{{0}, {}}, {{1}, {}}, {{2}, {}}});
+        for (size_t s = 0; s < shards; ++s) {
+          const OperatorStateSnapshot piece =
+              (*restored)->operators()[s]->CaptureState();
+          for (size_t k = 0; k < piece.inputs.size(); ++k) {
+            for (const PunctuationEntry& e : piece.inputs[k].punctuations) {
+              EXPECT_EQ(spec.PunctuationShard(k, e.punctuation, shards), s)
+                  << e.punctuation.ToString();
+            }
+          }
+        }
+      }
+      EXPECT_EQ((*restored)->TotalLivePunctuations(), live_punctuations);
+      Result<StateSnapshot> recaptured = (*restored)->Checkpoint(1000);
+      ASSERT_TRUE(recaptured.ok());
+      EXPECT_EQ(SerializeSnapshot(*recaptured), bytes)
+          << "key-routed split/merge is not a clean inverse";
+      (*restored)->Stop();
+    }
   }
 }
 

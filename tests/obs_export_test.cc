@@ -247,7 +247,7 @@ TEST(MetricsExporterTest, BackgroundThreadStopsCleanly) {
 // The acceptance criterion: under the parallel executor with real
 // sharding, the snapshot has one entry per shard worker and EVERY
 // shard's latency and punctuation-lag histograms are populated —
-// tuples hash across shards, punctuations broadcast to all of them.
+// tuples hash across shards, and so do the key-pinned punctuations.
 TEST(ParallelObsTest, EveryShardHasLatencyAndPunctLagSamples) {
   StreamCatalog catalog;
   PUNCTSAFE_CHECK_OK(catalog.Register("T0", Schema::OfInts({"k", "a"})));
@@ -287,6 +287,7 @@ TEST(ParallelObsTest, EveryShardHasLatencyAndPunctLagSamples) {
   EXPECT_EQ(snap.executor, "parallel");
   ASSERT_EQ(snap.operators.size(), 2u);  // one group, two shards
   uint64_t routed_total = 0;
+  uint64_t received_total = 0;
   for (const obs::OperatorObsEntry& e : snap.operators) {
     EXPECT_TRUE(e.partitioned) << e.partition_detail;
     EXPECT_EQ(e.num_shards, 2u);
@@ -294,11 +295,12 @@ TEST(ParallelObsTest, EveryShardHasLatencyAndPunctLagSamples) {
         << "shard " << e.shard << " has no latency samples";
     EXPECT_GT(e.punct_lag.Count(), 0u)
         << "shard " << e.shard << " has no punctuation-lag samples";
-    // Broadcast: every shard saw every punctuation.
-    EXPECT_EQ(e.op_metrics.punctuations_received,
-              static_cast<uint64_t>(kKeys));
+    // Key-routed: each punctuation pins k, so it reached one shard.
+    EXPECT_GT(e.op_metrics.punctuations_received, 0u);
+    received_total += e.op_metrics.punctuations_received;
     routed_total += e.routed_tuples;
   }
+  EXPECT_EQ(received_total, static_cast<uint64_t>(kKeys));
   EXPECT_EQ(routed_total, static_cast<uint64_t>(3 * kKeys));
 
   // The JSONL line carries one operator object per shard, each with
@@ -320,6 +322,91 @@ TEST(ParallelObsTest, EveryShardHasLatencyAndPunctLagSamples) {
   EXPECT_TRUE(saw_tuple);
   EXPECT_TRUE(saw_punct);
   EXPECT_TRUE(saw_batch);
+}
+
+// The ingest ledger: per leaf shard, the driver's messages by cause,
+// the rows they carried, and the punctuations delivered to the shard
+// alone or by broadcast — in the snapshot and in the JSONL line.
+TEST(ParallelObsTest, IngestLedgerCountsCausesRowsAndPunctuationFanOut) {
+  StreamCatalog catalog;
+  PUNCTSAFE_CHECK_OK(catalog.Register("T0", Schema::OfInts({"k", "a"})));
+  PUNCTSAFE_CHECK_OK(catalog.Register("T1", Schema::OfInts({"k", "b"})));
+  auto q = ContinuousJoinQuery::Create(catalog, {"T0", "T1"},
+                                       {Eq({"T0", "k"}, {"T1", "k"})});
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  SchemeSet schemes;
+  PUNCTSAFE_CHECK_OK(schemes.Add(SchemeOn(catalog, "T0", {"k"})));
+  PUNCTSAFE_CHECK_OK(schemes.Add(SchemeOn(catalog, "T1", {"k"})));
+  constexpr int kKeys = 48;
+
+  for (size_t batch_size : {1u, 16u}) {
+    SCOPED_TRACE(::testing::Message() << "batch_size=" << batch_size);
+    ExecutorConfig config;
+    config.shards = 2;
+    config.batch_size = batch_size;
+    config.observe = true;
+    auto exec_or = ParallelExecutor::Create(*q, schemes,
+                                            PlanShape::SingleMJoin(2), config);
+    ASSERT_TRUE(exec_or.ok()) << exec_or.status().ToString();
+    ParallelExecutor& exec = **exec_or;
+    for (int k = 0; k < kKeys; ++k) {
+      exec.PushTuple(0, Tuple({Value(k), Value(k)}), 2 * k);
+      exec.PushTuple(0, Tuple({Value(k), Value(-k)}), 2 * k);
+      exec.PushTuple(1, Tuple({Value(k), Value(k)}), 2 * k + 1);
+      exec.PushPunctuation(1, Punctuation::OfConstants(2, {{0, Value(k)}}),
+                           2 * k + 1);
+    }
+    // Leaves the key open: every shard gets it.
+    exec.PushPunctuation(0, Punctuation::OfConstants(2, {{1, Value(-1)}}),
+                         2 * kKeys);
+    ASSERT_TRUE(exec.Drain(2 * kKeys + 1).ok());
+
+    obs::ObsSnapshot snap = exec.ObservabilitySnapshot();
+    ASSERT_EQ(snap.operators.size(), 2u);
+    uint64_t rows = 0, messages = 0, unicast = 0;
+    for (const obs::OperatorObsEntry& e : snap.operators) {
+      uint64_t shard_messages = 0;
+      for (uint64_t n : e.ingest_messages) shard_messages += n;
+      EXPECT_EQ(e.ingest_rows, e.routed_tuples);
+      // No message carries more than batch_size rows.
+      EXPECT_GE(shard_messages * batch_size, e.ingest_rows);
+      EXPECT_EQ(e.punct_broadcast, 1u);
+      rows += e.ingest_rows;
+      messages += shard_messages;
+      unicast += e.punct_unicast;
+      if (batch_size == 1) {
+        // A one-row batch is full the moment it is staged.
+        EXPECT_EQ(e.ingest_messages[static_cast<size_t>(
+                      obs::IngestCause::kFull)],
+                  e.ingest_rows);
+      }
+    }
+    EXPECT_EQ(rows, static_cast<uint64_t>(3 * kKeys));
+    EXPECT_EQ(unicast, static_cast<uint64_t>(kKeys));
+    EXPECT_GT(messages, 0u);
+
+    const std::string line = obs::RenderJsonLine(snap);
+    const size_t first = line.find("\"operators\":[");
+    ASSERT_NE(first, std::string::npos);
+    const obs::OperatorObsEntry& e0 = snap.operators[0];
+    const std::pair<const char*, obs::IngestCause> kCauses[] = {
+        {"ingest_idle", obs::IngestCause::kIdle},
+        {"ingest_full", obs::IngestCause::kFull},
+        {"ingest_stream_change", obs::IngestCause::kStreamChange},
+        {"ingest_punct", obs::IngestCause::kPunctuation},
+        {"ingest_barrier", obs::IngestCause::kBarrier}};
+    for (const auto& [key, cause] : kCauses) {
+      EXPECT_EQ(ExtractInt(line, key, first),
+                static_cast<int64_t>(
+                    e0.ingest_messages[static_cast<size_t>(cause)]))
+          << key;
+    }
+    EXPECT_EQ(ExtractInt(line, "ingest_rows", first),
+              static_cast<int64_t>(e0.ingest_rows));
+    EXPECT_EQ(ExtractInt(line, "punct_unicast", first),
+              static_cast<int64_t>(e0.punct_unicast));
+    EXPECT_EQ(ExtractInt(line, "punct_broadcast", first), 1);
+  }
 }
 
 }  // namespace

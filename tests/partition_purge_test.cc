@@ -17,8 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "exec/parallel_executor.h"
@@ -172,14 +174,16 @@ TEST(ComputePartitionSpecTest, ShardOfIsStableAndInRange) {
   }
 }
 
+constexpr size_t kAll = PartitionSpec::kAllShards;
+
 TEST(PunctuationAlignerTest, ForwardsOnceAllShardsArrive) {
   PunctuationAligner aligner(3);
   Punctuation p = Punctuation::OfConstants(2, {{0, Value(5)}});
   int64_t ts = 0;
-  EXPECT_FALSE(aligner.Arrive(0, p, 10, &ts));
-  EXPECT_FALSE(aligner.Arrive(2, p, 12, &ts));
+  EXPECT_FALSE(aligner.Arrive(0, p, 10, kAll, &ts));
+  EXPECT_FALSE(aligner.Arrive(2, p, 12, kAll, &ts));
   EXPECT_EQ(aligner.pending(), 1u);
-  EXPECT_TRUE(aligner.Arrive(1, p, 11, &ts));
+  EXPECT_TRUE(aligner.Arrive(1, p, 11, kAll, &ts));
   EXPECT_EQ(ts, 12);  // max over the contributing emissions
   EXPECT_EQ(aligner.pending(), 0u);
 }
@@ -191,10 +195,10 @@ TEST(PunctuationAlignerTest, ReEmissionDoesNotCoverForMissingShard) {
   PunctuationAligner aligner(2);
   Punctuation p = Punctuation::OfConstants(1, {{0, Value(1)}});
   int64_t ts = 0;
-  EXPECT_FALSE(aligner.Arrive(0, p, 1, &ts));
-  EXPECT_FALSE(aligner.Arrive(0, p, 2, &ts));
-  EXPECT_FALSE(aligner.Arrive(0, p, 3, &ts));
-  EXPECT_TRUE(aligner.Arrive(1, p, 2, &ts));
+  EXPECT_FALSE(aligner.Arrive(0, p, 1, kAll, &ts));
+  EXPECT_FALSE(aligner.Arrive(0, p, 2, kAll, &ts));
+  EXPECT_FALSE(aligner.Arrive(0, p, 3, kAll, &ts));
+  EXPECT_TRUE(aligner.Arrive(1, p, 2, kAll, &ts));
   EXPECT_EQ(ts, 3);
 }
 
@@ -202,11 +206,11 @@ TEST(PunctuationAlignerTest, EntryResetsForLaterRounds) {
   PunctuationAligner aligner(2);
   Punctuation p = Punctuation::OfConstants(1, {{0, Value(1)}});
   int64_t ts = 0;
-  EXPECT_FALSE(aligner.Arrive(0, p, 1, &ts));
-  EXPECT_TRUE(aligner.Arrive(1, p, 1, &ts));
+  EXPECT_FALSE(aligner.Arrive(0, p, 1, kAll, &ts));
+  EXPECT_TRUE(aligner.Arrive(1, p, 1, kAll, &ts));
   // Second round re-aligns from scratch.
-  EXPECT_FALSE(aligner.Arrive(1, p, 5, &ts));
-  EXPECT_TRUE(aligner.Arrive(0, p, 6, &ts));
+  EXPECT_FALSE(aligner.Arrive(1, p, 5, kAll, &ts));
+  EXPECT_TRUE(aligner.Arrive(0, p, 6, kAll, &ts));
   EXPECT_EQ(ts, 6);
 }
 
@@ -215,11 +219,65 @@ TEST(PunctuationAlignerTest, DistinctPunctuationsAlignIndependently) {
   Punctuation p1 = Punctuation::OfConstants(1, {{0, Value(1)}});
   Punctuation p2 = Punctuation::OfConstants(1, {{0, Value(2)}});
   int64_t ts = 0;
-  EXPECT_FALSE(aligner.Arrive(0, p1, 1, &ts));
-  EXPECT_FALSE(aligner.Arrive(1, p2, 1, &ts));
+  EXPECT_FALSE(aligner.Arrive(0, p1, 1, kAll, &ts));
+  EXPECT_FALSE(aligner.Arrive(1, p2, 1, kAll, &ts));
   EXPECT_EQ(aligner.pending(), 2u);
-  EXPECT_TRUE(aligner.Arrive(1, p1, 1, &ts));
-  EXPECT_TRUE(aligner.Arrive(0, p2, 1, &ts));
+  EXPECT_TRUE(aligner.Arrive(1, p1, 1, kAll, &ts));
+  EXPECT_TRUE(aligner.Arrive(0, p2, 1, kAll, &ts));
+}
+
+TEST(PunctuationAlignerTest, OneVoterRoundCompletesOnItsVoteAlone) {
+  // A key-pinned output punctuation names one voter: its vote forwards
+  // at once, other shards' votes are ignored and leave nothing pending.
+  PunctuationAligner aligner(4);
+  Punctuation p = Punctuation::OfConstants(2, {{0, Value(7)}});
+  int64_t ts = 0;
+  EXPECT_FALSE(aligner.Arrive(0, p, 3, /*expected=*/2, &ts));
+  EXPECT_FALSE(aligner.Arrive(3, p, 4, /*expected=*/2, &ts));
+  EXPECT_EQ(aligner.pending(), 0u);
+  EXPECT_TRUE(aligner.Arrive(2, p, 5, /*expected=*/2, &ts));
+  EXPECT_EQ(ts, 5);
+  EXPECT_EQ(aligner.pending(), 0u);
+  EXPECT_EQ(aligner.pending_high_water(), 0u);
+}
+
+TEST(ComputePartitionSpecTest, PunctuationRoutingFollowsTheKey) {
+  SharedKeyFixture fx = SharedKeyFixture::Make();
+  PartitionSpec spec = ComputePartitionSpec(fx.query, RawInputs(3));
+  ASSERT_TRUE(spec.routes_punctuations) << spec.detail;
+  // The output row is T0(k,a) T1(k,b) T2(k,c): k sits at 0, 2 and 4.
+  EXPECT_EQ(spec.output_key_offsets, (std::vector<size_t>{0, 2, 4}));
+  for (int64_t k = 0; k < 50; ++k) {
+    const size_t owner = spec.ShardOf(1, Tuple({Value(k), Value(0)}), 4);
+    EXPECT_EQ(spec.PunctuationShard(
+                  1, Punctuation::OfConstants(2, {{0, Value(k)}}), 4),
+              owner);
+    EXPECT_EQ(spec.OutputPunctuationShard(
+                  Punctuation::OfConstants(6, {{4, Value(k)}}), 4),
+              owner);
+  }
+  // A punctuation leaving the key open goes everywhere; one shard
+  // takes everything.
+  Punctuation open = Punctuation::OfConstants(2, {{1, Value(3)}});
+  EXPECT_EQ(spec.PunctuationShard(0, open, 4), kAll);
+  EXPECT_EQ(spec.OutputPunctuationShard(
+                Punctuation::OfConstants(6, {{1, Value(3)}}), 4),
+            kAll);
+  EXPECT_EQ(spec.PunctuationShard(0, open, 1), 0u);
+
+  // Two members of the key class on one input (T0.k = T1.k and
+  // T0.a = T1.k): the spec still partitions the binary join but
+  // broadcasts punctuations.
+  auto q = ContinuousJoinQuery::Create(
+      fx.catalog, {"T0", "T1"},
+      {Eq({"T0", "k"}, {"T1", "k"}), Eq({"T0", "a"}, {"T1", "k"})});
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  PartitionSpec two = ComputePartitionSpec(*q, RawInputs(2));
+  ASSERT_TRUE(two.partitionable) << two.detail;
+  EXPECT_FALSE(two.routes_punctuations);
+  EXPECT_EQ(two.PunctuationShard(
+                1, Punctuation::OfConstants(2, {{0, Value(1)}}), 4),
+            kAll);
 }
 
 // The purge-equivalence regression: a broadcast punctuation purges
@@ -465,6 +523,174 @@ TEST(PartitionPurgeTest, MultiClassChainShardsOnlyAsBinaryChain) {
     ExpectShardedChainMatchesSerial(
         fx, MakeCoveringTrace(fx.query, fx.schemes, tconfig));
   }
+}
+
+// Key routing: every punctuation below pins k, so each lives on
+// ShardOf(k) alone. T2 never promises, so no value finishes and every
+// punctuation stays stored: the per-shard stores partition the serial
+// store exactly.
+TEST(PartitionPurgeTest, KeyPinnedPunctuationIsStoredOnItsShardOnly) {
+  SharedKeyFixture fx = SharedKeyFixture::Make();
+  PlanShape shape = PlanShape::SingleMJoin(3);
+  constexpr int64_t kKeys = 40;
+  Trace trace;
+  int64_t ts = 0;
+  for (int64_t k = 0; k < kKeys; ++k) {
+    for (const char* s : {"T0", "T1", "T2"}) {
+      trace.push_back(
+          {s, StreamElement::OfTuple(Tuple({Value(k), Value(k)}), ++ts)});
+    }
+    for (const char* s : {"T0", "T1"}) {
+      trace.push_back({s, StreamElement::OfPunctuation(
+                              Punctuation::OfConstants(2, {{0, Value(k)}}),
+                              ++ts)});
+    }
+  }
+  ExecutorConfig config;
+  config.keep_results = true;
+  auto serial = PlanExecutor::Create(fx.query, fx.schemes, shape, config);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  PUNCTSAFE_CHECK_OK(FeedTrace(serial->get(), trace));
+  (*serial)->SweepAll(ts + 1);
+  ASSERT_EQ((*serial)->TotalLivePunctuations(), 2u * kKeys);
+
+  for (size_t shards : {2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    config.shards = shards;
+    auto exec = ParallelExecutor::Create(fx.query, fx.schemes, shape, config);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    PUNCTSAFE_CHECK_OK(FeedTraceParallel(exec->get(), trace));
+    const PartitionSpec spec = ComputePartitionSpec(
+        fx.query, {{{0}, {}}, {{1}, {}}, {{2}, {}}});
+    size_t summed = 0;
+    for (size_t s = 0; s < shards; ++s) {
+      const MJoinOperator& op = *(*exec)->operators()[s];
+      summed += op.TotalLivePunctuations();
+      OperatorStateSnapshot snap = op.CaptureState();
+      for (size_t input = 0; input < snap.inputs.size(); ++input) {
+        for (const PunctuationEntry& e : snap.inputs[input].punctuations) {
+          EXPECT_EQ(spec.PunctuationShard(input, e.punctuation, shards), s)
+              << e.punctuation.ToString() << " stored on shard " << s;
+        }
+      }
+    }
+    EXPECT_EQ(summed, (*serial)->TotalLivePunctuations());
+    EXPECT_EQ((*exec)->TotalLivePunctuations(),
+              (*serial)->TotalLivePunctuations());
+    std::vector<Tuple> got = (*exec)->kept_results();
+    std::vector<Tuple> want = (*serial)->kept_results();
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+    (*exec)->Stop();
+  }
+}
+
+// The shared key through a binary chain ((T0 JOIN T1) JOIN T2): the
+// child shards on k, and each of its output punctuations pins a k
+// member, so its owner's vote alone forwards it (the aligner's pending
+// table stays empty). The parent routes the T1.k ones (and T2's own)
+// to one shard and broadcasts the T0.k ones, and still purges to
+// nothing.
+TEST(PartitionPurgeTest, LeftDeepSharedKeyAlignsOnOneVote) {
+  SharedKeyFixture fx = SharedKeyFixture::Make();
+  const PlanShape shape = PlanShape::LeftDeepBinary({0, 1, 2});
+  CoveringTraceConfig tconfig;
+  tconfig.num_generations = 10;
+  tconfig.values_per_generation = 6;
+  tconfig.tuples_per_generation = 30;
+  tconfig.seed = 7;
+  const Trace trace = MakeCoveringTrace(fx.query, fx.schemes, tconfig);
+  size_t t0_punctuations = 0, t1_punctuations = 0, t2_punctuations = 0;
+  for (const TraceEvent& e : trace) {
+    if (e.element.is_tuple()) continue;
+    t0_punctuations += e.stream == "T0";
+    t1_punctuations += e.stream == "T1";
+    t2_punctuations += e.stream == "T2";
+  }
+  ASSERT_GT(t0_punctuations + t1_punctuations, 0u);
+
+  ExecutorConfig config;
+  config.keep_results = true;
+  auto serial = PlanExecutor::Create(fx.query, fx.schemes, shape, config);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  PUNCTSAFE_CHECK_OK(FeedTrace(serial->get(), trace));
+  std::vector<Tuple> want = (*serial)->kept_results();
+  std::sort(want.begin(), want.end());
+  ASSERT_GT(want.size(), 0u);
+
+  for (size_t shards : {2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    config.shards = shards;
+    config.observe = true;
+    auto exec = ParallelExecutor::Create(fx.query, fx.schemes, shape, config);
+    ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+    PUNCTSAFE_CHECK_OK(FeedTraceParallel(exec->get(), trace));
+    std::vector<Tuple> got = (*exec)->kept_results();
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+
+    auto groups = (*exec)->GroupSnapshots();
+    ASSERT_EQ(groups.size(), 2u);
+    EXPECT_EQ(groups[0].num_shards, shards);
+    EXPECT_EQ(groups[1].num_shards, shards);
+    EXPECT_EQ(groups[1].aggregate.live, 0u) << "parent kept tuples";
+    EXPECT_EQ((*exec)->TotalLiveTuples(), (*serial)->TotalLiveTuples());
+
+    uint64_t parent_unicast = 0;
+    for (const obs::OperatorObsEntry& e :
+         (*exec)->ObservabilitySnapshot().operators) {
+      if (e.op == 0) {
+        EXPECT_EQ(e.aligner_pending_high_water, 0u)
+            << "a child output punctuation waited for a second vote";
+      } else {
+        parent_unicast += e.punct_unicast;
+        EXPECT_EQ(e.punct_broadcast, t0_punctuations);
+      }
+    }
+    // Every T1 punctuation was forwarded once, to one parent shard,
+    // and every T2 punctuation went to one.
+    EXPECT_EQ(parent_unicast, t1_punctuations + t2_punctuations);
+    (*exec)->Stop();
+  }
+}
+
+// The driver ships a staged tuple as soon as its shard's worker is
+// parked on an empty queue: the last tuple of a join joins without a
+// further push and without Drain, although batch_size is 128.
+TEST(ParallelExecutorTest, IdleShardJoinsWithoutALaterCall) {
+  SharedKeyFixture fx = SharedKeyFixture::Make();
+  ExecutorConfig config;
+  config.keep_results = true;
+  config.shards = 2;
+  config.batch_size = 128;
+  auto exec = ParallelExecutor::Create(fx.query, fx.schemes,
+                                       PlanShape::SingleMJoin(3), config);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  auto wait_live = [&](size_t n) {
+    while ((*exec)->TotalLiveTuples() < n && Clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  for (size_t stream = 0; stream < 3; ++stream) {
+    // The pause lets the shard finish the previous tuple and park.
+    wait_live(stream);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    (*exec)->PushTuple(stream, Tuple({Value(int64_t{7}), Value(int64_t{1})}),
+                       static_cast<int64_t>(stream + 1));
+  }
+  std::vector<Tuple> results;
+  while (results.empty() && Clock::now() < deadline) {
+    results = (*exec)->TakeResults();
+    if (results.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_EQ(results.size(), 1u)
+      << "the last tuple waited in the driver for a later call";
+  (*exec)->Stop();
 }
 
 }  // namespace

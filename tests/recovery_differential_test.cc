@@ -302,5 +302,70 @@ TEST(RecoveryDifferentialTest, HundredRandomKillRestoreTrialsMatchSerial) {
   }
 }
 
+// A pinned trial (base seed 700, trial 43) where the pending-propagation
+// owner matters: the plan's second operator partitions on a class with
+// two members on one input, so it broadcasts punctuations, and an
+// output punctuation pinning a key member completes on its owner's
+// vote alone. At the cut another shard still holds the propagation
+// pending after the owner forwarded it; restoring that copy onto the
+// owner would forward it a second time, and the late duplicate is never
+// retired (one extra live punctuation at the end).
+TEST(RecoveryDifferentialTest, RestoreForwardsNoPunctuationTwice) {
+  const uint64_t seed = 743;
+  RandomQueryConfig qconfig;
+  qconfig.num_streams = 2 + seed % 4;
+  qconfig.attrs_per_stream = 2;
+  qconfig.extra_predicates = seed % 2;
+  qconfig.multi_attr_prob = 0.25;
+  qconfig.schemeless_prob = 0.15;
+  qconfig.seed = seed * 41 + 3;
+  auto inst = MakeRandomQuery(qconfig);
+  ASSERT_TRUE(inst.ok()) << inst.status().ToString();
+  CoveringTraceConfig tconfig;
+  tconfig.num_generations = 4;
+  tconfig.values_per_generation = 3;
+  tconfig.tuples_per_generation = 10;
+  tconfig.seed = seed;
+  const Trace trace = MakeCoveringTrace(inst->query, inst->schemes, tconfig);
+  const PlanShape shape = ShapeForTrial(inst->query.num_streams(), seed);
+  ExecutorConfig config;
+  config.keep_results = true;
+  config.mjoin.purge_policy = PurgePolicy::kLazy;
+  config.mjoin.lazy_batch = 4;
+  config.queue_capacity = 1 + seed % 32;
+  config.batch_size = 1024;
+  const int64_t now = MaxTimestamp(trace) + 1;
+  const size_t cut = (seed * 7919) % (trace.size() + 1);
+
+  ExecutorConfig ref_config = config;
+  ref_config.batch_size = 1;
+  auto ref =
+      PlanExecutor::Create(inst->query, inst->schemes, shape, ref_config);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  for (const TraceEvent& e : trace) ASSERT_TRUE((*ref)->Push(e).ok());
+  const Observation want = ObserveSerial(ref->get(), now);
+
+  config.shards = 2;
+  StateSnapshot captured;
+  {
+    auto run =
+        ParallelExecutor::Create(inst->query, inst->schemes, shape, config);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    for (size_t i = 0; i < cut; ++i) ASSERT_TRUE((*run)->Push(trace[i]).ok());
+    Result<StateSnapshot> snap = (*run)->Checkpoint(now);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    captured = std::move(*snap);
+    (*run)->Stop();
+  }
+  auto resumed =
+      ParallelExecutor::Create(inst->query, inst->schemes, shape, config);
+  ASSERT_TRUE(resumed.ok());
+  ASSERT_TRUE((*resumed)->RestoreState(captured).ok());
+  for (size_t i = cut; i < trace.size(); ++i) {
+    ASSERT_TRUE((*resumed)->Push(trace[i]).ok());
+  }
+  ExpectEqualObservation(ObserveParallel(resumed->get(), now), want);
+}
+
 }  // namespace
 }  // namespace punctsafe

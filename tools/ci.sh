@@ -169,6 +169,31 @@ run_config() {
 # Release build with benchmarks ON, run on deliberately tiny inputs:
 # a correctness smoke (each binary CHECKs serial/parallel/partitioned
 # result equality internally), not a measurement.
+# Runs one bench-smoke step, recording its name in BENCH_FAILED
+# instead of stopping the leg when it fails, so one red gate cannot
+# hide the steps after it (the checkpoint binary's split->merge byte
+# identity CHECKs, for one).
+BENCH_FAILED=()
+bench_step() {
+  local name="$1"
+  shift
+  echo "=== [bench] ${name} ==="
+  if ! "$@"; then
+    echo "=== [bench] FAILED: ${name} ===" >&2
+    BENCH_FAILED+=("${name}")
+  fi
+}
+
+run_bench_partitioned() {
+  "$1/bench/bench_partitioned_join" --generations 10 --iters 1 \
+    | tee "$1/BENCH_partitioned.json"
+}
+
+run_bench_fig3() {
+  "$1/bench/bench_fig3_chained_purge" \
+    --benchmark_min_time=0.01 --benchmark_filter='windows:20' >/dev/null
+}
+
 run_bench_smoke() {
   local dir="${BUILD_ROOT}/bench"
   echo "=== [bench] configure (Release, benchmarks ON) ==="
@@ -178,48 +203,52 @@ run_bench_smoke() {
     -DPUNCTSAFE_BUILD_EXAMPLES=OFF
   echo "=== [bench] build ==="
   cmake --build "${dir}" -j "${JOBS}"
-  echo "=== [bench] smoke: bench_parallel_pipeline (+metrics export) ==="
-  "${dir}/bench/bench_parallel_pipeline" \
+  # Every step below runs even when an earlier one fails; the leg
+  # exits 1 at the end, naming the failed steps.
+  bench_step "smoke: bench_parallel_pipeline (+metrics export)" \
+    "${dir}/bench/bench_parallel_pipeline" \
     --streams 3 --generations 10 --iters 1 --shards 2 \
     --metrics-out "${dir}/metrics.jsonl"
-  echo "=== [bench] metrics report (tools/obs_report.py) ==="
-  python3 "${ROOT}/tools/obs_report.py" "${dir}/metrics.jsonl"
-  echo "=== [bench] smoke: bench_partitioned_join (zipf) ==="
-  # On hosts with more than one hardware thread this leg — unlike
+  bench_step "metrics report (tools/obs_report.py)" \
+    python3 "${ROOT}/tools/obs_report.py" "${dir}/metrics.jsonl"
+  # On hosts with more than one hardware thread this step — unlike
   # a 1-core dev box, where the gate self-skips — enforces the
   # shards2-vs-shards1 speedup floor and the internal result and
   # final-state equality CHECKs on the uniform and zipf-skewed traces.
   # The JSON (per-shard state high water) is kept as an artifact.
-  "${dir}/bench/bench_partitioned_join" --generations 10 --iters 1 \
-    | tee "${dir}/BENCH_partitioned.json"
-  echo "=== [bench] smoke: bench_fig3_chained_purge ==="
-  "${dir}/bench/bench_fig3_chained_purge" \
-    --benchmark_min_time=0.01 --benchmark_filter='windows:20' >/dev/null
-  echo "=== [bench] hot-path regression gate ==="
+  bench_step "smoke: bench_partitioned_join (zipf)" \
+    run_bench_partitioned "${dir}"
+  bench_step "smoke: bench_fig3_chained_purge" run_bench_fig3 "${dir}"
   # Default parameters match the checked-in baseline's configuration
   # exactly (rates depend on store size / key cardinality). Fails
   # (exit 1) if any gated rate (int/str insert batch, int/str expand
   # batch, int purge) drops below the gate floor
   # (PUNCTSAFE_BENCH_MIN_RATIO, default 0.75) of BENCH_hot_path.json,
   # printing the measured/baseline ratio table.
-  "${dir}/bench/bench_hot_path" --iters 1 \
+  bench_step "hot-path regression gate" \
+    "${dir}/bench/bench_hot_path" --iters 1 \
     --baseline "${ROOT}/BENCH_hot_path.json"
-  echo "=== [bench] arena regression gate ==="
   # Gates the arena insert and interleaved insert+purge micro rates at
   # the same floor against BENCH_arena.json; the binary additionally
   # hard-CHECKs steady-state insert_allocs == 0, blocks reclaimed > 0,
   # and result equality against the reference join on every run.
-  "${dir}/bench/bench_arena" --iters 1 \
+  bench_step "arena regression gate" \
+    "${dir}/bench/bench_arena" --iters 1 \
     --baseline "${ROOT}/BENCH_arena.json"
-  echo "=== [bench] checkpoint regression gate ==="
   # Gates the snapshot pause (serial captures/sec), PSCK codec
   # throughput, and restore latency against BENCH_checkpoint.json;
   # the parallel barrier rate is reported but not gated (scheduler
   # noise on starved runners). The binary hard-CHECKs
   # kill/restore/replay result equality in both execution modes and
   # split->merge byte identity on every run.
-  "${dir}/bench/bench_checkpoint" --iters 1 \
+  bench_step "checkpoint regression gate" \
+    "${dir}/bench/bench_checkpoint" --iters 1 \
     --baseline "${ROOT}/BENCH_checkpoint.json"
+  if [ "${#BENCH_FAILED[@]}" -ne 0 ]; then
+    echo "=== [bench] failed steps: ===" >&2
+    printf '  %s\n' "${BENCH_FAILED[@]}" >&2
+    exit 1
+  fi
 }
 
 for config in ${CONFIGS}; do
