@@ -440,6 +440,14 @@ Status ParseOperatorSection(std::string_view payload,
 // ---------------------------------------------------------------------------
 // Canonical ordering helpers.
 
+// Canonical byte encoding of a punctuation — the sort/dedup key Merge
+// uses (Punctuation has no operator<).
+std::string EncodePunctuationKey(const Punctuation& p) {
+  std::string out;
+  PutPunctuation(&out, p);
+  return out;
+}
+
 bool PunctuationEntryLess(const PunctuationEntry& a,
                           const PunctuationEntry& b) {
   return EncodePunctuationKey(a.punctuation) <
@@ -569,12 +577,6 @@ uint32_t Crc32(const void* data, size_t size) {
     crc = kTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
-}
-
-std::string EncodePunctuationKey(const Punctuation& p) {
-  std::string out;
-  PutPunctuation(&out, p);
-  return out;
 }
 
 void CanonicalizeSnapshot(StateSnapshot* snapshot) {

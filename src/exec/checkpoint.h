@@ -115,10 +115,6 @@ struct StateSnapshot {
 /// \brief CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `size` bytes.
 uint32_t Crc32(const void* data, size_t size);
 
-/// \brief Canonical byte encoding of a punctuation — the sort/dedup
-/// key Merge uses (Punctuation has no operator<).
-std::string EncodePunctuationKey(const Punctuation& p);
-
 /// \brief Normalizes to merge's canonical form: tuples and results
 /// sorted (multisets), punctuations and pending propagations sorted
 /// and deduplicated (sets; duplicate punctuations keep the max

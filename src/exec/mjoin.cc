@@ -938,7 +938,7 @@ void MJoinOperator::PushPunctuation(size_t input,
       << "punctuation arity " << punctuation.arity() << " != input width "
       << widths_[input];
   ++metrics_.punctuations_received;
-  if (obs_ != nullptr) obs_->RecordPunctuation(input, ts);
+  if (obs_ != nullptr) obs_->RecordPunctuation(ts);
 
   if (config_.punctuation_lifespan.has_value()) {
     for (auto& store : punct_stores_) {
@@ -993,29 +993,23 @@ void MJoinOperator::PushPunctuation(size_t input,
   TryPropagate(ts, uint64_t{1} << input);
 }
 
-void MJoinOperator::OnObserverSet() {
-  for (auto& state : states_) state->SetObserver(obs_);
-}
-
 void MJoinOperator::Sweep(int64_t now) {
   ++metrics_.purge_sweeps;
   punctuations_since_sweep_ = 0;
   const bool observing = obs_ != nullptr;
   const int64_t sweep_start = observing ? obs::NowNs() : 0;
-  uint64_t purged_total = 0;
-  const uint64_t changed = full_sweep_reference_
-                               ? FullSweepPass(now, &purged_total)
-                               : WakePass(now, &purged_total);
+  const uint64_t changed =
+      full_sweep_reference_ ? FullSweepPass(now) : WakePass(now);
   TryPropagate(now, changed);
   if (full_sweep_reference_ || retire_scan_pending_) RetireFinishedScan(now);
   // Epoch boundary: no probe results from this sweep are in flight
   // anymore, so purged payloads can be released and all-dead arena
   // blocks reclaimed wholesale.
   for (auto& state : states_) state->AdvanceEpoch();
-  if (observing) obs_->RecordSweep(obs::NowNs() - sweep_start, purged_total);
+  if (observing) obs_->RecordSweep(obs::NowNs() - sweep_start);
 }
 
-uint64_t MJoinOperator::WakePass(int64_t now, uint64_t* purged_total) {
+uint64_t MJoinOperator::WakePass(int64_t now) {
   if (config_.punctuation_lifespan.has_value() && now < max_check_ts_) {
     WakeAll();
   }
@@ -1076,7 +1070,6 @@ uint64_t MJoinOperator::WakePass(int64_t now, uint64_t* purged_total) {
       if (!sweep_scratch_.empty()) {
         changed |= uint64_t{1} << k;
         recheck = true;
-        *purged_total += sweep_scratch_.size();
         state.PurgeSlots(sweep_scratch_);
         // Payloads stay addressable until AdvanceEpoch. Equal join
         // values are adjacent (pass_rows_ order): one finish test each.
@@ -1102,7 +1095,7 @@ uint64_t MJoinOperator::WakePass(int64_t now, uint64_t* purged_total) {
   return changed;
 }
 
-uint64_t MJoinOperator::FullSweepPass(int64_t now, uint64_t* purged_total) {
+uint64_t MJoinOperator::FullSweepPass(int64_t now) {
   uint64_t changed = 0;
   for (size_t k = 0; k < num_inputs(); ++k) {
     if (!input_purgeable_[k]) continue;
@@ -1114,7 +1107,6 @@ uint64_t MJoinOperator::FullSweepPass(int64_t now, uint64_t* purged_total) {
       }
     });
     if (!sweep_scratch_.empty()) changed |= uint64_t{1} << k;
-    *purged_total += sweep_scratch_.size();
     states_[k]->PurgeSlots(sweep_scratch_);
     if (ExpandScratchCapacity() > scratch_before) {
       states_[k]->CountExpandAllocs(1);
@@ -1192,9 +1184,6 @@ void MJoinOperator::TryPropagate(int64_t now, uint64_t changed_inputs) {
     }
     Emit(StreamElement::OfPunctuation(RebaseToOutput(it->input, p), now));
     ++metrics_.punctuations_propagated;
-    if (obs_ != nullptr) {
-      obs_->Note(obs::TraceKind::kPunctOut, it->input);
-    }
     it = pending_propagations_.erase(it);
   }
 }

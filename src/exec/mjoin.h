@@ -216,9 +216,6 @@ class MJoinOperator : public JoinOperator {
   /// without an element emitter (restored entries stay inert).
   void RecheckPropagations(int64_t now);
 
- protected:
-  void OnObserverSet() override;
-
  private:
   friend class MJoinTestPeer;  // tests/mjoin_test_peer.h
 
@@ -388,11 +385,11 @@ class MJoinOperator : public JoinOperator {
   /// Drops stale wait entries once they outnumber the threshold.
   void MaybeCompactWaits();
   /// The purge pass behind Sweep; returns the inputs (bitmask) that
-  /// lost tuples and adds the purge count to *purged_total.
-  uint64_t WakePass(int64_t now, uint64_t* purged_total);
+  /// lost tuples.
+  uint64_t WakePass(int64_t now);
   /// Test-only reference purge (MJoinTestPeer): re-checks every live
   /// tuple of every input once, in input order.
-  uint64_t FullSweepPass(int64_t now, uint64_t* purged_total);
+  uint64_t FullSweepPass(int64_t now);
   /// Re-checks pending propagations for the inputs (bitmask) whose
   /// punctuation store or join state changed.
   void TryPropagate(int64_t now, uint64_t changed_inputs);

@@ -85,10 +85,7 @@ class JoinOperator {
   /// \brief Attaches this operator's observation point (may be null
   /// to detach). The executor owns the OperatorObs; operators only
   /// borrow it and treat null as "observability off".
-  void SetObserver(obs::OperatorObs* observer) {
-    obs_ = observer;
-    OnObserverSet();
-  }
+  void SetObserver(obs::OperatorObs* observer) { obs_ = observer; }
   obs::OperatorObs* observer() const { return obs_; }
 
   const OperatorMetrics& metrics() const { return metrics_; }
@@ -116,10 +113,6 @@ class JoinOperator {
       emitter_(StreamElement::OfTuple(batch.tuple(i), batch.timestamp(i)));
     }
   }
-
-  /// \brief Hook for subclasses that forward the observer to owned
-  /// components (e.g. tuple stores reporting epoch advances).
-  virtual void OnObserverSet() {}
 
   Emitter emitter_;
   BatchEmitter batch_emitter_;

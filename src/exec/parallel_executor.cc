@@ -70,8 +70,9 @@ struct ParallelExecutor::Worker {
   std::thread thread;
 
   // This shard's observation point (null when observability is off).
-  // The worker thread is the trace ring's single producer; producers
-  // on other threads (router stalls) touch only its atomic counters.
+  // The worker thread is the only writer of its histograms; other
+  // threads (the driver's routing, ingest and stall accounting) touch
+  // only its atomic counters.
   obs::OperatorObs* obs = nullptr;
 
   // Owning group index, and the downstream emit staging: result
@@ -367,14 +368,14 @@ void ParallelExecutor::WorkerLoop(size_t index) {
     // rechecks re-evaluate pending propagations, checkpoints do
     // nothing (pure quiescence so the driver can observe state).
     size_t barriers = 0;
-    size_t drains = 0;
+    bool drain = false;
     bool recheck = false;
     int64_t barrier_ts = 0;
     for (OpMessage& m : *batch) {
       if (m.marker != PipelineMarker::kNone) {
         ++barriers;
         barrier_ts = m.element.timestamp;
-        if (m.marker == PipelineMarker::kDrain) ++drains;
+        if (m.marker == PipelineMarker::kDrain) drain = true;
         if (m.marker == PipelineMarker::kRecheck) recheck = true;
       } else {
         worker.pending[m.input].push_back(std::move(m));
@@ -383,12 +384,9 @@ void ParallelExecutor::WorkerLoop(size_t index) {
 
     ProcessPending(worker);
 
-    if (drains > 0) {
+    if (drain) {
       worker.op->Sweep(barrier_ts);
       SampleHighWater();
-      if (worker.obs != nullptr) {
-        worker.obs->Note(obs::TraceKind::kDrain, drains);
-      }
     }
     if (recheck) {
       // Restore phase 2: runs on this worker thread so re-emitted
@@ -460,23 +458,15 @@ void ParallelExecutor::Deliver(Worker& worker, const OpMessage& message) {
     // Per-message observation sampling: the latency sample covers
     // pipeline-edge enqueue -> processed by this shard (queue wait +
     // reorder buffering + the operator's own work), recorded as the
-    // per-row mean; one clock read closes it and stamps one ring event
-    // carrying the message's result count.
+    // per-row mean; one clock read closes it.
     const int64_t rows =
         message.batch != nullptr
             ? static_cast<int64_t>(message.batch->size())
             : 1;
-    const uint64_t results_before =
-        worker.op->metrics().results_emitted.load(std::memory_order_relaxed);
     push();
-    const int64_t now = obs::NowNs();
     if (message.enqueue_ns != 0 && rows > 0) {
-      worker.obs->RecordLatencyNs((now - message.enqueue_ns) / rows);
+      worker.obs->RecordLatencyNs((obs::NowNs() - message.enqueue_ns) / rows);
     }
-    worker.obs->NoteAt(
-        now, obs::TraceKind::kTupleIn, message.input,
-        worker.op->metrics().results_emitted.load(std::memory_order_relaxed) -
-            results_before);
   } else {
     push();
   }

@@ -115,21 +115,13 @@ void PlanExecutor::FlushIngest() {
   auto [op, input] = leaf_route_[pending_stream_];
   const int64_t n = static_cast<int64_t>(pending_batch_.size());
   // Per-batch observation sampling: two clock reads for the whole
-  // batch, a mean per-tuple latency sample, and one kTupleIn ring
-  // event carrying the batch's result count. Serial execution runs the
-  // whole synchronous cascade (probes, result emission, parent pushes)
-  // inside the push, so the sample covers arrival -> last emit.
+  // batch and a mean per-tuple latency sample. Serial execution runs
+  // the whole synchronous cascade (probes, result emission, parent
+  // pushes) inside the push, so the sample covers arrival -> last emit.
   if (op->observer() != nullptr) {
-    const uint64_t results_before =
-        op->metrics().results_emitted.load(std::memory_order_relaxed);
     const int64_t start = obs::NowNs();
     op->PushBatch(input, pending_batch_);
-    const int64_t end = obs::NowNs();
-    op->observer()->RecordLatencyNs((end - start) / n);
-    op->observer()->NoteAt(
-        end, obs::TraceKind::kTupleIn, input,
-        op->metrics().results_emitted.load(std::memory_order_relaxed) -
-            results_before);
+    op->observer()->RecordLatencyNs((obs::NowNs() - start) / n);
   } else {
     op->PushBatch(input, pending_batch_);
   }

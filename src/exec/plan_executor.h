@@ -66,8 +66,8 @@ struct ExecutorConfig {
   /// thread count is (#operators x shards), so size against the
   /// machine's core count.
   size_t shards = 1;
-  /// Runtime observability (src/obs/): trace rings + latency /
-  /// punctuation-lag / sweep / queue histograms per shard operator.
+  /// Runtime observability (src/obs/): latency / punctuation-lag /
+  /// sweep / queue histograms and counters per shard operator.
   /// Off by default — every hook short-circuits on a null pointer.
   bool observe = false;
 

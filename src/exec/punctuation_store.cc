@@ -60,7 +60,6 @@ bool PunctuationStore::Add(const Punctuation& punctuation, int64_t now) {
     return false;
   }
   ++size_;
-  high_water_ = std::max(high_water_, size_);
   return true;
 }
 

@@ -83,7 +83,6 @@ class PunctuationStore {
   size_t CountConstraining(size_t attr) const;
 
   size_t size() const { return size_; }
-  size_t high_water() const { return high_water_; }
 
   /// \brief Calls fn for every stored punctuation (expired included)
   /// with its arrival timestamp — the checkpoint capture path
@@ -161,7 +160,6 @@ class PunctuationStore {
   // lookups are const): probes must not allocate in steady state.
   mutable std::vector<const Value*> key_scratch_;
   size_t size_ = 0;
-  size_t high_water_ = 0;
 };
 
 }  // namespace punctsafe

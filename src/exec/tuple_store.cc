@@ -180,9 +180,6 @@ void TupleStore::AdvanceEpoch() {
   size_t reclaimed = arena_.AdvanceEpoch();
   metrics_.OnArenaEpoch(reclaimed, arena_.bytes_reserved(),
                         arena_.bytes_live());
-  if (obs_ != nullptr) {
-    obs_->Note(obs::TraceKind::kEpochAdvance, reclaimed, arena_.bytes_live());
-  }
 }
 
 void TupleStore::ForEachLive(

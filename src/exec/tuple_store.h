@@ -50,7 +50,6 @@
 #include "exec/flat_index.h"
 #include "exec/metrics.h"
 #include "exec/tuple_batch.h"
-#include "obs/observability.h"
 #include "stream/tuple.h"
 #include "util/logging.h"
 #include "util/small_vector.h"
@@ -137,12 +136,6 @@ class TupleStore {
   /// store's metrics (the arrival input's store carries the expansion
   /// cost of its pushes; see StateMetrics::expand_allocs).
   void CountExpandAllocs(uint64_t n) const { metrics_.OnExpandAllocs(n); }
-
-  /// \brief Borrows the owning operator's observation point (nullable)
-  /// so epoch boundaries surface as trace events. Deliberately NOT
-  /// consulted on the per-probe path — probes are the hot loop and
-  /// stay counter-only (StateMetrics::probes).
-  void SetObserver(obs::OperatorObs* observer) { obs_ = observer; }
 
   /// \brief Counts an arriving tuple that was never stored because its
   /// removability already held ("purging future tuples", Sec 5.1).
@@ -303,7 +296,6 @@ class TupleStore {
   // Probe-run statistics (see ProbeRunStats); mutable because
   // NoteProbeRun is logically const.
   mutable ProbeRunStats probe_run_stats_;
-  obs::OperatorObs* obs_ = nullptr;
 };
 
 }  // namespace punctsafe

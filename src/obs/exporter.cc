@@ -147,9 +147,6 @@ void AppendOperator(std::string* out, const OperatorObsEntry& e,
   AppendKv(out, "aligner_pending", e.aligner_pending, &f);
   AppendKv(out, "aligner_pending_hw", e.aligner_pending_high_water,
            &f);
-  // Trace-ring accounting.
-  AppendKv(out, "trace_recorded", e.trace_recorded, &f);
-  AppendKv(out, "trace_dropped", e.trace_dropped, &f);
   // Histograms.
   AppendHistogram(out, "latency_ns", e.latency_ns, &f);
   AppendHistogram(out, "punct_lag", e.punct_lag, &f);

@@ -1,13 +1,13 @@
 // Periodic JSON-lines metrics exporter. A MetricsExporter owns a
 // snapshot source (a callback composed by the executor — see
-// PlanExecutor::ObservabilitySnapshot / ParallelPlanExecutor::
+// PlanExecutor::ObservabilitySnapshot / ParallelExecutor::
 // ObservabilitySnapshot), and writes one self-contained JSON object
 // per line to a stream or file: executor-level counters/gauges, then
 // one nested object per shard-operator with its StateMetrics,
-// OperatorMetrics, trace-ring totals, and the p50/p95/p99/max
-// quantiles of the latency / punctuation-lag / sweep / queue-depth
-// histograms. tools/obs_report.py renders the JSONL into a table;
-// docs/OBSERVABILITY.md documents the schema.
+// OperatorMetrics, routing / ingest / aligner counters, and the
+// p50/p95/p99/max quantiles of the latency / punctuation-lag / sweep /
+// queue-depth histograms. tools/obs_report.py renders the JSONL into
+// a table; docs/OBSERVABILITY.md documents the schema.
 //
 // Start() spawns a background thread that exports every
 // `interval_ms`; ExportNow() takes a synchronous snapshot from any

@@ -1,19 +1,18 @@
 // Runtime observability context for one executor: a registry of
 // per-shard-operator observation points (OperatorObs), each bundling
-// a lock-free trace ring with the latency / punctuation-lag /
-// purge-sweep / queue-occupancy histograms that explain where time
-// goes and why state is the size it is.
+// the latency / punctuation-lag / purge-sweep / queue-occupancy
+// histograms and the routing / ingest counters that explain where
+// time goes and why state is the size it is.
 //
 // Cost model: every hook is a handful of relaxed atomics; operators
 // hold a nullable OperatorObs* and skip the hooks entirely when
 // observability is off (ExecutorConfig::observe, the one switch): one
 // predictable null-pointer branch per hook site. docs/OBSERVABILITY.md
-// has the event taxonomy and measured overhead.
+// has the histograms, the exporter schema and the measured overhead.
 //
 // Thread contract: one OperatorObs belongs to one shard worker
-// thread (its ring's single producer). Histogram/counter reads and
-// ring drains may come from any other single thread concurrently
-// (the exporter); Observability::DrainTraces serializes drainers.
+// thread, the only writer of its histograms. Histogram/counter reads
+// may come from any other thread concurrently (the exporter).
 
 #ifndef PUNCTSAFE_OBS_OBSERVABILITY_H_
 #define PUNCTSAFE_OBS_OBSERVABILITY_H_
@@ -24,18 +23,16 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "exec/metrics.h"
 #include "obs/histogram.h"
-#include "obs/trace_ring.h"
 
 namespace punctsafe {
 namespace obs {
 
-/// \brief Steady-clock nanoseconds (the trace/latency time base).
+/// \brief Steady-clock nanoseconds (the latency time base).
 inline int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -73,29 +70,12 @@ enum class IngestCause : uint8_t {
 inline constexpr size_t kNumIngestCauses = 5;
 
 /// \brief One observation point: owned by exactly one shard worker.
-/// Its trace ring holds TraceRing::kDefaultCapacity recent events;
-/// overflow drops the newest event and counts it, it never blocks.
 class OperatorObs {
  public:
   OperatorObs(uint16_t op, uint32_t shard) : op_(op), shard_(shard) {}
 
   uint16_t op() const { return op_; }
   uint32_t shard() const { return shard_; }
-  TraceRing& ring() { return ring_; }
-  const TraceRing& ring() const { return ring_; }
-
-  /// \brief Appends a ring event (producer thread only).
-  void Note(TraceKind kind, uint64_t a = 0, uint64_t b = 0) {
-    NoteAt(NowNs(), kind, a, b);
-  }
-
-  /// \brief Note with a caller-supplied timestamp — the per-tuple hot
-  /// paths reuse the NowNs they already took for latency, so a tuple
-  /// event costs no extra clock read.
-  void NoteAt(int64_t t_ns, TraceKind kind, uint64_t a = 0,
-              uint64_t b = 0) {
-    ring_.TryPush(TraceRecord{t_ns, kind, op_, shard_, a, b});
-  }
 
   /// \brief Folds an arriving tuple's logical timestamp into the
   /// per-operator maximum (the reference point for punctuation lag).
@@ -114,29 +94,23 @@ class OperatorObs {
   /// \brief Punctuation arrival: records its staleness relative to
   /// the newest tuple timestamp this operator has seen (clamped at 0
   /// — a punctuation "from the future", or one ahead of every tuple,
-  /// has no lag) and a ring event.
-  void RecordPunctuation(size_t input, int64_t punct_ts) {
+  /// has no lag).
+  void RecordPunctuation(int64_t punct_ts) {
     const int64_t newest = max_tuple_ts();
-    int64_t lag = newest > punct_ts ? newest - punct_ts : 0;
-    punct_lag_.Record(lag);
-    Note(TraceKind::kPunctIn, input, static_cast<uint64_t>(lag));
+    punct_lag_.Record(newest > punct_ts ? newest - punct_ts : 0);
   }
 
-  /// \brief Purge sweep finished: duration histogram + ring event.
-  void RecordSweep(int64_t dur_ns, uint64_t purged) {
-    sweep_ns_.Record(dur_ns);
-    Note(TraceKind::kPurgeSweep, purged, static_cast<uint64_t>(dur_ns));
-  }
+  /// \brief Purge sweep finished: duration histogram.
+  void RecordSweep(int64_t dur_ns) { sweep_ns_.Record(dur_ns); }
 
   /// \brief Worker popped a batch of `n` queued elements: occupancy
-  /// histogram + ring event (parallel executor only).
+  /// histogram (parallel executor only).
   void RecordQueueBatch(uint64_t n) {
     queue_depth_.Record(static_cast<int64_t>(n));
-    Note(TraceKind::kQueueBatch, n);
   }
 
   /// \brief A producer found this worker's queue full (backpressure).
-  /// Any thread (atomic counter; the ring belongs to the consumer).
+  /// Any thread (atomic counter).
   void IncStall() { stalls_.fetch_add(1, std::memory_order_relaxed); }
   uint64_t stalls() const {
     return stalls_.load(std::memory_order_relaxed);
@@ -187,7 +161,6 @@ class OperatorObs {
  private:
   const uint16_t op_;
   const uint32_t shard_;
-  TraceRing ring_;
   std::atomic<int64_t> max_tuple_ts_{
       std::numeric_limits<int64_t>::min()};
   std::atomic<uint64_t> stalls_{0};
@@ -221,16 +194,14 @@ struct OperatorObsEntry {
   uint64_t punct_broadcast = 0;
   size_t aligner_pending = 0;
   size_t aligner_pending_high_water = 0;
-  uint64_t trace_recorded = 0;
-  uint64_t trace_dropped = 0;
   HistogramSnapshot latency_ns;
   HistogramSnapshot punct_lag;
   HistogramSnapshot sweep_ns;
   HistogramSnapshot queue_depth;
 
-  /// \brief Copies the OperatorObs-owned fields (ids, trace-ring
-  /// accounting, counters, histograms); executors fill the rest
-  /// (state/op metrics, partitioning, aligner gauges) themselves.
+  /// \brief Copies the OperatorObs-owned fields (ids, counters,
+  /// histograms); executors fill the rest (state/op metrics,
+  /// partitioning, aligner gauges) themselves.
   void CaptureFrom(const OperatorObs& o) {
     op = o.op();
     shard = o.shard();
@@ -242,8 +213,6 @@ struct OperatorObsEntry {
     ingest_rows = o.ingest_rows();
     punct_unicast = o.punct_unicast();
     punct_broadcast = o.punct_broadcast();
-    trace_recorded = o.ring().recorded();
-    trace_dropped = o.ring().dropped();
     latency_ns = o.latency_ns().Snapshot();
     punct_lag = o.punct_lag().Snapshot();
     sweep_ns = o.sweep_ns().Snapshot();
@@ -271,7 +240,7 @@ struct ObsSnapshot {
 };
 
 /// \brief The per-executor registry: owns every OperatorObs so their
-/// rings outlive the worker threads that feed them.
+/// histograms outlive the worker threads that feed them.
 class Observability {
  public:
   Observability() = default;
@@ -289,20 +258,8 @@ class Observability {
   OperatorObs& at(size_t i) { return *operators_[i]; }
   const OperatorObs& at(size_t i) const { return *operators_[i]; }
 
-  /// \brief Drains every ring into `*out` (serialized: the rings are
-  /// SPSC, so only one drainer may run at a time). Stop-the-world
-  /// free: producers keep writing while this runs. Returns the
-  /// number of records moved.
-  size_t DrainTraces(std::vector<TraceRecord>* out) {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    size_t n = 0;
-    for (auto& op : operators_) n += op->ring().Drain(out);
-    return n;
-  }
-
  private:
   std::vector<std::unique_ptr<OperatorObs>> operators_;
-  std::mutex drain_mu_;
 };
 
 }  // namespace obs

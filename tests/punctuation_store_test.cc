@@ -11,7 +11,6 @@ TEST(PunctuationStoreTest, AddAndDeduplicate) {
   EXPECT_TRUE(store.Add(p, 0));
   EXPECT_FALSE(store.Add(p, 1));  // duplicate refreshes, not stores
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.high_water(), 1u);
 }
 
 TEST(PunctuationStoreTest, CoversSubspaceBasics) {
@@ -119,6 +118,8 @@ TEST(PunctuationStoreTest, RetireValue) {
   EXPECT_EQ(store.size(), 1u);
   EXPECT_FALSE(store.CoversSubspace({0}, {Value(1)}, 0));
   EXPECT_TRUE(store.CoversSubspace({0}, {Value(2)}, 0));
+  EXPECT_EQ(store.Retire(0, Value(2)), 1u);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 // Multi-attribute punctuations constraining the attribute to the value
@@ -143,16 +144,6 @@ TEST(PunctuationStoreTest, ForEachVisitsAll) {
   size_t count = 0;
   store.ForEachEntry([&](Punctuation, int64_t) { ++count; });
   EXPECT_EQ(count, 2u);
-}
-
-TEST(PunctuationStoreTest, HighWaterSurvivesRemoval) {
-  PunctuationStore store;
-  store.Add(Punctuation::OfConstants(1, {{0, Value(1)}}), 0);
-  store.Add(Punctuation::OfConstants(1, {{0, Value(2)}}), 0);
-  store.Retire(0, Value(1));
-  store.Retire(0, Value(2));
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.high_water(), 2u);
 }
 
 }  // namespace

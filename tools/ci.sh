@@ -8,12 +8,14 @@
 # runs the four examples and runs each perfbench workload for one
 # second (a compile and correctness smoke, no performance threshold).
 # The sanitizer runs are what give the parallel executor's
-# differential and queue stress tests their teeth; the bench smoke
-# keeps the JSON-emitting binaries (and their internal
-# result-equality CHECKs, including the sharded executor's) from
-# rotting between full benchmark runs, and additionally exports
-# an observability metrics JSONL (bench/metrics.jsonl under the build
-# root — uploaded as a CI artifact, rendered with tools/obs_report.py).
+# differential and queue stress tests their teeth (the TSan leg also
+# runs the observability export test explicitly: exporter reads
+# against worker writes); the bench smoke keeps the JSON-emitting
+# binaries (and their internal result-equality CHECKs, including the
+# sharded executor's) from rotting between full benchmark runs, and
+# additionally exports an observability metrics JSONL
+# (bench/metrics.jsonl under the build root — uploaded as a CI
+# artifact, rendered with tools/obs_report.py).
 #
 # Usage: tools/ci.sh [build-root]         (default: ./build-ci)
 #   PUNCTSAFE_CI_CONFIGS="format plain asan tsan ubsan bench" for a
@@ -163,6 +165,15 @@ run_config() {
     echo "=== [${name}] recovery differential oracle (explicit) ==="
     run_explicit "${dir}/tests/recovery_differential_test" \
       --gtest_filter='RecoveryDifferentialTest.HundredRandomKillRestoreTrialsMatchSerial'
+  fi
+  # The observability export test reads every shard's histograms and
+  # counters from the driver thread (snapshot, JSONL render, the
+  # exporter's background thread) while parallel-executor workers
+  # record into them: under TSan it is the proof that those reads race
+  # cleanly with the workers' writes.
+  if [ "${name}" = "tsan" ]; then
+    echo "=== [${name}] observability export (explicit) ==="
+    run_explicit "${dir}/tests/obs_export_test"
   fi
 }
 

@@ -79,9 +79,6 @@ def render_snapshot(snap, out):
          lambda e: hist_cell(e.get("sweep_ns"), fmt_ns)),
         ("qdepth p50/95/99",
          lambda e: hist_cell(e.get("queue_depth"), fmt_count)),
-        ("trace", lambda e: fmt_count(e.get("trace_recorded", 0))
-         + (f"(-{fmt_count(e['trace_dropped'])})"
-            if e.get("trace_dropped") else "")),
     ]
     rows = [[name for name, _ in cols]]
     rows += [[cell(e) for _, cell in cols] for e in ops]
