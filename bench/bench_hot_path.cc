@@ -23,8 +23,9 @@
 // failing gate prints the full measured/baseline ratio table.
 //
 // Also measures the end-to-end runs with ExecutorConfig::observe on,
-// reporting observe_ratio_* (observe-off time / observe-on time) — the
-// observability overhead contract is >= 0.97.
+// reporting observe_ratio_* (observe-off time / observe-on time) as a
+// printed diagnostic: nothing gates it, and on a shared 4-core host it
+// read 0.88-0.96 over three default-argument runs (EXPERIMENTS.md E27).
 //
 // Usage: bench_hot_path [--store-tuples N] [--keys K]
 //                       [--probe-iters M] [--generations G] [--iters I]
@@ -394,8 +395,8 @@ int Main(int argc, char** argv) {
 
   // Observe-on runs ride in the same loop as observe-off ones
   // (interleaved best-of, the bench_arena pattern) so thermal/clock
-  // drift hits both sides of the overhead ratio equally; the
-  // observability contract is observe_ratio_* >= ~0.97.
+  // drift hits both sides of the overhead ratio equally; the ratios
+  // are printed, not gated.
   RunStats serial, shard1, shard2, serial_obs, shard2_obs;
   // The ExecutorConfig::batch_size sweep: how far batched ingestion
   // moves serial end-to-end throughput (batch 1 = the tuple-at-a-time
@@ -499,8 +500,8 @@ int Main(int argc, char** argv) {
        serial_obs.seconds > 0 ? trace.size() / serial_obs.seconds : 0);
   emit("sharded2_observed_events_per_sec",
        shard2_obs.seconds > 0 ? trace.size() / shard2_obs.seconds : 0);
-  // observe-on / observe-off throughput ratios (1.0 = free; the
-  // overhead budget in docs/OBSERVABILITY.md is >= 0.97).
+  // observe-on / observe-off throughput ratios (1.0 = free; a
+  // diagnostic, E27 measured 0.88-0.96).
   std::snprintf(buf, sizeof(buf),
                 "  \"observe_ratio_serial\": %.3f,\n",
                 serial_obs.seconds > 0 && serial.seconds > 0

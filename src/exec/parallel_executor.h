@@ -18,28 +18,33 @@
 //    (a shard retires only values none of its live tuples carries)
 //    and drains stay a quiescence barrier; the same rule routes
 //    punctuations forwarded between groups and the restore re-split;
-//  * ingest — the driver stages each tuple in its shard's TupleBatch
-//    and ships it as one queue message as soon as that shard's worker
-//    is parked on an empty queue; while the shard is busy, rows keep
-//    accumulating up to batch_size. A stream change, a punctuation for
-//    the shard and a barrier ship first too. The one hold: a row whose
-//    shard was busy when it was staged waits for the next call;
+//  * ingest — the driver stages each tuple, of any stream, in its
+//    shard's buffer in arrival order; a key-routed punctuation rides in
+//    the same buffer behind the tuples it may cover. A buffer ships as
+//    one queue message as soon as that shard's worker is parked on an
+//    empty queue, else once it holds batch_size items, before a
+//    broadcast punctuation into its group, and before a barrier; a
+//    stream change ships nothing. The one hold: an item whose shard was
+//    busy when it was staged waits for the next call. Shipped buffers
+//    come back through the destination worker's free list;
 //  * per-edge FIFO — elements from one producer are consumed in
 //    production order per shard, so a punctuation never overtakes the
 //    tuples it covers on any shard's queue;
 //  * output merge — shard result tuples are staged in per-parent-shard
-//    TupleBatches and flushed as one queue message per batch once
-//    ExecutorConfig::batch_size rows are staged (first-class batch
-//    hand-off: one queue op moves the whole batch); a shard's output
+//    buffers (the same recycled transport) and flushed as one queue
+//    message per buffer once ExecutorConfig::batch_size rows are
+//    staged; a shard's output
 //    punctuation first flushes that shard's staged tuples, then passes
 //    a per-group PunctuationAligner and is forwarded only once every
 //    shard that can still hold matching tuples has emitted it (the key
 //    owner alone for a key-pinned punctuation, else all of them),
 //    which preserves the propagation contract downstream;
 //  * best-effort timestamp merge — each shard worker drains its queue
-//    into per-input reorder buffers and delivers buffered elements in
-//    ascending timestamp order (ties: lowest input), which keeps
-//    purges timely without risking cross-input deadlock;
+//    into reorder lanes (one per child-fed input, one shared by the
+//    driver-fed inputs, whose buffers are already in arrival order) and
+//    delivers buffered messages in ascending timestamp order (ties:
+//    lowest lane), which keeps purges timely without risking
+//    cross-input deadlock;
 //  * confluence — symmetric joins emit each matching combination
 //    exactly once regardless of interleaving, partitioning puts every
 //    joinable combination on one shard exactly once, and chained
@@ -97,6 +102,7 @@ enum class PipelineMarker : uint8_t {
 };
 
 struct OpMessage;
+struct ShardBuffer;
 
 class ParallelExecutor {
  public:
@@ -135,12 +141,13 @@ class ParallelExecutor {
   Status Push(const TraceEvent& event);
 
   /// \brief Routes by query stream index (blocks on a full leaf queue
-  /// — backpressure to the source). A tuple is staged in its shard's
-  /// TupleBatch, which ships as one message at once if the shard's
-  /// worker is idle, else when it holds batch_size rows, on a stream
-  /// change, or before a punctuation for that shard or a barrier. Each
-  /// call also ships every staged batch whose shard has gone idle.
-  /// A punctuation goes to its key's shard or to all (see above).
+  /// — backpressure to the source). A tuple, or a punctuation routed
+  /// to one shard, is staged in that shard's buffer, which ships as one
+  /// message at once if the shard's worker is idle, else when it holds
+  /// batch_size items, before a broadcast punctuation into its group,
+  /// or before a barrier. Each call also ships every staged buffer
+  /// whose shard has gone idle. A punctuation that leaves the key open
+  /// goes to every shard (see above).
   void PushTuple(size_t stream, const Tuple& tuple, int64_t ts);
   void PushPunctuation(size_t stream, const Punctuation& punctuation,
                        int64_t ts);
@@ -244,7 +251,9 @@ class ParallelExecutor {
   ParallelExecutor() = default;
 
   void WorkerLoop(size_t index);
-  void Deliver(Worker& worker, const OpMessage& message);
+  /// Delivers one message to the worker's operator and, for a buffer,
+  /// hands the buffer back to the worker's free list.
+  void Deliver(Worker& worker, OpMessage& message);
   void ProcessPending(Worker& worker);
   void SampleHighWater();
   /// Non-root group `group_idx`, shard `shard` emitted the output
@@ -267,10 +276,11 @@ class ParallelExecutor {
   /// PartitionSpec::kAllShards; serialized per group so all shards
   /// observe the same punctuation order. False iff stopped.
   bool SendPunctuation(OpGroup& group, size_t input,
-                       const StreamElement& element, size_t target);
+                       const Punctuation& punctuation, int64_t ts,
+                       size_t target);
   /// The shared leaves-first barrier handshake behind Drain /
   /// Checkpoint / restore-recheck (see PipelineMarker). Ships every
-  /// staged ingest batch first.
+  /// staged ingest buffer first.
   Status BarrierAll(PipelineMarker marker, int64_t now);
   void NoteProgress(size_t stream, int64_t ts);
   /// Splits `logical` across the group's shards (SplitOperatorSnapshot
@@ -281,17 +291,21 @@ class ParallelExecutor {
   /// Logical live punctuations of one group (see
   /// OperatorGroupSnapshot::punctuations_live).
   size_t GroupLivePunctuations(const OpGroup& group) const;
-  /// Worker `w`'s staged ingest rows -> one message on its queue (a
-  /// single row rides as a plain element message, sparing the batch
-  /// allocation). False iff stopped.
+  /// Worker `w`'s open ingest buffer, taken from its free list when
+  /// none is staged.
+  ShardBuffer& Stage(size_t w);
+  /// Worker `w`'s staged buffer -> one message on its queue, weighing
+  /// its item count. False iff stopped.
   bool Ship(size_t w, obs::IngestCause cause);
-  /// Ships every staged batch of workers in [begin, end). False iff
+  /// Ships every staged buffer of workers in [begin, end). False iff
   /// stopped.
   bool ShipStaged(obs::IngestCause cause, size_t begin, size_t end);
-  /// Ships every staged batch of worker w for which cause_of(w) names
+  /// Ships every staged buffer of worker w for which cause_of(w) names
   /// a cause (std::optional<obs::IngestCause>). False iff stopped.
   template <typename CauseOf>
   bool ShipStagedWhere(CauseOf cause_of);
+  /// Ships every staged buffer that is full or whose worker is idle.
+  void ShipReady();
 
   ContinuousJoinQuery query_;
   PlanShape shape_;
@@ -314,11 +328,11 @@ class ParallelExecutor {
   // Driver-thread-only bookkeeping (the thread contract makes Push*
   // single-threaded): per-stream positions.
   std::vector<InputProgress> progress_;
-  // Driver-side ingest staging: per worker (leaf shards only), the rows
-  // of ingest_stream_ not yet shipped, and the workers holding any.
-  std::vector<TupleBatch> stage_;
+  // Driver-side ingest staging: per worker (leaf shards only), the
+  // open buffer (null when nothing is staged), and the workers holding
+  // one.
+  std::vector<std::unique_ptr<ShardBuffer>> stage_;
   std::vector<size_t> staged_;
-  size_t ingest_stream_ = 0;
   // One OperatorObs per shard worker, indexed in step with workers_.
   // Null when observability is off.
   std::unique_ptr<obs::Observability> obs_;

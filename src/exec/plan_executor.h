@@ -37,10 +37,11 @@ struct ExecutorConfig {
   bool keep_results = false;
   /// Serial vs pipelined execution (honored by QueryRegister).
   ExecutionMode mode = ExecutionMode::kSerial;
-  /// Bounded-queue capacity per operator under kParallel; pushes block
-  /// when full (backpressure). Capacity counts messages, and one
-  /// message carries a whole batch, so the queue bound scales with
-  /// batch_size.
+  /// Bounded-queue capacity per shard under kParallel; pushes block
+  /// when full (backpressure). Capacity counts queued items (tuples and
+  /// punctuations), not messages: a producer waits once that many are
+  /// queued, so at most queue_capacity + batch_size items wait per
+  /// shard whatever the message size.
   size_t queue_capacity = 1024;
   /// The unit of batched ingest — one knob across the serial,
   /// pipelined, and sharded modes. Every tuple enters the operator tree
@@ -49,8 +50,8 @@ struct ExecutorConfig {
   /// tree (and, under kParallel, through the queues) as one unit; the
   /// open batch is flushed before any punctuation is forwarded, so
   /// results from a batch always precede punctuations that arrived
-  /// after it. Under kParallel it also sizes the per-parent-shard
-  /// result staging. 1 (the default) flushes every tuple at once; 0 is
+  /// after it. Under kParallel it caps the items in one shard buffer
+  /// (driver ingest and per-parent-shard result staging). 1 (the default) flushes every tuple at once; 0 is
   /// normalized to 1. The setting changes granularity only: the serial
   /// emission order is the same at every setting. Throughput-oriented
   /// setups use 64-256 (bench/bench_hot_path.cc sweeps the knob).

@@ -133,9 +133,6 @@ void AppendOperator(std::string* out, const OperatorObsEntry& e,
            e.ingest_messages[static_cast<size_t>(IngestCause::kIdle)], &f);
   AppendKv(out, "ingest_full",
            e.ingest_messages[static_cast<size_t>(IngestCause::kFull)], &f);
-  AppendKv(out, "ingest_stream_change",
-           e.ingest_messages[static_cast<size_t>(IngestCause::kStreamChange)],
-           &f);
   AppendKv(out, "ingest_punct",
            e.ingest_messages[static_cast<size_t>(IngestCause::kPunctuation)],
            &f);

@@ -58,16 +58,15 @@ inline void AtomicMax64(std::atomic<int64_t>& target, int64_t value) {
 
 }  // namespace internal
 
-/// \brief Why the parallel executor's driver shipped a staged ingest
-/// batch to a leaf shard (the ingest ledger).
+/// \brief Why the parallel executor's driver shipped a leaf shard's
+/// staged buffer (the ingest ledger).
 enum class IngestCause : uint8_t {
-  kIdle = 0,      ///< the shard's worker was parked on an empty queue
-  kFull,          ///< batch_size rows were staged
-  kStreamChange,  ///< a tuple of another stream arrived
-  kPunctuation,   ///< a punctuation for this shard follows
-  kBarrier,       ///< drain / checkpoint / recheck
+  kIdle = 0,     ///< the shard's worker was parked on an empty queue
+  kFull,         ///< batch_size items (rows + riding punctuations) staged
+  kPunctuation,  ///< a broadcast punctuation follows
+  kBarrier,      ///< drain / checkpoint / recheck
 };
-inline constexpr size_t kNumIngestCauses = 5;
+inline constexpr size_t kNumIngestCauses = 4;
 
 /// \brief One observation point: owned by exactly one shard worker.
 class OperatorObs {
@@ -103,7 +102,8 @@ class OperatorObs {
   /// \brief Purge sweep finished: duration histogram.
   void RecordSweep(int64_t dur_ns) { sweep_ns_.Record(dur_ns); }
 
-  /// \brief Worker popped a batch of `n` queued elements: occupancy
+  /// \brief Worker popped `n` queued elements (tuples and
+  /// punctuations, whatever messages carried them): occupancy
   /// histogram (parallel executor only).
   void RecordQueueBatch(uint64_t n) {
     queue_depth_.Record(static_cast<int64_t>(n));
@@ -125,8 +125,9 @@ class OperatorObs {
     return routed_.load(std::memory_order_relaxed);
   }
 
-  /// \brief The driver shipped `rows` staged ingest rows to this shard
-  /// as one message, for `cause` (driver thread; atomic counters).
+  /// \brief The driver shipped a staged buffer holding `rows` tuples
+  /// to this shard as one message, for `cause` (driver thread; atomic
+  /// counters; riding punctuations count in punct_unicast).
   void NoteIngest(IngestCause cause, uint64_t rows) {
     ingest_messages_[static_cast<size_t>(cause)].fetch_add(
         1, std::memory_order_relaxed);
@@ -140,8 +141,9 @@ class OperatorObs {
     return ingest_rows_.load(std::memory_order_relaxed);
   }
 
-  /// \brief A punctuation was delivered to this shard, either to it
-  /// alone (key-routed) or as part of a broadcast. Any thread.
+  /// \brief A punctuation was sent to this shard, either to it alone
+  /// (key-routed; at ingest it rides in the shard's staged buffer) or
+  /// as part of a broadcast. Any thread.
   void NotePunctuationDelivery(bool unicast) {
     (unicast ? punct_unicast_ : punct_broadcast_)
         .fetch_add(1, std::memory_order_relaxed);

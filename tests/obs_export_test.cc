@@ -293,7 +293,8 @@ TEST(ParallelObsTest, EveryShardHasLatencyAndPunctLagSamples) {
 
 // The ingest ledger: per leaf shard, the driver's messages by cause,
 // the rows they carried, and the punctuations delivered to the shard
-// alone or by broadcast — in the snapshot and in the JSONL line.
+// alone (riding in its staged buffer) or by broadcast — in the
+// snapshot and in the JSONL line.
 TEST(ParallelObsTest, IngestLedgerCountsCausesRowsAndPunctuationFanOut) {
   StreamCatalog catalog;
   PUNCTSAFE_CHECK_OK(catalog.Register("T0", Schema::OfInts({"k", "a"})));
@@ -335,17 +336,18 @@ TEST(ParallelObsTest, IngestLedgerCountsCausesRowsAndPunctuationFanOut) {
       uint64_t shard_messages = 0;
       for (uint64_t n : e.ingest_messages) shard_messages += n;
       EXPECT_EQ(e.ingest_rows, e.routed_tuples);
-      // No message carries more than batch_size rows.
-      EXPECT_GE(shard_messages * batch_size, e.ingest_rows);
+      // No message carries more than batch_size items; the key-routed
+      // punctuations ride in the same buffers as the rows.
+      EXPECT_GE(shard_messages * batch_size, e.ingest_rows + e.punct_unicast);
       EXPECT_EQ(e.punct_broadcast, 1u);
       rows += e.ingest_rows;
       messages += shard_messages;
       unicast += e.punct_unicast;
       if (batch_size == 1) {
-        // A one-row batch is full the moment it is staged.
+        // A one-item buffer is full the moment it is staged.
         EXPECT_EQ(e.ingest_messages[static_cast<size_t>(
                       obs::IngestCause::kFull)],
-                  e.ingest_rows);
+                  e.ingest_rows + e.punct_unicast);
       }
     }
     EXPECT_EQ(rows, static_cast<uint64_t>(3 * kKeys));
@@ -359,7 +361,6 @@ TEST(ParallelObsTest, IngestLedgerCountsCausesRowsAndPunctuationFanOut) {
     const std::pair<const char*, obs::IngestCause> kCauses[] = {
         {"ingest_idle", obs::IngestCause::kIdle},
         {"ingest_full", obs::IngestCause::kFull},
-        {"ingest_stream_change", obs::IngestCause::kStreamChange},
         {"ingest_punct", obs::IngestCause::kPunctuation},
         {"ingest_barrier", obs::IngestCause::kBarrier}};
     for (const auto& [key, cause] : kCauses) {

@@ -9,8 +9,9 @@
 # second (a compile and correctness smoke, no performance threshold).
 # The sanitizer runs are what give the parallel executor's
 # differential and queue stress tests their teeth (the TSan leg also
-# runs the observability export test explicitly: exporter reads
-# against worker writes); the bench smoke keeps the JSON-emitting
+# runs the observability export, bounded queue and partition purge
+# tests explicitly: exporter reads against worker writes, and the
+# shard-buffer hand-off); the bench smoke keeps the JSON-emitting
 # binaries (and their internal result-equality CHECKs, including the
 # sharded executor's) from rotting between full benchmark runs, and
 # additionally exports an observability metrics JSONL
@@ -171,9 +172,18 @@ run_config() {
   # exporter's background thread) while parallel-executor workers
   # record into them: under TSan it is the proof that those reads race
   # cleanly with the workers' writes.
+  # The queue contract (weighted capacity, PopAll's storage swap) and
+  # the key-routed punctuation placement carry the cross-thread
+  # hand-off of shard buffers, which workers return to a free list the
+  # producers take from: under TSan they are its publication-order
+  # proof.
   if [ "${name}" = "tsan" ]; then
     echo "=== [${name}] observability export (explicit) ==="
     run_explicit "${dir}/tests/obs_export_test"
+    echo "=== [${name}] bounded queue (explicit) ==="
+    run_explicit "${dir}/tests/bounded_queue_test"
+    echo "=== [${name}] partition purge (explicit) ==="
+    run_explicit "${dir}/tests/partition_purge_test"
   fi
 }
 
